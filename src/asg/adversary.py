@@ -277,7 +277,7 @@ def _milp_cover(uncovered: int, active: list[int], masks: list[int]) -> list[int
     """Exact 0/1 set cover on the residual instance via HiGHS.
 
     The program is tiny (at most 2^n columns) and HiGHS solves it to proven
-    optimality; single-threaded, so repeated runs give the same family."""
+    optimality; repeated runs return the same family (tested)."""
     from scipy import optimize, sparse  # deferred: only the residual search needs it
 
     row_of: dict[int, int] = {}

@@ -163,10 +163,6 @@ def trivial_max(c) -> AdvicePair:
 # --- covering design protocols --------------------------------------------
 
 
-def _design_params_min(n: int, t: int, c: Fraction) -> int:
-    return math.floor(c * t)
-
-
 class _CoveringAlgBase(OnlineAlgorithm):
     def __init__(self, c: Fraction, exact_limit, greedy_limit):
         self.c = c

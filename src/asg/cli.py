@@ -4,8 +4,9 @@ exact strategy counts, problem reductions, and the verification suite.
 Every command is deterministic: the same invocation produces the same
 bytes.  Ratios are rationals (P/Q or an integer); float notation is
 rejected so results never depend on binary rounding of the arguments.
-Usage and domain errors exit with status 2; a failed verification run
-(verify or suite) exits with status 1.
+Usage and domain errors, tripped search guards and solver failures exit
+with status 2 and one `error: ...` line; a failed verification run (verify
+or suite) exits with status 1.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from asg.core import (
 )
 from asg.designs import design_for, exact_cover_number, greedy_cover
 from asg.problems import CONSTRUCTIONS, PROBLEMS
-from asg.reductions import REDUCTION_VARIANT, REDUCTIONS, ReductionError, lift_to_asg
+from asg.reductions import REDUCTION_VARIANT, REDUCTIONS, lift_to_asg
 from asg.suite import (
     BATTERY_ORDER,
     ExperimentConfig,
@@ -334,7 +335,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (ValueError, TypeError, KeyError, OSError, ReductionError) as exc:
+    except (ValueError, TypeError, KeyError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

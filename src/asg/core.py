@@ -42,7 +42,6 @@ __all__ = [
     "one_positions",
     "zero_positions",
     "dominates",
-    "asg_feasible",
     "asg_score",
     "asg_opt",
     "all_bitstrings",
@@ -63,10 +62,6 @@ PLUS_INF = math.inf
 MINUS_INF = -math.inf
 
 Score = int | float
-
-
-def is_finite_score(score: Score) -> bool:
-    return not isinstance(score, float)
 
 
 def score_to_json(score: Score):
@@ -137,10 +132,6 @@ def dominates(x: str, y: str) -> bool:
     if len(x) != len(y):
         raise ValueError("length mismatch")
     return all(a != "1" or b == "1" for a, b in zip(x, y))
-
-
-def asg_feasible(x: str, y: str) -> bool:
-    return dominates(x, y)
 
 
 def asg_score(objective: str, x: str, y: str) -> Score:

@@ -6,6 +6,14 @@ order are pinned so that two independent parties (an advice oracle and an
 algorithm) construct the identical family: blocks are sorted element tuples
 ordered lexicographically, and the exact search returns the
 lexicographically first family among those of minimum size.
+
+The exact search is one depth-first search over bitmasks: it branches on
+the lowest uncovered t-subset and bans failed siblings.  It proves the
+minimum size (growing the size from a counting/degree lower bound until a
+cover exists), then fixes the witness block by block, keeping at each
+position the smallest block that still leaves a completion.  Results are
+cached once per (v, k, t); the binom(v, t) guard is checked on every call,
+before the cache.
 """
 
 from __future__ import annotations
@@ -119,17 +127,13 @@ def _coverage_tables(v: int, k: int, t: int):
     index_of = {ts: i for i, ts in enumerate(tsubsets)}
     blocks = list(combinations(range(1, v + 1), k))
     masks = []
-    for block in blocks:
+    coverers: list[list[int]] = [[] for _ in tsubsets]
+    for bi, block in enumerate(blocks):
         m = 0
         for ts in combinations(block, t):
             m |= 1 << index_of[ts]
+            coverers[index_of[ts]].append(bi)
         masks.append(m)
-    coverers: list[list[int]] = [[] for _ in tsubsets]
-    for bi, block in enumerate(blocks):
-        bs = set(block)
-        for ti, ts in enumerate(tsubsets):
-            if set(ts) <= bs:
-                coverers[ti].append(bi)
     return blocks, masks, coverers
 
 
@@ -137,69 +141,7 @@ def _lowest_uncovered(uncovered: int) -> int:
     return (uncovered & -uncovered).bit_length() - 1
 
 
-def _cover_exists(size: int, total: int, per_block: int, masks, coverers) -> bool:
-    """Is there a family of exactly `size` blocks covering everything?
-
-    Branches on the lowest uncovered t-subset; sibling branches ban earlier
-    candidates so each family is visited at most once.
-    """
-    full = (1 << total) - 1
-
-    def dfs(uncovered: int, slots: int, banned: frozenset[int]) -> bool:
-        if uncovered == 0:
-            return True
-        if slots == 0:
-            return False
-        need = uncovered.bit_count()
-        if need > slots * per_block:
-            return False
-        target = _lowest_uncovered(uncovered)
-        newly_banned = set()
-        for bi in coverers[target]:
-            if bi in banned:
-                continue
-            if dfs(uncovered & ~masks[bi], slots - 1, banned | frozenset(newly_banned)):
-                return True
-            newly_banned.add(bi)
-        return False
-
-    return dfs(full, size, frozenset())
-
-
-def _lex_first_cover(size: int, total: int, per_block: int, blocks, masks, coverers):
-    """Lexicographically first covering family of exactly the minimum size.
-
-    DFS over strictly increasing block indices in lex order.  Prunes are
-    sound for minimum-size targets: a block covering nothing new would be
-    redundant in any completed family, and a family is dead once some
-    uncovered subset has no coverer beyond the current index.
-    """
-    full = (1 << total) - 1
-    max_coverer = [c[-1] if c else -1 for c in coverers]
-    nblocks = len(blocks)
-
-    def dfs(uncovered: int, start: int, slots: int, chosen: list[int]):
-        if uncovered == 0:
-            return list(chosen)
-        if slots == 0 or uncovered.bit_count() > slots * per_block:
-            return None
-        if max_coverer[_lowest_uncovered(uncovered)] < start:
-            return None
-        for bi in range(start, nblocks):
-            gain = uncovered & masks[bi]
-            if gain == 0:
-                continue
-            chosen.append(bi)
-            found = dfs(uncovered & ~gain, bi + 1, slots - 1, chosen)
-            if found is not None:
-                return found
-            chosen.pop()
-        return None
-
-    return dfs(full, 0, size, [])
-
-
-def _degree_lower_bound(v: int, k: int, t: int, limit: int | None) -> int:
+def _degree_lower_bound(v: int, k: int, t: int) -> int:
     """Each element joined with any (t-1)-subset of the rest forms a t-subset,
     so the blocks through one element carry a full (v-1, k-1, t-1) cover;
     summing degrees over elements bounds the family size from below."""
@@ -207,34 +149,68 @@ def _degree_lower_bound(v: int, k: int, t: int, limit: int | None) -> int:
         return 1
     if t == 1:
         return math.ceil(Fraction(v, k))
-    inner = _exact_cached(v - 1, k - 1, t - 1, limit).size
+    inner = _exact_cached(v - 1, k - 1, t - 1).size
     return math.ceil(Fraction(v * inner, k))
 
 
 @lru_cache(maxsize=None)
-def _exact_cached(v: int, k: int, t: int, limit: int | None) -> CoveringDesign:
-    _check_params(v, k, t)
-    _guard(v, t, limit)
+def _exact_cached(v: int, k: int, t: int) -> CoveringDesign:
     blocks, masks, coverers = _coverage_tables(v, k, t)
     if t == 0 or k == v:
         return CoveringDesign(v, k, t, (blocks[0],))
-    total = math.comb(v, t)
     per_block = math.comb(k, t)
-    size = max(math.ceil(Fraction(total, per_block)), _degree_lower_bound(v, k, t, limit))
-    while not _cover_exists(size, total, per_block, masks, coverers):
+
+    def completes(uncovered: int, slots: int, start: int, banned: int = 0) -> list[int] | None:
+        """At most `slots` blocks of index >= start that cover `uncovered`, or
+        None when there are none.
+
+        Branches on the lowest uncovered t-subset; a coverer that failed is
+        banned (one bit per block) for its later siblings, so each family is
+        visited at most once.
+        """
+        if uncovered == 0:
+            return []
+        if uncovered.bit_count() > slots * per_block:
+            return None
+        for bi in coverers[_lowest_uncovered(uncovered)]:
+            if bi < start or banned >> bi & 1:
+                continue
+            rest = completes(uncovered & ~masks[bi], slots - 1, start, banned)
+            if rest is not None:
+                return [bi, *rest]
+            banned |= 1 << bi
+        return None
+
+    total = math.comb(v, t)
+    uncovered = (1 << total) - 1
+    size = max(math.ceil(Fraction(total, per_block)), _degree_lower_bound(v, k, t))
+    while (family := completes(uncovered, size, 0)) is None:
         size += 1
-    chosen = _lex_first_cover(size, total, per_block, blocks, masks, coverers)
-    assert chosen is not None
-    return CoveringDesign(v, k, t, tuple(blocks[i] for i in chosen))
+    # Turn the minimum family found into the lex-first one, position by
+    # position: before keeping family[p], try every earlier block after
+    # family[p-1] that covers something new (in a minimum family every block
+    # does) and still leaves a completion with the slots left.
+    family.sort()
+    for p in range(size):
+        for bi in range(family[p - 1] + 1 if p else 0, family[p]):
+            if uncovered & masks[bi]:
+                rest = completes(uncovered & ~masks[bi], size - p - 1, bi + 1)
+                if rest is not None:
+                    family[p:] = [bi, *sorted(rest)]
+                    break
+        uncovered &= ~masks[family[p]]
+    return CoveringDesign(v, k, t, tuple(blocks[i] for i in family))
 
 
 def exact_cover_number(v: int, k: int, t: int, limit: int | None = None) -> CoveringDesign:
     """Minimum-size covering design, lexicographically first witness.
 
-    Deterministic: repeated calls return the identical family.  Raises
-    SearchLimitError when binom(v, t) exceeds the guard.
+    Deterministic: repeated calls return the identical family, whatever the
+    limit.  Raises SearchLimitError when binom(v, t) exceeds the guard.
     """
-    return _exact_cached(v, k, t, limit)
+    _check_params(v, k, t)
+    _guard(v, t, limit)
+    return _exact_cached(v, k, t)
 
 
 @lru_cache(maxsize=None)

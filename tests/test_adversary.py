@@ -7,6 +7,7 @@ from itertools import combinations, product
 import pytest
 
 from asg.adversary import (
+    _milp_cover,
     covers,
     exact_strategy_count,
     forced_cost_bound,
@@ -212,6 +213,23 @@ def test_exact_strategy_count_matches_naive_search():
                     any(covers(objective, x, y, c) for y in got.family)
                     for x in inputs
                 )
+
+
+def test_milp_cover_repeats_its_family():
+    # residual instance: the pairs of {0..5}, covered by its triples
+    pairs = list(combinations(range(6), 2))
+    masks = [
+        sum(1 << pairs.index(p) for p in combinations(triple, 2))
+        for triple in combinations(range(6), 3)
+    ]
+    uncovered = (1 << len(pairs)) - 1
+    first = _milp_cover(uncovered, list(range(len(masks))), masks)
+    assert _milp_cover(uncovered, list(range(len(masks))), masks) == first
+    assert len(first) == 6
+    covered = 0
+    for j in first:
+        covered |= masks[j]
+    assert covered == uncovered
 
 
 def test_exact_strategy_count_identity_ratio():

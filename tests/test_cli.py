@@ -1,7 +1,15 @@
 """Command-line harness: argument validation, output shapes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+import types
+from pathlib import Path
 
+import scipy.optimize
+
+import asg
 from asg.adversary import exact_strategy_count
 from asg.cli import main
 from asg.problems import CONSTRUCTIONS
@@ -139,6 +147,29 @@ def test_brute_matches_the_library(capsys):
     payload = json.loads(out)
     assert payload["count"] == exact_strategy_count(4, 2, "min").count
     assert payload["lower_bits"] <= payload["bits"] <= payload["upper_bits"]
+
+
+def test_search_guard_is_a_one_line_error_with_exit_2():
+    env = dict(os.environ, PYTHONPATH=str(Path(asg.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "asg.cli", "design", "--v", "30", "--k", "10", "--t", "5"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: ") and len(done.stderr.splitlines()) == 1
+    assert "Traceback" not in done.stderr
+
+
+def test_solver_failure_is_a_one_line_error_with_exit_2(capsys, monkeypatch):
+    def failing_milp(*args, **kwargs):
+        return types.SimpleNamespace(success=False, message="forced failure", x=None)
+
+    monkeypatch.setattr(scipy.optimize, "milp", failing_milp)
+    code, out, err = run_cli(capsys, "brute", "--n", "5", "--c", "2")
+    assert code == 2
+    assert out == ""
+    assert err == "error: set-cover program failed: forced failure\n"
 
 
 def test_reduce_round_trips_the_instance(capsys):

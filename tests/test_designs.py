@@ -133,6 +133,29 @@ def test_search_guard():
         greedy_cover(40, 20, 2, limit=1000)
 
 
+def test_guard_holds_after_an_unguarded_call_is_cached():
+    exact_cover_number(6, 3, 2)
+    with pytest.raises(SearchLimitError):
+        exact_cover_number(6, 3, 2, limit=10)
+
+
+def test_exact_search_is_cached_once_per_vkt():
+    assert exact_cover_number(7, 4, 3) is design_for(7, 4, 3)
+
+
+def test_exact_8_5_4_golden_blocks():
+    # pinned: oracle and algorithm both rebuild this family from (v, k, t) alone
+    d = exact_cover_number(8, 5, 4)
+    assert d.size == 20
+    assert d.blocks == (
+        (1, 2, 3, 4, 5), (1, 2, 3, 4, 6), (1, 2, 3, 4, 7), (1, 2, 3, 4, 8),
+        (1, 2, 3, 5, 6), (1, 2, 3, 5, 7), (1, 2, 3, 5, 8), (1, 2, 4, 5, 6),
+        (1, 2, 4, 5, 7), (1, 2, 4, 5, 8), (1, 2, 6, 7, 8), (1, 3, 6, 7, 8),
+        (1, 4, 6, 7, 8), (1, 5, 6, 7, 8), (2, 3, 6, 7, 8), (2, 4, 6, 7, 8),
+        (2, 5, 6, 7, 8), (3, 4, 5, 6, 7), (3, 4, 5, 6, 8), (3, 4, 5, 7, 8),
+    )
+
+
 def test_design_for_modes():
     exact = design_for(6, 4, 2)
     assert exact.size == exact_cover_number(6, 4, 2).size
