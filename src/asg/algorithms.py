@@ -45,6 +45,7 @@ from asg.core import (
     zeros,
 )
 from asg.designs import design_for
+from asg.problems import scaled_weights
 
 __all__ = [
     "AdvicePair",
@@ -327,15 +328,19 @@ def aoc_generic(problem, c, exact_limit: int | None = None, greedy_limit: int | 
 class _KnapsackAlg(OnlineAlgorithm):
     def begin(self, tape):
         self.m = decode_int(tape)
-        self.weight = Fraction(0)
+        self.cap = Fraction(2, self.m) if self.m else None
+        self.load, self.scale = 0, 1  # the accepted weight is load / scale
 
     def answer(self, i, request):
         a = Fraction(request)
         if self.m == 0:
             return 1
-        if a <= Fraction(2, self.m) and self.weight + a <= 1:
-            self.weight += a
-            return 0  # accept
+        if a <= self.cap:
+            scale = math.lcm(self.scale, a.denominator)
+            load = self.load * (scale // self.scale) + a.numerator * (scale // a.denominator)
+            if load <= scale:
+                self.load, self.scale = load, scale
+                return 0  # accept
         return 1
 
 
@@ -348,10 +353,10 @@ def knapsack_two_competitive() -> AdvicePair:
     """
 
     def oracle(instance) -> list[int]:
-        weights = sorted(Fraction(w) for w in instance)
-        total, m = Fraction(0), 0
-        for w in weights:
-            if total + w > 1:
+        weights, scale = scaled_weights([Fraction(w) for w in instance])
+        total = m = 0
+        for w in sorted(weights):
+            if total + w > scale:
                 break
             total += w
             m += 1

@@ -99,7 +99,7 @@ class Variant(enum.Enum):
 
 
 def check_bits(x: str) -> str:
-    if not isinstance(x, str) or any(ch not in "01" for ch in x):
+    if not isinstance(x, str) or x.strip("01"):
         raise ValueError(f"not a bit string: {x!r}")
     return x
 

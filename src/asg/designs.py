@@ -158,6 +158,9 @@ def _exact_cached(v: int, k: int, t: int) -> CoveringDesign:
     blocks, masks, coverers = _coverage_tables(v, k, t)
     if t == 0 or k == v:
         return CoveringDesign(v, k, t, (blocks[0],))
+    if k == t:
+        # each t-subset is its own only coverer: the design is all of them
+        return CoveringDesign(v, k, t, tuple(blocks))
     per_block = math.comb(k, t)
 
     def completes(uncovered: int, slots: int, start: int, banned: int = 0) -> list[int] | None:

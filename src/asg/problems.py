@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 from asg.core import (
@@ -52,6 +53,7 @@ __all__ = [
     "IndependentSet",
     "DisjointPaths",
     "UnitKnapsack",
+    "scaled_weights",
     "EdgeMatching",
     "PROBLEMS",
     "split_graph",
@@ -214,7 +216,13 @@ def matching_vertex_disjoint(edges, chosen_indices: set) -> bool:
 
 
 class Problem:
-    """An online problem with binary answers and asymmetric scoring."""
+    """An online problem with binary answers and asymmetric scoring.
+
+    Instances are immutable values: two equal instances are the same
+    instance.  `opt`, `optimal_strings` and `aoc_membership_check` all read
+    one table of the scores of every output, built once per (problem,
+    instance) by `_score_table`.
+    """
 
     name: str = ""
     objective: str = ""
@@ -229,23 +237,41 @@ class Problem:
         return len(self.requests(instance))
 
     def opt(self, instance) -> Score:
-        scores = self._all_scores(instance)
-        return min(scores) if self.objective == "min" else max(scores)
+        return self._best(_score_table(self, instance))
 
     def optimal_strings(self, instance) -> list[str]:
         """All optimum answer strings, lexicographically sorted; empty when
         no output is feasible."""
-        n = self._length(instance)
-        best = self.opt(instance)
+        scores = _score_table(self, instance)
+        best = self._best(scores)
         if best in (PLUS_INF, MINUS_INF):
             return []
-        return [y for y in all_bitstrings(n) if self.score(instance, y) == best]
-
-    def _all_scores(self, instance) -> list[Score]:
         n = self._length(instance)
-        if n > BRUTE_GUARD:
-            raise ValueError(f"brute force capped at {BRUTE_GUARD} requests")
-        return [self.score(instance, y) for y in all_bitstrings(n)]
+        return [y for y, s in zip(all_bitstrings(n), scores) if s == best]
+
+    def _best(self, scores) -> Score:
+        return min(scores) if self.objective == "min" else max(scores)
+
+
+SCORE_TABLES = 1024  # tables kept, least recently used dropped first; each holds 2^n scores
+
+
+def _score_table(problem: Problem, instance) -> tuple[Score, ...]:
+    """The scores of all 2^n outputs of the instance, in `all_bitstrings`
+    order, memoised per (problem, instance)."""
+    try:
+        hash(instance)
+    except TypeError:  # a list of weights or edges cannot key the cache
+        return _scores.__wrapped__(problem, instance)
+    return _scores(problem, instance)
+
+
+@lru_cache(maxsize=SCORE_TABLES)
+def _scores(problem: Problem, instance) -> tuple[Score, ...]:
+    n = problem._length(instance)
+    if n > BRUTE_GUARD:
+        raise ValueError(f"brute force capped at {BRUTE_GUARD} requests")
+    return tuple(problem.score(instance, y) for y in all_bitstrings(n))
 
 
 def _check_len(y: str, n: int) -> None:
@@ -339,10 +365,20 @@ class UnitKnapsack(Problem):
         return [Fraction(w) for w in instance]
 
     def score(self, instance, y):
-        weights = self.requests(instance)
+        weights, scale = scaled_weights(self.requests(instance))
         _check_len(y, len(weights))
-        load = sum((w for w, b in zip(weights, y) if b == "0"), Fraction(0))
-        return zeros(y) if load <= 1 else MINUS_INF
+        load = sum(w for w, b in zip(weights, y) if b == "0")
+        return zeros(y) if load <= scale else MINUS_INF
+
+
+def scaled_weights(weights) -> tuple[list[int], int]:
+    """The weights (Fractions, ints or floats, taken at their exact values)
+    as integer numerators over the lcm of their denominators, and that lcm:
+    a load fits the unit knapsack exactly when its scaled sum is at most
+    the lcm."""
+    ratios = [w.as_integer_ratio() for w in weights]
+    scale = math.lcm(*(d for _, d in ratios))
+    return [n * (scale // d) for n, d in ratios], scale
 
 
 class EdgeMatching(Problem):
@@ -482,20 +518,21 @@ def aoc_membership_check(problem: Problem, instances) -> list[dict]:
     bad = []
     for instance in instances:
         n = problem._length(instance)
-        best = problem.optimal_strings(instance)
-        if not best:
+        scores = _score_table(problem, instance)
+        best = problem._best(scores)
+        if best in (PLUS_INF, MINUS_INF):
             bad.append({"instance": instance, "reason": "no feasible output"})
             continue
-        for y in all_bitstrings(n):
-            s = problem.score(instance, y)
+        # outputs as bit masks: output y is the mask at y's position
+        optima = [mask for mask, s in enumerate(scores) if s == best]
+        for mask, (y, s) in enumerate(zip(all_bitstrings(n), scores)):
             finite = s not in (PLUS_INF, MINUS_INF)
             if finite:
                 want = ones(y) if problem.objective == "min" else zeros(y)
                 if s != want:
                     bad.append({"instance": instance, "y": y, "reason": "score is not the bit count"})
-            expected_feasible = any(
-                all(b != "1" or a == "1" for b, a in zip(opt, y)) for opt in best
-            )
+            # y dominates an optimum when it answers 1 wherever that one does
+            expected_feasible = any(opt & ~mask == 0 for opt in optima)
             if expected_feasible and not finite:
                 bad.append({"instance": instance, "y": y, "reason": "dominates an optimum but infeasible"})
     return bad

@@ -71,7 +71,7 @@ from asg.core import (
     zeros,
 )
 from asg.designs import exact_cover_number
-from asg.problems import CONSTRUCTIONS, PROBLEMS, aoc_membership_check
+from asg.problems import CONSTRUCTIONS, PROBLEMS, aoc_membership_check, scaled_weights
 from asg.reductions import REDUCTION_VARIANT, REDUCTIONS, lift_to_asg
 
 __all__ = [
@@ -666,9 +666,10 @@ def battery_reductions(n_max: int = 8, ratios=None) -> BatteryResult:
 
 def _greedy_fill_count(weights) -> int:
     """Largest number of items fitting in the unit knapsack: smallest first."""
-    total, count = Fraction(0), 0
-    for w in sorted(weights):
-        if total + w > 1:
+    scaled, scale = scaled_weights(weights)
+    total = count = 0
+    for w in sorted(scaled):
+        if total + w > scale:
             break
         total += w
         count += 1

@@ -16,6 +16,7 @@ from asg.algorithms import (
     trivial_min,
 )
 from asg.core import (
+    MINUS_INF,
     AdviceTape,
     Variant,
     all_bitstrings,
@@ -28,6 +29,8 @@ from asg.core import (
     run_online,
     zeros,
 )
+from asg.problems import PROBLEMS
+from asg.suite import _greedy_fill_count
 
 RATIOS = [Fraction(3, 2), Fraction(2), Fraction(5, 2), Fraction(3)]
 
@@ -237,3 +240,35 @@ def test_matching_stays_disjoint_and_maximal():
         for e, bit in zip(graph, y):
             if bit == "1":
                 assert any(v in used for v in e)
+
+
+KNAPSACK_POOL = [Fraction(1, 3), Fraction(1, 2), Fraction(1, 6), Fraction(2, 5), 1, 0.1, 0.3, 0.7, 0.9]
+
+
+def _fits(weights) -> bool:
+    return sum((Fraction(w) for w in weights), Fraction(0)) <= 1
+
+
+def _fill_count(weights) -> int:
+    return max(r for r in range(len(weights) + 1) if any(_fits(s) for s in combinations(weights, r)))
+
+
+def test_knapsack_loads_are_exact():
+    ks = PROBLEMS["ks"]
+    pair = knapsack_two_competitive()
+    instances = [w for n in range(4) for w in product(KNAPSACK_POOL, repeat=n)]
+    instances += [(Fraction(1, 3), Fraction(1, 2), Fraction(1, 6)), (0.1, 0.9), (0.3, 0.7)]
+    for weights in instances:
+        for y in all_bitstrings(len(weights)):
+            taken = [w for w, bit in zip(weights, y) if bit == "0"]
+            assert ks.score(weights, y) == (len(taken) if _fits(taken) else MINUS_INF)
+        m = _fill_count(weights)
+        assert pair.oracle(weights) == encode_int(m)
+        assert _greedy_fill_count(weights) == m
+    # a load of exactly 1 fits; the floats' exact sums sit just off 1
+    assert ks.score((1,), "0") == 1
+    assert ks.score((Fraction(1, 3), Fraction(1, 2), Fraction(1, 6)), "000") == 3
+    assert ks.score((0.1, 0.9), "00") == MINUS_INF
+    assert ks.score((0.3, 0.7), "00") == 2
+    assert _greedy_fill_count((0.1, 0.9)) == 1
+    assert _greedy_fill_count((0.3, 0.7)) == 2

@@ -1,6 +1,7 @@
 """Command-line harness: argument validation, output shapes, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -159,6 +160,12 @@ def test_search_guard_is_a_one_line_error_with_exit_2():
     assert done.stdout == ""
     assert done.stderr.startswith("error: ") and len(done.stderr.splitlines()) == 1
     assert "Traceback" not in done.stderr
+
+
+def test_exact_design_with_k_equal_t_needs_no_search(capsys):
+    code, out, err = run_cli(capsys, "design", "--v", "20", "--k", "3", "--t", "3", "--method", "exact")
+    assert code == 0 and err == ""
+    assert len(json.loads(out)["blocks"]) == math.comb(20, 3) == 1140
 
 
 def test_solver_failure_is_a_one_line_error_with_exit_2(capsys, monkeypatch):

@@ -61,6 +61,14 @@ def test_exact_edge_cases():
         exact_cover_number(3, 4, 2)
 
 
+def test_exact_with_k_equal_t_is_every_t_subset():
+    # each t-subset is its own only coverer, so it must be a block; the
+    # search returned these same blocks for every v <= 8
+    for v in range(1, 9):
+        for t in range(v + 1):
+            assert exact_cover_number(v, t, t).blocks == tuple(combinations(range(1, v + 1), t))
+
+
 def test_exact_matches_naive_scan():
     for v, k, t in [(4, 2, 1), (4, 3, 2), (5, 3, 2), (5, 4, 2), (6, 3, 2), (5, 3, 3), (6, 4, 3)]:
         got = exact_cover_number(v, k, t)

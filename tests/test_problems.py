@@ -256,3 +256,36 @@ def test_instance_json_round_trips():
 def test_constructions_registry():
     assert set(CONSTRUCTIONS) == {"vc", "cf", "ds", "sc", "is", "dpa"}
     assert CONSTRUCTIONS["is"] is split_graph
+
+
+def test_list_instances_keep_working():
+    # lists cannot key the score-table cache; they are scored afresh
+    weights = [Fraction(1, 2), Fraction(1, 2), Fraction(3, 4)]
+    assert KS.opt(weights) == 2
+    assert KS.optimal_strings(weights) == ["001"]
+    assert aoc_membership_check(KS, [weights, [Fraction(1, 4)]]) == []
+    edges = [[1, 2], [2, 3], [3, 4]]
+    assert OM.opt(edges) == 2
+    assert OM.optimal_strings(edges) == ["010"]
+    assert aoc_membership_check(OM, [edges, [[1, 2]]]) == []
+
+
+class _CountingVertexCover(type(VC)):
+    def __init__(self):
+        self.calls = 0
+
+    def score(self, instance, y):
+        self.calls += 1
+        return super().score(instance, y)
+
+
+def test_one_score_table_per_instance():
+    vc = _CountingVertexCover()
+    graph = split_graph("0110")
+    assert vc.optimal_strings(graph) == VC.optimal_strings(graph)
+    assert vc.opt(graph) == 2
+    assert aoc_membership_check(vc, [graph]) == []
+    assert vc.calls == 2**4
+    # an equal instance built anew reads the same table
+    assert vc.opt(split_graph("0110")) == 2
+    assert vc.calls == 2**4
