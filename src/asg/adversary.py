@@ -26,13 +26,14 @@ from asg.core import (
     Score,
     all_bitstrings,
     as_ratio,
+    asg_opt,
     asg_score,
     ceil_log2,
     check_bits,
+    design_shapes,
     dominates,
     ones,
     score_to_json,
-    zeros,
 )
 from asg.designs import exact_cover_number
 
@@ -253,14 +254,12 @@ def max_no_advice_game(
 
 
 def covers(objective: str, x: str, y: str, c: Fraction) -> bool:
-    """Does the fixed output y serve input x within the strict budget?"""
+    """Does the fixed output y serve input x within the strict budget?  It
+    must dominate x and hold at most the k 1s that core.design_shapes gives
+    x's weight class: floor(c |x|_1) for min, n - ceil(|x|_0 / c) for max."""
     if not dominates(x, y):
         return False
-    if objective == "min":
-        return ones(y) <= math.floor(c * ones(x))
-    if objective == "max":
-        return zeros(y) >= math.ceil(Fraction(zeros(x)) / c)
-    raise ValueError(f"unknown objective: {objective!r}")
+    return ones(y) <= design_shapes(objective, c, len(x))[asg_opt(objective, x)][0]
 
 
 @dataclass(frozen=True)
@@ -394,15 +393,5 @@ def strategy_count_bounds(n: int, c, objective: str = "min") -> tuple[int, int]:
     ratio = as_ratio(c)
     if ratio < 1:
         raise ValueError("needs c >= 1")
-    sizes = []
-    for t in range(n + 1):
-        if objective == "min":
-            k = min(math.floor(ratio * t), n)
-            sizes.append(exact_cover_number(n, k, t).size)
-        elif objective == "max":
-            u = t
-            k = n - math.ceil(Fraction(u) / ratio)
-            sizes.append(exact_cover_number(n, k, n - u).size)
-        else:
-            raise ValueError(f"unknown objective: {objective!r}")
+    sizes = [exact_cover_number(n, k, t).size for k, t in design_shapes(objective, ratio, n)]
     return max(sizes), sum(sizes)

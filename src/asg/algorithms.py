@@ -12,9 +12,9 @@ Protocols implemented here:
 * trivial_max(c): ceil(c) consecutive blocks of at most ceil(n/c) bits; the
   oracle sends the endpoints of a block with the most 0s (leftmost wins)
   and its literal content; the algorithm answers 1 outside it.
-* covering_min(c) / covering_max(c): oracle and algorithm deterministically
-  build the same covering design for the input's weight class and the
-  oracle sends a block index; costs are exact in the interior cases.
+* covering_min(c) / covering_max(c): one protocol over core.design_shapes;
+  oracle and algorithm build the same design for the input's weight class
+  and the oracle sends a block index; interior costs are exact.
 * aoc_generic(problem, c): covers any problem where feasible outputs are
   scored by their 1s (min) or 0s (max) and shrinking toward an optimal
   solution preserves feasibility; the oracle feeds the covering protocol an
@@ -33,16 +33,17 @@ from fractions import Fraction
 from typing import Callable
 
 from asg.core import (
+    MalformedAdviceError,
     OnlineAlgorithm,
     as_ratio,
+    asg_opt,
     ceil_log2,
     check_bits,
     decode_int,
+    design_shapes,
     encode_int,
     encoded_length,
     one_positions,
-    ones,
-    zeros,
 )
 from asg.designs import design_for
 from asg.problems import scaled_weights
@@ -164,46 +165,36 @@ def trivial_max(c) -> AdvicePair:
 # --- covering design protocols --------------------------------------------
 
 
-class _CoveringAlgBase(OnlineAlgorithm):
-    def __init__(self, c: Fraction, exact_limit, greedy_limit):
-        self.c = c
-        self.exact_limit = exact_limit
-        self.greedy_limit = greedy_limit
+class _CoveringAlg(OnlineAlgorithm):
+    def __init__(self, c: Fraction, objective: str, exact_limit):
+        self.c, self.objective, self.exact_limit = c, objective, exact_limit
 
-    def _load_block(self, n: int, k: int, t: int):
-        design = design_for(n, k, t, self.exact_limit, self.greedy_limit)
-        index = _read_fixed(self.tape, ceil_log2(design.size))
-        self.in_block = set(design.blocks[index])
-
-
-class _CoveringMinAlg(_CoveringAlgBase):
     def begin(self, tape):
-        self.tape = tape
         n = decode_int(tape)
-        t = _read_fixed(tape, ceil_log2(n + 1))
-        if math.floor(self.c * t) >= n:
-            self.mode = "ones"
-        elif t == 0:
-            self.mode = "zeros"
-        else:
-            self.mode = "block"
-            self._load_block(n, math.floor(self.c * t), t)
+        w = _read_fixed(tape, ceil_log2(n + 1))
+        if w > n:
+            raise MalformedAdviceError(f"weight field {w} exceeds the length {n}")
+        k, t = design_shapes(self.objective, self.c, n)[w]
+        self.in_block = range(1, n + 1) if t else ()  # a boundary class: all 1s or all 0s
+        if 0 < t and k < n:
+            design = design_for(n, k, t, self.exact_limit)
+            index = _read_fixed(tape, ceil_log2(design.size))
+            if index >= design.size:
+                raise MalformedAdviceError(f"block index {index} outside {design.size} blocks")
+            self.in_block = set(design.blocks[index])
 
     def answer(self, i, request):
-        if self.mode == "ones":
-            return 1
-        if self.mode == "zeros":
-            return 0
         return int(i in self.in_block)
 
 
-def covering_min(c, exact_limit: int | None = None, greedy_limit: int | None = None) -> AdvicePair:
-    """Covering-design protocol for the minimization game.
+def _covering(c, objective: str, exact_limit: int | None) -> AdvicePair:
+    """The covering-design protocol for either objective.
 
-    The oracle sends n (self-delimited), t = |x|_1 on a fixed ceil(log(n+1))
-    bits, and, in the interior case 0 < floor(c t) < n, the index of a
-    design block whose characteristic vector dominates x.  Cost is then
-    exactly floor(c t); the boundary cases answer all 1s or all 0s.
+    The oracle sends n (self-delimited), the weight w = OPT(x) on a fixed
+    ceil(log(n+1)) bits and, when class w needs a design (see
+    core.design_shapes), the index of the first block whose characteristic
+    vector dominates x; the answer is that block, with exactly k 1s.  The
+    boundary classes answer all 1s, or all 0s when t = 0.
     """
     c = as_ratio(c)
     if c <= 1:
@@ -212,12 +203,12 @@ def covering_min(c, exact_limit: int | None = None, greedy_limit: int | None = N
     def oracle(x: str) -> list[int]:
         check_bits(x)
         n = len(x)
-        t = ones(x)
+        w = asg_opt(objective, x)
         bits = encode_int(n)
-        bits.extend(_fixed_width(t, ceil_log2(n + 1)))
-        k = math.floor(c * t)
-        if 0 < k < n:
-            design = design_for(n, k, t, exact_limit, greedy_limit)
+        bits.extend(_fixed_width(w, ceil_log2(n + 1)))
+        k, t = design_shapes(objective, c, n)[w]
+        if 0 < t and k < n:
+            design = design_for(n, k, t, exact_limit)
             support = set(one_positions(x))
             index = next(
                 i for i, block in enumerate(design.blocks) if support <= set(block)
@@ -226,80 +217,32 @@ def covering_min(c, exact_limit: int | None = None, greedy_limit: int | None = N
         return bits
 
     def budget(n: int) -> int:
-        header = encoded_length(n) + ceil_log2(n + 1)
-        widest = 0
-        for t in range(1, n + 1):
-            k = math.floor(c * t)
-            if 0 < k < n:
-                design = design_for(n, k, t, exact_limit, greedy_limit)
-                widest = max(widest, ceil_log2(design.size))
-        return header + widest
+        widths = [
+            ceil_log2(design_for(n, k, t, exact_limit).size)
+            for k, t in design_shapes(objective, c, n)
+            if 0 < t and k < n
+        ]
+        return encoded_length(n) + ceil_log2(n + 1) + max(widths, default=0)
 
-    return AdvicePair(oracle, lambda: _CoveringMinAlg(c, exact_limit, greedy_limit), budget)
+    return AdvicePair(oracle, lambda: _CoveringAlg(c, objective, exact_limit), budget)
 
 
-class _CoveringMaxAlg(_CoveringAlgBase):
-    def begin(self, tape):
-        self.tape = tape
-        n = decode_int(tape)
-        u = _read_fixed(tape, ceil_log2(n + 1))
-        if u == 0:
-            self.mode = "ones"
-        elif u == n:
-            self.mode = "zeros"
-        else:
-            self.mode = "block"
-            self._load_block(n, n - math.ceil(u / self.c), n - u)
-
-    def answer(self, i, request):
-        if self.mode == "ones":
-            return 1
-        if self.mode == "zeros":
-            return 0
-        return int(i in self.in_block)
+def covering_min(c, exact_limit: int | None = None) -> AdvicePair:
+    """Covering-design protocol for the minimization game: an (n, floor(c t), t)
+    design serves t = |x|_1, at cost exactly floor(c t) when 0 < floor(c t) < n."""
+    return _covering(c, "min", exact_limit)
 
 
-def covering_max(c, exact_limit: int | None = None, greedy_limit: int | None = None) -> AdvicePair:
-    """Covering-design protocol for the maximization game.
-
-    With u = |x|_0, the interior case 0 < u < n uses an
-    (n, n - ceil(u/c), n - u) design: the chosen block dominates x and
-    leaves exactly ceil(u/c) zeros.
-    """
-    c = as_ratio(c)
-    if c <= 1:
-        raise ValueError("needs c > 1")
-
-    def oracle(x: str) -> list[int]:
-        check_bits(x)
-        n = len(x)
-        u = zeros(x)
-        bits = encode_int(n)
-        bits.extend(_fixed_width(u, ceil_log2(n + 1)))
-        if 0 < u < n:
-            design = design_for(n, n - math.ceil(u / c), n - u, exact_limit, greedy_limit)
-            support = set(one_positions(x))
-            index = next(
-                i for i, block in enumerate(design.blocks) if support <= set(block)
-            )
-            bits.extend(_fixed_width(index, ceil_log2(design.size)))
-        return bits
-
-    def budget(n: int) -> int:
-        header = encoded_length(n) + ceil_log2(n + 1)
-        widest = 0
-        for u in range(1, n):
-            design = design_for(n, n - math.ceil(u / c), n - u, exact_limit, greedy_limit)
-            widest = max(widest, ceil_log2(design.size))
-        return header + widest
-
-    return AdvicePair(oracle, lambda: _CoveringMaxAlg(c, exact_limit, greedy_limit), budget)
+def covering_max(c, exact_limit: int | None = None) -> AdvicePair:
+    """Covering-design protocol for the maximization game: an (n, n - ceil(u/c),
+    n - u) design serves u = |x|_0, leaving exactly ceil(u/c) zeros when 0 < u < n."""
+    return _covering(c, "max", exact_limit)
 
 
 # --- the generic reduction to covering protocols ---------------------------
 
 
-def aoc_generic(problem, c, exact_limit: int | None = None, greedy_limit: int | None = None) -> AdvicePair:
+def aoc_generic(problem, c, exact_limit: int | None = None) -> AdvicePair:
     """Generic strictly c-competitive pair for any asymmetrically scored
     binary-choice problem (see problems.check_aoc_membership).
 
@@ -309,11 +252,7 @@ def aoc_generic(problem, c, exact_limit: int | None = None, greedy_limit: int | 
     entirely.  Domination of the optimal string keeps the output feasible,
     and the covering guarantee bounds its score.
     """
-    c = as_ratio(c)
-    if problem.objective == "min":
-        base = covering_min(c, exact_limit, greedy_limit)
-    else:
-        base = covering_max(c, exact_limit, greedy_limit)
+    base = _covering(c, problem.objective, exact_limit)
 
     def oracle(instance) -> list[int]:
         best = problem.optimal_strings(instance)[0]

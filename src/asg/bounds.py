@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import mpmath
 
-from asg.core import as_ratio
+from asg.core import as_ratio, design_shapes
 
 __all__ = [
     "PRECISION",
@@ -228,71 +228,52 @@ def _lgamma_log2_binom(lg: list[float], n: int, m: int) -> float:
     return (lg[n] - lg[m] - lg[n - m]) / math.log(2)
 
 
-def log_max_weight_quotient(n: int, c) -> tuple[mpmath.mpf, int]:
-    """max over t with floor(c t) < n of log2(binom(n,t)/binom(floor(ct),t)).
+def _log_max_quotient(objective: str, n: int, c: Fraction) -> tuple[mpmath.mpf, int]:
+    """max over the weights w with k < n of log2(binom(n,w)/binom(k,t)), for
+    the (k, t) that core.design_shapes assigns to w, and its first maximizer.
 
     A float sweep (lgamma) locates candidate maximizers; every candidate
     within a safety margin is re-evaluated with exact binomials at working
     precision before taking the max.
     """
-    c = as_ratio(c)
     if c <= 1:
         raise ValueError("needs c > 1")
+    shapes = design_shapes(objective, c, n)
     lg = [0.0] * (n + 2)
     for i in range(2, n + 2):
         lg[i] = lg[i - 1] + math.log(i)
-    approx = {}
-    t = 0
-    while True:
-        ct = (c.numerator * t) // c.denominator
-        if ct >= n:
-            break
-        approx[t] = _lgamma_log2_binom(lg, n, t) - _lgamma_log2_binom(lg, ct, min(t, ct))
-        t += 1
+    approx = {
+        w: _lgamma_log2_binom(lg, n, w) - _lgamma_log2_binom(lg, k, t)
+        for w, (k, t) in enumerate(shapes)
+        if k < n
+    }
     if not approx:
         raise ValueError(f"no weight t has floor(c t) < n for n={n}, c={c}")
     peak = max(approx.values())
-    best, best_t = None, -1
+    best, best_w = None, -1
     with mpmath.workprec(PRECISION):
-        for t, a in approx.items():
+        for w, a in approx.items():
             if a < peak - 1e-6:
                 continue
-            ct = (c.numerator * t) // c.denominator
-            exact = log2_binom(n, t) - log2_binom(ct, min(t, ct))
+            k, t = shapes[w]
+            exact = log2_binom(n, w) - log2_binom(k, t)
             if best is None or exact > best:
-                best, best_t = exact, t
-    return best, best_t
+                best, best_w = exact, w
+    return best, best_w
+
+
+def log_max_weight_quotient(n: int, c) -> tuple[mpmath.mpf, int]:
+    """max over t with floor(c t) < n of log2(binom(n,t)/binom(floor(ct),t))."""
+    return _log_max_quotient("min", n, as_ratio(c))
 
 
 def log_max_cozero_quotient(n: int, c) -> tuple[mpmath.mpf, int]:
-    """max over 0 < u < n of log2(binom(n,u)/binom(n - ceil(u/c), n - u))."""
+    """max over 0 < u < n of log2(binom(n,u)/binom(n - ceil(u/c), n - u));
+    the sweep also admits u = n, whose quotient 1 never beats u = 1's n."""
     c = as_ratio(c)
-    if c <= 1:
-        raise ValueError("needs c > 1")
-    if n < 2:
+    if n < 2 and c > 1:  # the sweep refuses c <= 1 first
         raise ValueError("needs n >= 2")
-    lg = [0.0] * (n + 2)
-    for i in range(2, n + 2):
-        lg[i] = lg[i - 1] + math.log(i)
-    approx = {}
-    for u in range(1, n):
-        k = n - math.ceil(Fraction(u) / c)
-        if k < n - u:
-            continue
-        approx[u] = _lgamma_log2_binom(lg, n, u) - _lgamma_log2_binom(lg, k, n - u)
-    if not approx:
-        raise ValueError(f"no interior u is usable for n={n}, c={c}")
-    peak = max(approx.values())
-    best, best_u = None, -1
-    with mpmath.workprec(PRECISION):
-        for u, a in approx.items():
-            if a < peak - 1e-6:
-                continue
-            k = n - math.ceil(Fraction(u) / c)
-            exact = log2_binom(n, u) - log2_binom(k, n - u)
-            if best is None or exact > best:
-                best, best_u = exact, u
-    return best, best_u
+    return _log_max_quotient("max", n, c)
 
 
 @dataclass(frozen=True)
@@ -312,36 +293,35 @@ class QuotientApproxReport:
         return self.lower_ok and self.upper_ok
 
 
-def check_min_quotient_approx(n: int, c, tol: float = 1e-9) -> QuotientApproxReport:
-    """The minimization-form quotient tracks B(n,c) within the stated slacks:
-    B - 2 log(n+1) - 5 <= log max quotient <= B + 3 log(n+1)."""
+def _check_quotient_approx(n: int, c, quotient, slacks, tol: float) -> QuotientApproxReport:
+    """One quotient form's (value, argmax) against B(n,c), given the form's
+    (lower, upper) additive slack pair."""
+    value, argmax = quotient
+    slack_lo, slack_hi = slacks
     c = as_ratio(c)
-    value, argmax = log_max_weight_quotient(n, c)
     with mpmath.workprec(PRECISION):
         b = advice_bound(n, c)
-        slack_lo = 2 * mpmath.log(n + 1, 2) + 5
-        slack_hi = 3 * mpmath.log(n + 1, 2)
         lower_ok = bool(value >= b - slack_lo - tol)
         upper_ok = bool(value <= b + slack_hi + tol)
     return QuotientApproxReport(
         n, c, float(value), argmax, float(b), float(slack_lo), float(slack_hi), lower_ok, upper_ok
     )
+
+
+def check_min_quotient_approx(n: int, c, tol: float = 1e-9) -> QuotientApproxReport:
+    """The minimization-form quotient tracks B(n,c) within the stated slacks:
+    B - 2 log(n+1) - 5 <= log max quotient <= B + 3 log(n+1)."""
+    with mpmath.workprec(PRECISION):
+        slacks = 2 * mpmath.log(n + 1, 2) + 5, 3 * mpmath.log(n + 1, 2)
+    return _check_quotient_approx(n, c, log_max_weight_quotient(n, c), slacks, tol)
 
 
 def check_max_quotient_approx(n: int, c, tol: float = 1e-9) -> QuotientApproxReport:
     """The maximization-form quotient tracks B(n,c) within
     B - 3 log n - 6 <= log max quotient <= B + 4 log(n+1)."""
-    c = as_ratio(c)
-    value, argmax = log_max_cozero_quotient(n, c)
     with mpmath.workprec(PRECISION):
-        b = advice_bound(n, c)
-        slack_lo = 3 * mpmath.log(max(n, 2), 2) + 6
-        slack_hi = 4 * mpmath.log(n + 1, 2)
-        lower_ok = bool(value >= b - slack_lo - tol)
-        upper_ok = bool(value <= b + slack_hi + tol)
-    return QuotientApproxReport(
-        n, c, float(value), argmax, float(b), float(slack_lo), float(slack_hi), lower_ok, upper_ok
-    )
+        slacks = 3 * mpmath.log(max(n, 2), 2) + 6, 4 * mpmath.log(n + 1, 2)
+    return _check_quotient_approx(n, c, log_max_cozero_quotient(n, c), slacks, tol)
 
 
 def forms_within_factor_n(n: int, c, tol: float = 1e-9) -> bool:

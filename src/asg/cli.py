@@ -142,13 +142,14 @@ def cmd_verify(args) -> int:
     checked = 0
     witness = None
     for n in range(args.n_max + 1):
+        budget = pair.budget(n)
         for x in all_bitstrings(n):
             res = run_asg(variant, pair, x)
             checked += 1
             if (
                 res.score == infeasible
                 or not competitive_ok(objective, res.score, asg_opt(objective, x), target, 0)
-                or res.bits > pair.budget(n)
+                or res.bits > budget
             ):
                 witness = _run_report(args.protocol, args.c, variant, pair, x)
                 break

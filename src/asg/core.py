@@ -19,6 +19,7 @@ is 1-based, matching x = x_1 ... x_n.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,6 +47,7 @@ __all__ = [
     "asg_opt",
     "all_bitstrings",
     "as_ratio",
+    "design_shapes",
     "ceil_log2",
     "encode_int",
     "decode_int",
@@ -171,8 +173,26 @@ def as_ratio(c) -> Fraction:
     raise TypeError(f"cannot interpret {c!r} as a rational ratio")
 
 
+@functools.lru_cache(maxsize=8)
+def design_shapes(objective: str, c, n: int) -> tuple[tuple[int, int], ...]:
+    """The (k, t) of the (n, k, t) covering design serving each weight class.
+
+    Entry w serves the length-n inputs with optimum w, i.e. w 1s (min) or
+    w 0s (max): k = min(floor(c w), n), t = w for min, k = n - ceil(w/c),
+    t = n - w for max.  The class needs a design exactly when 0 < t and
+    k < n; the lower bound's quotient is binom(n,t)/binom(k,t).
+    """
+    c = as_ratio(c)
+    p, q = c.numerator, c.denominator
+    if objective == "min":
+        return tuple((min(p * w // q, n), w) for w in range(n + 1))
+    if objective == "max":
+        return tuple((n + (-w * q) // p, n - w) for w in range(n + 1))
+    raise ValueError(f"unknown objective: {objective!r}")
+
+
 class MalformedAdviceError(ValueError):
-    """Raised when a finite bit source ends inside a self-delimited value."""
+    """Raised when advice ends inside a self-delimited value or holds an impossible field."""
 
 
 class AdviceTape:

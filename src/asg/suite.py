@@ -318,6 +318,7 @@ def battery_trivial(n_max: int = 10, ratios=None) -> BatteryResult:
         for n in range(n_max + 1):
             p = math.ceil(n / c)
             min_budget = p + 2 * ceil_log2(p + 1) + 1
+            max_budget = pair_max.budget(n)
             for x in all_bitstrings(n):
                 res = run_asg(Variant.MIN_UNKNOWN, pair_min, x)
                 checked += 1
@@ -335,11 +336,11 @@ def battery_trivial(n_max: int = 10, ratios=None) -> BatteryResult:
                 if (
                     res.score == MINUS_INF
                     or not competitive_ok("max", res.score, zeros(x), target, 0)
-                    or res.bits > pair_max.budget(n)
+                    or res.bits > max_budget
                 ):
                     return BatteryResult(
                         "trivial", False, checked, "block-copy protocol failed",
-                        f"c={c} x={x!r}: y={res.y!r} bits={res.bits}/{pair_max.budget(n)}",
+                        f"c={c} x={x!r}: y={res.y!r} bits={res.bits}/{max_budget}",
                     )
     return BatteryResult(
         "trivial", True, checked,

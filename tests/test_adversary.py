@@ -253,6 +253,19 @@ def test_exact_strategy_count_respects_limit():
         exact_strategy_count(4, 2, "min", limit=3)
 
 
+def test_covers_is_domination_within_the_strict_budget():
+    # the paper's two budgets, written out here: floor(c |x|_1) 1s for min,
+    # at least ceil(|x|_0 / c) 0s for max
+    for c in (Fraction(1), Fraction(5, 4), Fraction(3, 2), Fraction(2), Fraction(3)):
+        for n in range(6):
+            strings = ["".join(bits) for bits in product("01", repeat=n)]
+            for x, y in product(strings, repeat=2):
+                want_min = dominates(x, y) and ones(y) <= math.floor(c * ones(x))
+                want_max = dominates(x, y) and zeros(y) >= math.ceil(zeros(x) / c)
+                assert covers("min", x, y, c) == want_min, (c, x, y)
+                assert covers("max", x, y, c) == want_max, (c, x, y)
+
+
 def test_strategy_count_sandwich():
     for n in range(1, 7):
         for c in (Fraction(3, 2), Fraction(2), Fraction(3)):

@@ -1,5 +1,6 @@
 """Protocol tests: frozen tapes and outputs, exhaustive small-n guarantees."""
 
+import hashlib
 import math
 from fractions import Fraction
 from itertools import combinations, product
@@ -18,6 +19,7 @@ from asg.algorithms import (
 from asg.core import (
     MINUS_INF,
     AdviceTape,
+    MalformedAdviceError,
     Variant,
     all_bitstrings,
     asg_opt,
@@ -151,6 +153,40 @@ def test_covering_rejects_c_at_most_one():
         covering_min(1)
     with pytest.raises(ValueError):
         covering_max(Fraction(9, 10))
+
+
+# sha256 over every covering tape, output and bit count for n <= 7 and every
+# budget for n <= 8, captured before the min and max protocols were folded
+# into one: the oracle must keep sending the same block index
+COVERING_TAPE_DIGEST = "d7b32506edd0a55f3aaecc9e358e54442a478f99ea9bc2c62978297658904d9f"
+
+
+def test_covering_tapes_match_the_golden_digest():
+    digest = hashlib.sha256()
+    for factory, variant in ((covering_min, Variant.MIN_UNKNOWN), (covering_max, Variant.MAX_UNKNOWN)):
+        for c in (Fraction(5, 4), Fraction(3, 2), Fraction(2), Fraction(3)):
+            pair = factory(c)
+            for n in range(8):
+                for x in all_bitstrings(n):
+                    out = run_asg(variant, pair, x)
+                    tape = "".join(map(str, pair.oracle(x)))
+                    digest.update(f"{factory.__name__} {c} {x} {tape} {out.y} {out.bits}\n".encode())
+            for n in range(9):
+                digest.update(f"{factory.__name__} {c} budget {n} {pair.budget(n)}\n".encode())
+    assert digest.hexdigest() == COVERING_TAPE_DIGEST
+
+
+def test_covering_rejects_impossible_tape_fields():
+    # n = 5 leaves 3 bits for the weight, so 6 and 7 fit the field but no input
+    for factory in (covering_min, covering_max):
+        for w in (6, 7):
+            tape = AdviceTape(encode_int(5) + [(w >> s) & 1 for s in (2, 1, 0)])
+            with pytest.raises(MalformedAdviceError, match="weight field"):
+                run_online(factory(2).algorithm(), tape, [None] * 5)
+    # weight 2 at n = 6, c = 2 reads a 2-bit index into the 3-block C(6,4,2)
+    tape = AdviceTape(encode_int(6) + [0, 1, 0] + [1, 1])
+    with pytest.raises(MalformedAdviceError, match="block index 3"):
+        run_online(covering_min(2).algorithm(), tape, [None] * 6)
 
 
 class _SelfProblem:

@@ -21,6 +21,7 @@ from asg.bounds import (
     exp_growth_floor_sweep,
     forms_within_factor_n,
     gap_maximizer,
+    log_max_cozero_quotient,
     log_max_weight_quotient,
     sg_comparison_value,
 )
@@ -121,6 +122,47 @@ def test_quotient_approx_small_grid():
             if n >= 2:
                 assert check_max_quotient_approx(n, c).ok, (n, c)
                 assert forms_within_factor_n(n, c), (n, c)
+
+
+def _brute_max_quotient(quotients):
+    """(every weight with the largest exact quotient, that quotient)."""
+    best = max(quotients.values())
+    return {w for w, q in quotients.items() if q == best}, best
+
+
+def test_quotient_forms_match_an_exact_brute_force():
+    # every admissible weight, with floor(c t) and ceil(u/c) written out here
+    for c in (Fraction(5, 4), Fraction(3, 2), Fraction(2), Fraction(3), Fraction(5)):
+        for n in range(1, 81):
+            min_form = {
+                t: Fraction(math.comb(n, t), math.comb(math.floor(c * t), t))
+                for t in range(n + 1)
+                if math.floor(c * t) < n
+            }
+            forms = [(log_max_weight_quotient, min_form)]
+            if n >= 2:
+                max_form = {
+                    u: Fraction(math.comb(n, u), math.comb(n - math.ceil(u / c), n - u))
+                    for u in range(1, n)
+                }
+                forms.append((log_max_cozero_quotient, max_form))
+            for quotient, exact in forms:
+                # exact ties exist, e.g. n = 14, c = 5/4: C(14,6)/C(7,6) = C(14,7)/C(8,7)
+                argmaxes, best = _brute_max_quotient(exact)
+                value, got = quotient(n, c)
+                assert got in argmaxes, (quotient.__name__, n, c)
+                with mpmath.workprec(bounds.PRECISION):
+                    want = mpmath.log(best.numerator, 2) - mpmath.log(best.denominator, 2)
+                    assert abs(value - want) < mpmath.mpf(2) ** -100, (quotient.__name__, n, c)
+
+
+def test_quotient_forms_at_the_smallest_lengths():
+    assert log_max_weight_quotient(1, 2) == (0, 0)
+    for n in (0, 1):
+        with pytest.raises(ValueError, match="needs n >= 2"):
+            log_max_cozero_quotient(n, 2)
+        with pytest.raises(ValueError, match="needs n >= 2"):
+            check_max_quotient_approx(n, 2)
 
 
 def test_binom_ratio_identity_random_triples():
