@@ -45,6 +45,7 @@ __all__ = [
     "min_game_against",
     "MaxGameOutcome",
     "max_no_advice_game",
+    "standard_max_behaviors",
     "covers",
     "StrategyCover",
     "exact_strategy_count",
@@ -248,6 +249,26 @@ def max_no_advice_game(
                 pure[j] = False
         revealed.append("1" if trip else "0")
     return MaxGameOutcome("".join(revealed), tuple("".join(o) for o in outputs))
+
+
+def standard_max_behaviors(m: int):
+    """A fixed family of m deterministic no-advice strategies (round index
+    and revealed prefix in, answer out) for max_no_advice_game, played by
+    the growth battery and the command-line adversary."""
+    base = [
+        lambda i, p: 1,  # never accept
+        lambda i, p: 0,  # always accept
+        lambda i, p: 0 if i == 1 else 1,
+        lambda i, p: 0 if i % 2 == 0 else 1,
+        lambda i, p: 0 if "1" in p else 1,
+        lambda i, p: 1 if "1" in p else 0,
+        lambda i, p: 0 if i > 8 else 1,
+        lambda i, p: 0 if p.count("0") % 2 == 0 else 1,
+    ]
+    if m <= len(base):
+        return base[:m]
+    extra = [(lambda j: lambda i, p: 0 if i == j else 1)(j) for j in range(2, m - len(base) + 2)]
+    return base + extra
 
 
 # --- exact minimum strategy families for tiny n -----------------------------

@@ -44,9 +44,9 @@ from asg.core import (
     encode_int,
     encoded_length,
     one_positions,
+    scaled_weights,
 )
 from asg.designs import design_for
-from asg.problems import scaled_weights
 
 __all__ = [
     "AdvicePair",

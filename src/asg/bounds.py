@@ -232,9 +232,10 @@ def _log_max_quotient(objective: str, n: int, c: Fraction) -> tuple[mpmath.mpf, 
     """max over the weights w with k < n of log2(binom(n,w)/binom(k,t)), for
     the (k, t) that core.design_shapes assigns to w, and its first maximizer.
 
-    A float sweep (lgamma) locates candidate maximizers; every candidate
-    within a safety margin is re-evaluated with exact binomials at working
-    precision before taking the max.
+    A float sweep (lgamma) locates candidate maximizers; among the
+    candidates within a safety margin, exact integer cross-products pick the
+    largest quotient, ties to the smallest w, and only its log is taken at
+    working precision.
     """
     if c <= 1:
         raise ValueError("needs c > 1")
@@ -250,16 +251,16 @@ def _log_max_quotient(objective: str, n: int, c: Fraction) -> tuple[mpmath.mpf, 
     if not approx:
         raise ValueError(f"no weight t has floor(c t) < n for n={n}, c={c}")
     peak = max(approx.values())
-    best, best_w = None, -1
+    best_w = None
+    for w, a in approx.items():  # ascending w, so only a strictly larger quotient moves best_w
+        if a >= peak - 1e-6 and (
+            best_w is None
+            or math.comb(n, w) * math.comb(*shapes[best_w])
+            > math.comb(n, best_w) * math.comb(*shapes[w])
+        ):
+            best_w = w
     with mpmath.workprec(PRECISION):
-        for w, a in approx.items():
-            if a < peak - 1e-6:
-                continue
-            k, t = shapes[w]
-            exact = log2_binom(n, w) - log2_binom(k, t)
-            if best is None or exact > best:
-                best, best_w = exact, w
-    return best, best_w
+        return log2_binom(n, best_w) - log2_binom(*shapes[best_w]), best_w
 
 
 def log_max_weight_quotient(n: int, c) -> tuple[mpmath.mpf, int]:

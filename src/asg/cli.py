@@ -17,15 +17,6 @@ import math
 import sys
 from fractions import Fraction
 
-from asg.adversary import (
-    exact_strategy_count,
-    max_no_advice_game,
-    min_game_against,
-    strategy_count_bounds,
-    weight_class,
-)
-from asg.algorithms import aoc_generic, covering_max, covering_min, trivial_max, trivial_min
-from asg.bounds import bound_report
 from asg.core import (
     MINUS_INF,
     PLUS_INF,
@@ -37,26 +28,26 @@ from asg.core import (
     run_asg,
     score_to_json,
 )
-from asg.designs import design_for, exact_cover_number, greedy_cover
-from asg.problems import CONSTRUCTIONS, PROBLEMS
-from asg.reductions import REDUCTION_VARIANT, REDUCTIONS, lift_to_asg
-from asg.suite import (
-    BATTERY_ORDER,
-    ExperimentConfig,
-    emit_curve,
-    render_curve,
-    run_suite,
-    standard_max_behaviors,
-)
 
 __all__ = ["main"]
 
-PROTOCOLS = {
-    "trivial-min": ("min", trivial_min),
-    "trivial-max": ("max", trivial_max),
-    "covering-min": ("min", covering_min),
-    "covering-max": ("max", covering_max),
-}
+# Each command imports the engine it runs when it runs, so a command pays
+# only for its own modules at start-up.  The choice lists are therefore
+# literal copies of the tables they name; tests/test_cli.py pins them.
+PROTOCOLS = ("covering-max", "covering-min", "trivial-max", "trivial-min")
+REDUCTIONS = ("cf", "dpa", "ds", "is", "sc", "vc")
+BATTERY_ORDER = (
+    "envelope", "trivial", "covering", "counting", "adversary", "growth", "reductions", "packing",
+    "curve",
+)
+
+
+def _protocol(name: str):
+    """(objective, factory) of a protocol name: covering-min is
+    asg.algorithms.covering_min, and so on."""
+    from asg import algorithms
+
+    return name.split("-")[1], getattr(algorithms, name.replace("-", "_"))
 
 
 def rational(text: str) -> Fraction:
@@ -103,17 +94,23 @@ def _run_report(name: str, c: Fraction, variant: Variant, pair, x: str) -> dict:
 
 
 def cmd_bounds(args) -> int:
+    from asg.bounds import bound_report
+
     _emit_json(bound_report(args.n, args.c).to_json(), args.out)
     return 0
 
 
 def cmd_curve(args) -> int:
+    from asg.suite import emit_curve, render_curve
+
     points = emit_curve(args.c_min, args.c_max, args.steps, args.n)
     _emit(render_curve(points, args.format), args.out)
     return 0
 
 
 def cmd_design(args) -> int:
+    from asg.designs import design_for, exact_cover_number, greedy_cover
+
     if args.method == "exact":
         design = exact_cover_number(args.v, args.k, args.t)
     elif args.method == "greedy":
@@ -125,7 +122,7 @@ def cmd_design(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    objective, factory = PROTOCOLS[args.protocol]
+    objective, factory = _protocol(args.protocol)
     variant = Variant((objective, args.history))
     pair = factory(args.c)
     _emit_json(_run_report(args.protocol, args.c, variant, pair, args.x), args.out)
@@ -134,7 +131,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify(args) -> int:
     """Exhaustively re-check one protocol up to a length; exit 1 on failure."""
-    objective, factory = PROTOCOLS[args.protocol]
+    objective, factory = _protocol(args.protocol)
     variant = Variant((objective, "unknown"))
     pair = factory(args.c)
     target = args.c if args.protocol.startswith("covering") else Fraction(math.ceil(args.c))
@@ -171,6 +168,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_adversary(args) -> int:
+    from asg.adversary import (
+        max_no_advice_game,
+        min_game_against,
+        standard_max_behaviors,
+        weight_class,
+    )
+
     if args.game == "min":
         if args.strings is not None:
             with open(args.strings) as handle:
@@ -193,6 +197,8 @@ def cmd_adversary(args) -> int:
 
 
 def cmd_brute(args) -> int:
+    from asg.adversary import exact_strategy_count, strategy_count_bounds
+
     cover = exact_strategy_count(args.n, args.c, args.variant, limit=args.limit)
     lo, hi = strategy_count_bounds(args.n, args.c, args.variant)
     payload = cover.to_json()
@@ -210,12 +216,18 @@ def cmd_brute(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    from asg.problems import CONSTRUCTIONS
+
     instance = CONSTRUCTIONS[args.to](args.x)
     _emit_json(instance.to_json(), args.out)
     return 0
 
 
 def cmd_lift(args) -> int:
+    from asg.algorithms import aoc_generic
+    from asg.problems import PROBLEMS
+    from asg.reductions import REDUCTION_VARIANT, lift_to_asg
+
     problem = PROBLEMS[args.to]
     pair = aoc_generic(problem, args.c)
     lifted = lift_to_asg(pair, args.to)
@@ -226,6 +238,8 @@ def cmd_lift(args) -> int:
 
 
 def cmd_suite(args) -> int:
+    from asg.suite import ExperimentConfig, run_suite
+
     config = ExperimentConfig(
         seed=args.seed,
         n_max=args.n_max,
@@ -271,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_design)
 
     p = sub.add_parser("simulate", help="run one protocol on one input")
-    p.add_argument("--protocol", choices=sorted(PROTOCOLS), required=True)
+    p.add_argument("--protocol", choices=PROTOCOLS, required=True)
     p.add_argument("--c", type=rational, required=True)
     p.add_argument("--x", type=bitstring, required=True)
     p.add_argument("--history", choices=("known", "unknown"), default="unknown")
@@ -279,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("verify", help="exhaustively re-check one protocol")
-    p.add_argument("--protocol", choices=sorted(PROTOCOLS), required=True)
+    p.add_argument("--protocol", choices=PROTOCOLS, required=True)
     p.add_argument("--c", type=rational, required=True)
     p.add_argument("--n-max", type=int, default=8)
     add_out(p)
@@ -304,13 +318,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce", help="build a problem instance from a guessing input")
     p.add_argument("--from", dest="x", type=bitstring, required=True, metavar="BITS")
-    p.add_argument("--to", choices=sorted(REDUCTIONS), required=True)
+    p.add_argument("--to", choices=REDUCTIONS, required=True)
     add_out(p)
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("lift", help="run a lifted problem protocol on a guessing input")
     p.add_argument("--from", dest="x", type=bitstring, required=True, metavar="BITS")
-    p.add_argument("--to", choices=sorted(REDUCTIONS), required=True)
+    p.add_argument("--to", choices=REDUCTIONS, required=True)
     p.add_argument("--c", type=rational, required=True)
     add_out(p)
     p.set_defaults(func=cmd_lift)

@@ -48,6 +48,7 @@ __all__ = [
     "all_bitstrings",
     "as_ratio",
     "design_shapes",
+    "scaled_weights",
     "ceil_log2",
     "encode_int",
     "decode_int",
@@ -189,6 +190,16 @@ def design_shapes(objective: str, c, n: int) -> tuple[tuple[int, int], ...]:
     if objective == "max":
         return tuple((n + (-w * q) // p, n - w) for w in range(n + 1))
     raise ValueError(f"unknown objective: {objective!r}")
+
+
+def scaled_weights(weights) -> tuple[list[int], int]:
+    """The weights (Fractions, ints or floats, taken at their exact values)
+    as integer numerators over the lcm of their denominators, and that lcm:
+    a load fits the unit knapsack exactly when its scaled sum is at most
+    the lcm."""
+    ratios = [w.as_integer_ratio() for w in weights]
+    scale = math.lcm(*(d for _, d in ratios))
+    return [n * (scale // d) for n, d in ratios], scale
 
 
 class MalformedAdviceError(ValueError):

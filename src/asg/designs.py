@@ -12,8 +12,8 @@ the lowest uncovered t-subset and bans failed siblings.  It proves the
 minimum size (growing the size from a counting/degree lower bound until a
 cover exists), then fixes the witness block by block, keeping at each
 position the smallest block that still leaves a completion.  Results are
-cached once per (v, k, t); the binom(v, t) guard is checked on every call,
-before the cache.
+cached once per (v, k, t); the binom(v, t) and binom(v, k) guard is
+checked on every call, before the cache.
 """
 
 from __future__ import annotations
@@ -113,12 +113,15 @@ def cover_number_bounds(v: int, k: int, t: int) -> CoverNumberBounds:
     return CoverNumberBounds(v, k, t, lower, max(lower, upper))
 
 
-def _guard(v: int, t: int, limit: int | None) -> None:
+def _guard(v: int, k: int, t: int, limit: int | None) -> None:
+    """Both tables a search builds, binom(v, t) subsets and binom(v, k)
+    blocks, must fit the guard before either is built."""
     limit = DEFAULT_TSUBSET_LIMIT if limit is None else limit
-    if math.comb(v, t) > limit:
-        raise SearchLimitError(
-            f"binom({v},{t}) = {math.comb(v, t)} exceeds the search guard {limit}"
-        )
+    for m in (t, k):
+        if math.comb(v, m) > limit:
+            raise SearchLimitError(
+                f"binom({v},{m}) = {math.comb(v, m)} exceeds the search guard {limit}"
+            )
 
 
 def _coverage_tables(v: int, k: int, t: int):
@@ -209,20 +212,18 @@ def exact_cover_number(v: int, k: int, t: int, limit: int | None = None) -> Cove
     """Minimum-size covering design, lexicographically first witness.
 
     Deterministic: repeated calls return the identical family, whatever the
-    limit.  Raises SearchLimitError when binom(v, t) exceeds the guard.
+    limit.  Raises SearchLimitError when binom(v, t) or binom(v, k) exceeds
+    the guard.
     """
     _check_params(v, k, t)
-    _guard(v, t, limit)
+    _guard(v, k, t, limit)
     return _exact_cached(v, k, t)
 
 
 @lru_cache(maxsize=None)
 def _greedy_cached(v: int, k: int, t: int, limit: int | None) -> CoveringDesign:
     _check_params(v, k, t)
-    _guard(v, t, limit)
-    lim = DEFAULT_TSUBSET_LIMIT if limit is None else limit
-    if math.comb(v, k) > lim:
-        raise SearchLimitError(f"binom({v},{k}) = {math.comb(v, k)} exceeds the search guard {lim}")
+    _guard(v, k, t, limit)
     blocks, masks, _ = _coverage_tables(v, k, t)
     uncovered = (1 << math.comb(v, t)) - 1
     chosen = []
@@ -243,16 +244,14 @@ def greedy_cover(v: int, k: int, t: int, limit: int | None = None) -> CoveringDe
     return _greedy_cached(v, k, t, limit)
 
 
-def design_for(
-    v: int, k: int, t: int, exact_limit: int | None = None, greedy_limit: int | None = None
-) -> CoveringDesign:
+def design_for(v: int, k: int, t: int, exact_limit: int | None = None) -> CoveringDesign:
     """The design both the oracle and the algorithm agree on.
 
     Exact search while binom(v, t) is within the exact guard, the greedy
-    construction beyond it (subject to its own guard).  Both parties must
-    call this with the same limits to stay in sync.
+    construction beyond it (subject to the default guard).  Both parties
+    must call this with the same limit to stay in sync.
     """
     lim = DEFAULT_TSUBSET_LIMIT if exact_limit is None else exact_limit
     if math.comb(v, t) <= lim:
         return exact_cover_number(v, k, t, lim)
-    return greedy_cover(v, k, t, greedy_limit)
+    return greedy_cover(v, k, t)

@@ -16,7 +16,6 @@ graph, a star, a singleton cover, and a halving family of subpaths.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -30,6 +29,7 @@ from asg.core import (
     check_bits,
     one_positions,
     ones,
+    scaled_weights,
     zeros,
 )
 
@@ -369,16 +369,6 @@ class UnitKnapsack(Problem):
         _check_len(y, len(weights))
         load = sum(w for w, b in zip(weights, y) if b == "0")
         return zeros(y) if load <= scale else MINUS_INF
-
-
-def scaled_weights(weights) -> tuple[list[int], int]:
-    """The weights (Fractions, ints or floats, taken at their exact values)
-    as integer numerators over the lcm of their denominators, and that lcm:
-    a load fits the unit knapsack exactly when its scaled sum is at most
-    the lcm."""
-    ratios = [w.as_integer_ratio() for w in weights]
-    scale = math.lcm(*(d for _, d in ratios))
-    return [n * (scale // d) for n, d in ratios], scale
 
 
 class EdgeMatching(Problem):

@@ -35,6 +35,7 @@ from asg.adversary import (
     forced_cost_bound,
     max_no_advice_game,
     min_game_against,
+    standard_max_behaviors,
     strategy_count_bounds,
     weight_class,
 )
@@ -68,10 +69,11 @@ from asg.core import (
     ones,
     run_asg,
     run_online,
+    scaled_weights,
     zeros,
 )
 from asg.designs import exact_cover_number
-from asg.problems import CONSTRUCTIONS, PROBLEMS, aoc_membership_check, scaled_weights
+from asg.problems import CONSTRUCTIONS, PROBLEMS, aoc_membership_check
 from asg.reductions import REDUCTION_VARIANT, REDUCTIONS, lift_to_asg
 
 __all__ = [
@@ -529,26 +531,6 @@ def battery_adversary(
 
 
 # --- battery 6: no-advice maximization and binomial growth -------------------
-
-
-def standard_max_behaviors(m: int):
-    """A fixed family of m deterministic no-advice strategies (round index
-    and revealed prefix in, answer out), used by the defeat battery and the
-    command-line adversary."""
-    base = [
-        lambda i, p: 1,  # never accept
-        lambda i, p: 0,  # always accept
-        lambda i, p: 0 if i == 1 else 1,
-        lambda i, p: 0 if i % 2 == 0 else 1,
-        lambda i, p: 0 if "1" in p else 1,
-        lambda i, p: 1 if "1" in p else 0,
-        lambda i, p: 0 if i > 8 else 1,
-        lambda i, p: 0 if p.count("0") % 2 == 0 else 1,
-    ]
-    if m <= len(base):
-        return base[:m]
-    extra = [(lambda j: lambda i, p: 0 if i == j else 1)(j) for j in range(2, m - len(base) + 2)]
-    return base + extra
 
 
 def battery_growth(

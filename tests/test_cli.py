@@ -8,13 +8,19 @@ import sys
 import types
 from pathlib import Path
 
+import pytest
 import scipy.optimize
 
 import asg
+import asg.cli
+from asg import algorithms
 from asg.adversary import exact_strategy_count
 from asg.cli import main
 from asg.problems import CONSTRUCTIONS
-from asg.suite import CURVE_COLUMNS
+from asg.reductions import REDUCTIONS
+from asg.suite import BATTERY_ORDER, CURVE_COLUMNS
+
+SRC = str(Path(asg.__file__).resolve().parents[1])
 
 
 def run_cli(capsys, *argv):
@@ -150,16 +156,29 @@ def test_brute_matches_the_library(capsys):
     assert payload["lower_bits"] <= payload["bits"] <= payload["upper_bits"]
 
 
-def test_search_guard_is_a_one_line_error_with_exit_2():
-    env = dict(os.environ, PYTHONPATH=str(Path(asg.__file__).resolve().parents[1]))
-    done = subprocess.run(
-        [sys.executable, "-m", "asg.cli", "design", "--v", "30", "--k", "10", "--t", "5"],
-        capture_output=True, text=True, env=env, timeout=60,
+def _run_module(*argv, timeout=60):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run(
+        [sys.executable, "-m", "asg.cli", *argv], capture_output=True, text=True, env=env,
+        timeout=timeout,
     )
+
+
+def test_search_guard_is_a_one_line_error_with_exit_2():
+    done = _run_module("design", "--v", "30", "--k", "10", "--t", "5")
     assert done.returncode == 2
     assert done.stdout == ""
     assert done.stderr.startswith("error: ") and len(done.stderr.splitlines()) == 1
     assert "Traceback" not in done.stderr
+
+
+def test_exact_design_with_too_many_blocks_fails_before_building_them():
+    # binom(20,5) = 15504 subsets pass the guard, but binom(20,10) = 184756 blocks do not
+    done = _run_module("design", "--v", "20", "--k", "10", "--t", "5", "--method", "exact",
+                       timeout=10)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == "error: binom(20,10) = 184756 exceeds the search guard 100000\n"
 
 
 def test_exact_design_with_k_equal_t_needs_no_search(capsys):
@@ -231,3 +250,58 @@ def test_help_exits_cleanly(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
     assert main([]) == 2
+
+
+def test_parser_choice_lists_copy_the_tables_they_name():
+    assert asg.cli.REDUCTIONS == tuple(sorted(REDUCTIONS))
+    assert asg.cli.BATTERY_ORDER == BATTERY_ORDER
+    factories = {name for name in algorithms.__all__ if name.startswith(("trivial_", "covering_"))}
+    assert asg.cli.PROTOCOLS == tuple(sorted(name.replace("_", "-") for name in factories))
+    assert asg.cli._protocol("trivial-min") == ("min", algorithms.trivial_min)
+    assert asg.cli._protocol("trivial-max") == ("max", algorithms.trivial_max)
+    assert asg.cli._protocol("covering-min") == ("min", algorithms.covering_min)
+    assert asg.cli._protocol("covering-max") == ("max", algorithms.covering_max)
+
+
+# Each command in a fresh interpreter, output to os.devnull, then the names in
+# sys.modules: a command imports the engine it runs and nothing heavier.
+IMPORT_GRAPH_COMMANDS = {
+    "design": ("design", "--v", "6", "--k", "3", "--t", "2"),
+    "simulate": ("simulate", "--protocol", "covering-min", "--c", "2", "--x", "0110"),
+    "verify": ("verify", "--protocol", "trivial-max", "--c", "3/2", "--n-max", "3"),
+    "reduce": ("reduce", "--from", "0111", "--to", "cf"),
+    "lift": ("lift", "--from", "0110", "--to", "is", "--c", "3/2"),
+    "adversary-min": ("adversary", "--game", "min", "--n", "5", "--weight", "2", "--m", "4"),
+    "adversary-max": ("adversary", "--game", "max", "--n", "10", "--m", "2"),
+    "bounds": ("bounds", "--n", "100", "--c", "2"),
+    "brute": ("brute", "--n", "5", "--c", "2"),
+    "curve": ("curve", "--c-min", "3/2", "--c-max", "3", "--steps", "2", "--n", "100"),
+    "suite": ("suite", "--only", "envelope", "--n-max", "2"),
+}
+
+
+def _modules_after(argv) -> set[str]:
+    script = (
+        "import json, os, sys\n"
+        "from asg.cli import main\n"
+        "code = main(sys.argv[1:] + ['--out', os.devnull])\n"
+        "print(json.dumps([code, sorted(sys.modules)]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    code, modules = json.loads(done.stdout)
+    assert code == 0, done.stderr
+    return set(modules)
+
+
+@pytest.mark.parametrize("name", IMPORT_GRAPH_COMMANDS)
+def test_each_command_imports_only_what_it_runs(name):
+    modules = _modules_after(IMPORT_GRAPH_COMMANDS[name])
+    assert ("mpmath" in modules) == (name in ("bounds", "curve", "suite"))
+    assert ("scipy" in modules) == (name == "brute")
+    assert ("asg.suite" in modules) == (name in ("curve", "suite"))
+    assert ("asg.problems" in modules) == (name in ("reduce", "lift", "curve", "suite"))
+    if name == "design":
+        assert {m for m in modules if m.split(".")[0] == "asg"} == {
+            "asg", "asg.cli", "asg.core", "asg.designs"}

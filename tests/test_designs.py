@@ -141,6 +141,13 @@ def test_search_guard():
         greedy_cover(40, 20, 2, limit=1000)
 
 
+def test_search_guard_counts_the_blocks_too():
+    # binom(8,2) = 28 subsets fit a guard of 50; binom(8,4) = 70 blocks do not
+    for build in (exact_cover_number, design_for, greedy_cover):
+        with pytest.raises(SearchLimitError, match=r"binom\(8,4\) = 70 exceeds .* 50"):
+            build(8, 4, 2, 50)
+
+
 def test_guard_holds_after_an_unguarded_call_is_cached():
     exact_cover_number(6, 3, 2)
     with pytest.raises(SearchLimitError):
