@@ -17,12 +17,14 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
+from functools import lru_cache
 from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Sequence
 
 from asg.core import (
     MINUS_INF,
+    PLUS_INF,
     Score,
     all_bitstrings,
     as_ratio,
@@ -56,16 +58,15 @@ __all__ = [
 DEFAULT_BRUTE_LIMIT = int(os.environ.get("ASG_BRUTE_LIMIT", "8"))
 
 
+@lru_cache(maxsize=None)
 def forced_cost_bound(m: int, h: int) -> int:
     """Smallest q with m <= binom(q, h): the number of 1-answers the
     adversary can force from any algorithm when m equal-weight inputs are
     alive with h ones still unrevealed.  Equals m at h=1 and h at m=1."""
     if m < 1 or h < 0:
         raise ValueError("needs m >= 1 and h >= 0")
-    if h == 0:
-        if m > 1:
-            raise ValueError("distinct strings cannot share an all-zero tail")
-        return 0
+    if h == 0 and m > 1:
+        raise ValueError("distinct strings cannot share an all-zero tail")
     q = h
     while math.comb(q, h) < m:
         q += 1
@@ -137,75 +138,132 @@ def _validate_alive(strings: Sequence[str]) -> list[str]:
     return alive
 
 
+def _columns(members: Sequence[str]) -> tuple[int, ...]:
+    """Per round, the mask of the members with a 1 there; member j is bit j."""
+    return tuple(
+        int("".join(s[i] for s in reversed(members)), 2) for i in range(len(members[0]))
+    )
+
+
+def _alive_masks(n: int, m_cap: int):
+    """Every alive set of at most m_cap strings of one weight class, by
+    weight, size and lexicographic order, as (t, class, its columns, alive
+    mask), bit j of the mask standing for class[j].  Valid by construction."""
+    for t in range(n + 1):
+        cls = weight_class(n, t)
+        cols = _columns(cls)
+        bits = [1 << j for j in range(len(cls))]
+        for m in range(1, min(len(cls), m_cap) + 1):
+            for members in combinations(bits, m):
+                yield t, cls, cols, sum(members)
+
+
+def _members(strings: Sequence[str], alive: int) -> tuple[str, ...]:
+    return tuple(s for j, s in enumerate(strings) if alive >> j & 1)
+
+
+def _reveal(col: int, alive: int, h: int, answer: int) -> tuple[int, int]:
+    """The adversary's move in one round: the bit it reveals and the alive
+    mask after it.  col masks the members with a 1 in this round, and h is
+    the number of 1s every alive member still has to come.
+
+    With no 1 alive it reveals 0.  An answer of 0 where some alive member
+    has a 1 is punished by committing to the lowest such member, which
+    makes the output infeasible.  Otherwise it reveals 1 exactly when
+    forced_cost_bound(m1, h-1) + 1 >= forced_cost_bound(m, h), which keeps
+    the cost to come at forced_cost_bound(m, h) or more.  A single alive
+    member is revealed as it is, whatever the answer."""
+    with_one = alive & col
+    if not with_one:
+        return 0, alive
+    if not answer:
+        return 1, with_one & -with_one
+    if _reveals_one(with_one.bit_count(), alive.bit_count(), h):
+        return 1, with_one
+    return 0, alive ^ with_one
+
+
+@lru_cache(maxsize=None)
+def _reveals_one(m1: int, m: int, h: int) -> bool:
+    return forced_cost_bound(m1, h - 1) + 1 >= forced_cost_bound(m, h)
+
+
+def _play(cols, alive: int, h: int, algorithm=None, rounds=None) -> tuple[int, int]:
+    """One game on bitmasks: the revealed input and the answers, as ints
+    read left to right.  algorithm(round, revealed prefix) -> 0/1, where
+    None answers 1 exactly when some alive member has a 1.  Appends a
+    GameRound per round to rounds when given."""
+    x = y = 0
+    prefix = ""
+    committed = False
+    for i, col in enumerate(cols, 1):
+        if algorithm is None:
+            a = 1 if alive & col else 0
+        else:
+            a = algorithm(i, prefix)
+            if a != 0 and a != 1:
+                raise ValueError(f"round {i}: answer {a!r} is not 0 or 1")
+            a = int(a)
+        bit, after = _reveal(col, alive, h, a)
+        if rounds is not None:
+            forced = alive & col != 0
+            punished = forced and not a and not committed
+            committed |= punished
+            rounds.append(GameRound(i, alive.bit_count(), a, bit, forced, punished))
+        if algorithm is not None:
+            prefix += "01"[bit]
+        alive = after
+        h -= bit
+        x = x << 1 | bit
+        y = y << 1 | a
+    return x, y
+
+
+def _min_score(x: int, y: int) -> Score:
+    """asg_score("min", x, y) for strings held as ints."""
+    return PLUS_INF if x & ~y else y.bit_count()
+
+
+def _script_scores(cols, alive: int, h: int) -> list[Score]:
+    """The score of every answer script, scripts in lexicographic order.
+    The scripts are walked as a prefix tree, so scripts with a common
+    prefix share the adversary's state; each leaf is one game."""
+    n = len(cols)
+    scores: list[Score] = []
+
+    def walk(i, alive, h, x, y):
+        if i == n:
+            scores.append(_min_score(x, y))
+            return
+        for a in (0, 1):
+            bit, after = _reveal(cols[i], alive, h, a)
+            walk(i + 1, after, h - bit, x << 1 | bit, y << 1 | a)
+
+    walk(0, alive, h, 0, 0)
+    return scores
+
+
 def min_game_against(
     strings: Sequence[str], algorithm: Callable[[int, str], int] | None = None
 ) -> GameTranscript:
     """Play the known-history minimization game on an alive set.
 
-    The algorithm is a function (round, revealed prefix) -> answer; None
-    plays the canonical best response: 1 whenever some alive string has a 1
-    in the current round, 0 otherwise.  Rounds where every alive string has
-    a 0 are revealed as 0 and cost nothing to the canonical algorithm.  In
-    the other rounds the adversary reveals 1 exactly when
-    forced_cost_bound(m1, h-1) + 1 >= forced_cost_bound(m, h), which keeps
-    the final cost at forced_cost_bound(m, h) or more; answering 0 in such
-    a round is punished by committing to an alive string with a 1 there,
-    making the output infeasible.  The revealed string is always a member
-    of the original set.
+    The algorithm is a function (round, revealed prefix) -> answer in
+    {0, 1}; None plays the canonical best response: 1 whenever some alive
+    string has a 1 in the current round, 0 otherwise.  Rounds where every
+    alive string has a 0 are revealed as 0 and cost nothing to the
+    canonical algorithm.  In the other rounds an answer of 0 is punished
+    by committing to an alive string with a 1 there, and otherwise the
+    adversary keeps the cost to come at forced_cost_bound(m, h) or more
+    (see _reveal).  The revealed string is always a member of the
+    original set.
     """
-    alive = _validate_alive(strings)
-    n = len(alive[0])
-    revealed: list[str] = []
-    answers: list[str] = []
+    members = _validate_alive(strings)
     rounds: list[GameRound] = []
-    target: str | None = None  # set once the adversary commits early
-
-    for i in range(1, n + 1):
-        prefix = "".join(revealed)
-        if target is not None:
-            a = 1 if algorithm is None else algorithm(i, prefix)
-            bit = int(target[i - 1])
-            rounds.append(GameRound(i, 1, a, bit, bit == 1, False))
-            revealed.append(str(bit))
-            answers.append(str(a))
-            continue
-
-        with_one = [s for s in alive if s[i - 1] == "1"]
-        if not with_one:
-            a = 0 if algorithm is None else algorithm(i, prefix)
-            rounds.append(GameRound(i, len(alive), a, 0, False, False))
-            revealed.append("0")
-            answers.append(str(a))
-            continue
-
-        a = 1 if algorithm is None else algorithm(i, prefix)
-        if a == 0:
-            target = with_one[0]
-            rounds.append(GameRound(i, len(alive), 0, 1, True, True))
-            revealed.append("1")
-            answers.append("0")
-            continue
-
-        m = len(alive)
-        h = alive[0].count("1", i - 1)
-        d_start = forced_cost_bound(m, h)
-        d_one = forced_cost_bound(len(with_one), h - 1)
-        if d_one + 1 >= d_start:
-            alive = with_one
-            bit = 1
-        else:
-            alive = [s for s in alive if s[i - 1] == "0"]
-            bit = 0
-        rounds.append(GameRound(i, m, a, bit, True, False))
-        revealed.append(str(bit))
-        answers.append(str(a))
-
-    x = "".join(revealed)
-    if target is not None:
-        assert x == target
-    else:
-        assert alive == [x]
-    y = "".join(answers)
+    _play(_columns(members), (1 << len(members)) - 1, ones(members[0]), algorithm, rounds)
+    x = "".join(str(r.revealed) for r in rounds)
+    y = "".join(str(r.answer) for r in rounds)
+    assert x in members
     return GameTranscript(x, y, asg_score("min", x, y), tuple(rounds))
 
 

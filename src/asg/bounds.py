@@ -144,16 +144,24 @@ class BoundReport:
         }
 
 
+_SLACK_TERMS = ("min_form_lower", "min_form_upper", "max_form_lower", "max_form_upper")
+
+
+def _slacks(n: int, log2) -> tuple:
+    """The additive slacks of the two quotient forms around B(n, c), in
+    _SLACK_TERMS order, with log2 either math.log2 or an mpmath log."""
+    lg = log2(n + 1)
+    return 2 * lg + 5, 3 * lg, 3 * log2(max(n, 1)) + 6, 4 * lg
+
+
+def _mp_log2(x) -> mpmath.mpf:
+    return mpmath.log(x, 2)
+
+
 def bound_report(n: int, c) -> BoundReport:
     c = as_ratio(c)
     lo, hi = envelope(n, c)
-    lg = math.log2(n + 1)
-    slacks = {
-        "min_form_lower": 2 * lg + 5,
-        "min_form_upper": 3 * lg,
-        "max_form_lower": 3 * math.log2(n) + 6 if n > 1 else 6.0,
-        "max_form_upper": 4 * lg,
-    }
+    slacks = dict(zip(_SLACK_TERMS, _slacks(n, math.log2)))
     return BoundReport(n, c, float(advice_bound(n, c)), float(lo), float(hi), slacks)
 
 
@@ -313,7 +321,7 @@ def check_min_quotient_approx(n: int, c, tol: float = 1e-9) -> QuotientApproxRep
     """The minimization-form quotient tracks B(n,c) within the stated slacks:
     B - 2 log(n+1) - 5 <= log max quotient <= B + 3 log(n+1)."""
     with mpmath.workprec(PRECISION):
-        slacks = 2 * mpmath.log(n + 1, 2) + 5, 3 * mpmath.log(n + 1, 2)
+        slacks = _slacks(n, _mp_log2)[:2]
     return _check_quotient_approx(n, c, log_max_weight_quotient(n, c), slacks, tol)
 
 
@@ -321,7 +329,7 @@ def check_max_quotient_approx(n: int, c, tol: float = 1e-9) -> QuotientApproxRep
     """The maximization-form quotient tracks B(n,c) within
     B - 3 log n - 6 <= log max quotient <= B + 4 log(n+1)."""
     with mpmath.workprec(PRECISION):
-        slacks = 3 * mpmath.log(max(n, 2), 2) + 6, 4 * mpmath.log(n + 1, 2)
+        slacks = _slacks(n, _mp_log2)[2:]
     return _check_quotient_approx(n, c, log_max_cozero_quotient(n, c), slacks, tol)
 
 
@@ -364,10 +372,12 @@ def exp_growth_floor_sweep(n_max: int, c: int, tol: float = 1e-9) -> list[int]:
     """Every n <= n_max where the exp_growth_floor_ok inequality fails
     (empty when the floor bound holds throughout).
 
-    Same claim as the pointwise check, but the exact binomial C(n, t) is
-    maintained incrementally: C(n,t) = C(n-1,t) * n/(n-t), and each
-    threshold crossing t-1 -> t uses C(n,t) = C(n-1,t-1) * n/t.  Both
-    divisions are exact.  Logs are applied last, per row.
+    Same claim as the pointwise check, but the exact binomials C(n, t) and
+    C(ct, t) are maintained incrementally: C(n,t) = C(n-1,t) * n/(n-t), and
+    each threshold crossing t-1 -> t uses C(n,t) = C(n-1,t-1) * n/t and
+    C(ct,t) = C(c(t-1),t-1) * prod_{j=1..c} (c(t-1)+j) /
+    (t * prod_{j=1..c-1} ((c-1)(t-1)+j)).  Every division is exact.  Logs
+    are applied last, per row.
     """
     if not isinstance(c, int) or c < 2:
         raise TypeError("needs an integer ratio c >= 2")
@@ -380,13 +390,17 @@ def exp_growth_floor_sweep(n_max: int, c: int, tol: float = 1e-9) -> list[int]:
             # smallest n with floor(n / (e c)) = t_next; e c is irrational
             return int(mpmath.ceil(t_next * mpmath.e * c))
 
-        t, num, den_log = 0, 1, 0.0  # num = C(n, t) exactly
+        t, num, den = 0, 1, 1  # num = C(n, t) and den = C(ct, t) exactly
+        den_log = 0.0
         nxt = first_n_with(1)
         for n in range(1, n_max + 1):
             if n == nxt:
                 t += 1
                 num = num * n // t
-                den_log = math.log2(math.comb(c * t, t))
+                den = den * math.prod(range(c * (t - 1) + 1, c * t + 1)) // (
+                    t * math.prod(range((c - 1) * (t - 1) + 1, (c - 1) * t + 1))
+                )
+                den_log = math.log2(den)
                 nxt = first_n_with(t + 1)
             elif t:
                 num = num * n // (n - t)

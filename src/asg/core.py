@@ -31,7 +31,6 @@ __all__ = [
     "Score",
     "Variant",
     "AdviceTape",
-    "FiniteBits",
     "MalformedAdviceError",
     "RunResult",
     "CompetitiveVerdict",
@@ -203,7 +202,7 @@ def scaled_weights(weights) -> tuple[list[int], int]:
 
 
 class MalformedAdviceError(ValueError):
-    """Raised when advice ends inside a self-delimited value or holds an impossible field."""
+    """Raised when advice holds an impossible field."""
 
 
 class AdviceTape:
@@ -244,29 +243,6 @@ class AdviceTape:
         return tuple(self._written)
 
 
-class FiniteBits:
-    """A strict finite bit source; running out raises MalformedAdviceError.
-
-    Used to decode self-delimited values out of raw bit lists, where there
-    is no infinite zero extension to fall back on.
-    """
-
-    def __init__(self, bits: Sequence[int]):
-        self._bits = list(bits)
-        self._cursor = 0
-
-    def read_bit(self) -> int:
-        if self._cursor >= len(self._bits):
-            raise MalformedAdviceError("bit source exhausted mid-value")
-        b = self._bits[self._cursor]
-        self._cursor += 1
-        return b
-
-    @property
-    def remaining(self) -> int:
-        return len(self._bits) - self._cursor
-
-
 def ceil_log2(m: int) -> int:
     """ceil(log2 m) for m >= 1; by convention 0 for m in {0, 1}."""
     if m < 0:
@@ -293,7 +269,7 @@ def encoded_length(m: int) -> int:
 
 
 def decode_int(source) -> int:
-    """Inverse of encode_int, reading from a tape or FiniteBits source."""
+    """Inverse of encode_int, reading from an advice tape."""
     k = 0
     while source.read_bit() == 1:
         k += 1

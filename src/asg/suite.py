@@ -31,6 +31,11 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 
 from asg.adversary import (
+    _alive_masks,
+    _members,
+    _min_score,
+    _play,
+    _script_scores,
     exact_strategy_count,
     forced_cost_bound,
     max_no_advice_game,
@@ -444,18 +449,6 @@ def battery_counting(
 # --- battery 5: revealed-history adversary -----------------------------------
 
 
-def _alive_sets(n: int, m_cap: int = 20):
-    for t in range(n + 1):
-        cls = weight_class(n, t)
-        for m in range(1, min(len(cls), m_cap) + 1):
-            for alive in combinations(cls, m):
-                yield t, alive
-
-
-def _script_player(script: str):
-    return lambda i, prefix: int(script[i - 1])
-
-
 def _prefix_tables(n: int):
     """Every deterministic revealed-history strategy on n rounds."""
     slots = [(i, p) for i in range(1, n + 1) for p in all_bitstrings(i - 1)]
@@ -472,38 +465,36 @@ def battery_adversary(
     checked = 0
     # best-response play on every alive set
     for n in range(1, n_max + 1):
-        for t, alive in _alive_sets(n, m_cap):
-            transcript = min_game_against(alive)
+        for t, cls, cols, alive in _alive_masks(n, m_cap):
             checked += 1
-            if not transcript.score >= forced_cost_bound(len(alive), t):
+            if not _min_score(*_play(cols, alive, t)) >= forced_cost_bound(alive.bit_count(), t):
                 return BatteryResult(
                     "adversary", False, checked, "canonical play beat the bound",
-                    f"n={n} alive={alive}",
+                    f"n={n} alive={_members(cls, alive)}",
                 )
     # every algorithm, as the answer script it produces against this adversary
     for n in range(1, script_n_max + 1):
-        for t, alive in _alive_sets(n, m_cap):
-            bound = forced_cost_bound(len(alive), t)
-            for script in all_bitstrings(n):
-                transcript = min_game_against(alive, _script_player(script))
+        for t, cls, cols, alive in _alive_masks(n, m_cap):
+            bound = forced_cost_bound(alive.bit_count(), t)
+            for script, score in enumerate(_script_scores(cols, alive, t)):
                 checked += 1
-                if not transcript.score >= bound:
+                if not score >= bound:
                     return BatteryResult(
                         "adversary", False, checked, "a scripted algorithm beat the bound",
-                        f"n={n} alive={alive} script={script}",
+                        f"n={n} alive={_members(cls, alive)} script={script:0{n}b}",
                     )
     # and literally every strategy table at tiny n
     for n in range(1, table_n_max + 1):
-        sets_here = list(_alive_sets(n, m_cap))
+        sets_here = list(_alive_masks(n, m_cap))
         for table in _prefix_tables(n):
             player = lambda i, prefix: table[(i, prefix)]
-            for t, alive in sets_here:
-                transcript = min_game_against(alive, player)
+            for t, cls, cols, alive in sets_here:
                 checked += 1
-                if not transcript.score >= forced_cost_bound(len(alive), t):
+                score = _min_score(*_play(cols, alive, t, player))
+                if not score >= forced_cost_bound(alive.bit_count(), t):
                     return BatteryResult(
                         "adversary", False, checked, "a strategy table beat the bound",
-                        f"n={n} alive={alive} table={sorted(table.items())}",
+                        f"n={n} alive={_members(cls, alive)} table={sorted(table.items())}",
                     )
     # equality witnesses: m singletons of weight one, and one string of weight h
     for m in range(1, n_max + 1):

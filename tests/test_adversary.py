@@ -1,5 +1,7 @@
 """Adversary games and exact tiny-n strategy counts."""
 
+import hashlib
+import json
 import math
 from fractions import Fraction
 from itertools import combinations, product
@@ -7,7 +9,9 @@ from itertools import combinations, product
 import pytest
 
 from asg.adversary import (
+    _columns,
     _milp_cover,
+    _script_scores,
     covers,
     exact_strategy_count,
     forced_cost_bound,
@@ -16,7 +20,7 @@ from asg.adversary import (
     strategy_count_bounds,
     weight_class,
 )
-from asg.core import MINUS_INF, PLUS_INF, dominates, ones, zeros
+from asg.core import MINUS_INF, PLUS_INF, all_bitstrings, dominates, ones, zeros
 
 
 def test_forced_cost_bound_closed_forms():
@@ -109,6 +113,50 @@ def test_every_deterministic_strategy_pays_the_bound():
                 assert game.x in alive
                 if game.score != PLUS_INF:
                     assert dominates(game.x, game.y)
+
+
+def all_small_alive_sets(n_max):
+    # every alive set of every weight class with n <= n_max, as the battery orders them
+    for n in range(1, n_max + 1):
+        for t in range(n + 1):
+            yield from all_alive_sets(n, t, max_size=20)
+
+
+def script_player(script):
+    return lambda i, prefix: int(script[i - 1])
+
+
+def test_game_transcripts_are_pinned():
+    # canonical play on every alive set to n = 4 and every answer script on
+    # every alive set to n = 3, digested in that order
+    digest, games = hashlib.sha256(), 0
+    for alive in all_small_alive_sets(4):
+        digest.update(json.dumps(min_game_against(alive).to_json(), sort_keys=True).encode())
+        games += 1
+    for alive in all_small_alive_sets(3):
+        for script in all_bitstrings(len(alive[0])):
+            game = min_game_against(alive, script_player(script))
+            digest.update(json.dumps(game.to_json(), sort_keys=True).encode())
+            games += 1
+    assert games == 270
+    assert digest.hexdigest() == "8b919a1881e8a56a56fd412865fcea8d2b3c0929a2ca7c1f40bcd632afceeebc"
+
+
+def test_prefix_tree_scores_equal_one_replay_per_script():
+    for alive in all_small_alive_sets(4):
+        scores = _script_scores(_columns(alive), (1 << len(alive)) - 1, ones(alive[0]))
+        replays = [
+            min_game_against(alive, script_player(script)).score
+            for script in all_bitstrings(len(alive[0]))
+        ]
+        assert scores == replays, alive
+
+
+def test_answers_other_than_zero_or_one_are_rejected():
+    with pytest.raises(ValueError, match=r"round 1: answer 2 is not 0 or 1"):
+        min_game_against(["110", "101", "011"], lambda i, p: 2)
+    with pytest.raises(ValueError, match=r"round 2: answer -1 is not 0 or 1"):
+        min_game_against(["110", "101", "011"], lambda i, p: 1 if i == 1 else -1)
 
 
 def test_punishment_round():

@@ -207,10 +207,14 @@ def test_growth_floor_sweep_matches_the_pointwise_check():
     # default tolerance: no failures anywhere on a modest range
     for c in (2, 3):
         assert exp_growth_floor_sweep(80, c) == []
-        # a hostile tolerance flips rows exactly where the pointwise form flips
-        expected = [n for n in range(1, 81) if not exp_growth_floor_ok(n, c, tol=-1e6)]
-        assert exp_growth_floor_sweep(80, c, tol=-1e6) == expected
-        assert expected  # the cross-check is not vacuous
+    # negative tolerances move the threshold into the range, so rows pass or
+    # fail on the value of both binomials; the sweep flips exactly where the
+    # pointwise form flips
+    for c in range(2, 11):
+        for tol in (-1.0, -3.0, -10.0):
+            expected = [n for n in range(1, 1001) if not exp_growth_floor_ok(n, c, tol=tol)]
+            assert exp_growth_floor_sweep(1000, c, tol=tol) == expected, (c, tol)
+            assert 0 < len(expected) < 1000  # both outcomes occur
     with pytest.raises(TypeError):
         exp_growth_floor_sweep(100, Fraction(3, 2))
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Command-line harness: argument validation, output shapes, determinism."""
 
+import hashlib
 import json
 import math
 import os
@@ -35,6 +36,35 @@ def test_bounds_reports_the_sandwich(capsys):
     payload = json.loads(out)
     assert payload["c"] == "2"
     assert payload["lower_envelope"] <= payload["bound_bits"] <= payload["upper_envelope"]
+
+
+# stdout of `asg bounds`, slack terms included, for the small n where the
+# slack formulas take their edge cases and the benchmark's eight commands
+BOUNDS_STDOUT_SHA256 = {
+    (1, "2"): "6b1cae448075e0d02579fe8a102adc5b0cf7ed13512260c27b7a88f53e927836",
+    (1, "3/2"): "30824421313061eb771bcfbff0501b04662d272498be5910dc5c7606c7447080",
+    (2, "2"): "1294fea7ed004a2145b9048a9dbd43a05112266d838f0868ba19ed4250df4003",
+    (2, "3/2"): "7a744bb56230e65369be508a40340dc8305b0e3671b5c1ab079753a5dfadd205",
+    (3, "2"): "c21d060fcf37c15572f7416ae812c295a025e5f2e6fab2532b3e26d438184561",
+    (3, "3/2"): "65173aecd273e37df7e6e6a0856ad965bae86e75c62717ad4294fe6988f08e99",
+    (10, "2"): "e660369ec410555074f228c8250864a06692209d07c9951947446b2ed7156603",
+    (10, "3/2"): "adc0ce9841f4b9a30dddcac82fe52eafb74c5f53614bf7000afdda39fe759b54",
+    (1000, "2"): "82c0f7a79dec914627be93d9b387f17662338d393d872ad29d7725710eb8ba39",
+    (1000, "3/2"): "06e66e5d46b47d0ca1c3b722a54215d45fd64cce87e71e463639ccc5e30f6135",
+    (10000, "2"): "c7c285a1d2ac68fff9a0cc5b4079ba97a9ae445ee3e338bf5e6a1a086a4ede80",
+    (10000, "3/2"): "8b5edce2702c998816b79b9c2837341da359932828e9d51b7266af67acb4b020",
+    (100000, "2"): "093badf122214b78725c498e7e4d03e7196df1662193a2d0b7deef7d519241db",
+    (100000, "3/2"): "d1f606d12d94a57e7acc5dd8257e1bfb1a03bb67f228928ed2733eddaa8d20fe",
+    (1000000, "2"): "b95374b027a97bcdba4474cf0b6abe02cc80bf86ff055db31f50ec9e8182ee13",
+    (1000000, "3/2"): "b219b6e7420d5c58a322699f26766f9daf49952ed4e5477c1dd28ec36a32bdf1",
+}
+
+
+@pytest.mark.parametrize("n, c", sorted(BOUNDS_STDOUT_SHA256))
+def test_bounds_stdout_is_pinned(capsys, n, c):
+    code, out, _ = run_cli(capsys, "bounds", "--n", str(n), "--c", c)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == BOUNDS_STDOUT_SHA256[(n, c)]
 
 
 def test_float_ratios_are_rejected(capsys):

@@ -10,8 +10,6 @@ from asg.core import (
     MINUS_INF,
     PLUS_INF,
     AdviceTape,
-    FiniteBits,
-    MalformedAdviceError,
     OnlineAlgorithm,
     Variant,
     all_bitstrings,
@@ -140,8 +138,10 @@ def test_encode_examples():
 def test_encode_decode_round_trip(m):
     bits = encode_int(m)
     assert len(bits) == 2 * m.bit_length() + 1 == encoded_length(m)
-    assert decode_int(FiniteBits(bits)) == m
-    # and via a tape, with trailing content untouched
+    tape = AdviceTape(bits)
+    assert decode_int(tape) == m
+    assert tape.bits_read == len(bits)  # never past the written end
+    # trailing content stays untouched
     tape = AdviceTape(bits + [1, 1, 0])
     assert decode_int(tape) == m
     assert tape.bits_read == len(bits)
@@ -156,10 +156,14 @@ def test_encoding_prefix_free(m1, m2):
 
 
 def test_decode_malformed():
-    with pytest.raises(MalformedAdviceError):
-        decode_int(FiniteBits([1, 1]))  # unary part never terminated
-    with pytest.raises(MalformedAdviceError):
-        decode_int(FiniteBits([1, 1, 0, 1]))  # binary part cut short
+    # a cut codeword runs into the tape's zero extension, past the written end
+    for bits, value in (
+        ([1, 1], 0),  # unary part never terminated
+        ([1, 1, 0, 1], 2),  # binary part cut short
+    ):
+        tape = AdviceTape(bits)
+        assert decode_int(tape) == value
+        assert tape.bits_read > len(bits)
 
 
 class _Echo(OnlineAlgorithm):

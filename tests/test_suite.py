@@ -118,7 +118,28 @@ def test_battery_counting_small():
 
 
 def test_battery_adversary_small():
-    assert battery_adversary(n_max=3, script_n_max=3, table_n_max=2).passed
+    result = battery_adversary(n_max=3, script_n_max=3, table_n_max=2)
+    assert result.passed
+    assert result.checked == 234
+
+
+@pytest.mark.parametrize(
+    "caps, checked, detail, witness",
+    [
+        ((3, 3, 2), 7, "canonical play beat the bound", "n=2 alive=('11',)"),
+        ((0, 3, 2), 3, "a scripted algorithm beat the bound", "n=1 alive=('1',) script=0"),
+        ((0, 0, 2), 2, "a strategy table beat the bound", "n=1 alive=('1',) table=[((1, ''), 0)]"),
+    ],
+)
+def test_battery_adversary_catches_a_sabotaged_reveal_rule(monkeypatch, caps, checked, detail, witness):
+    # an adversary that always reveals 0 lets some algorithm pay less than the bound
+    import asg.adversary
+
+    monkeypatch.setattr(asg.adversary, "_reveal", lambda col, alive, h, answer: (0, alive & ~col))
+    result = battery_adversary(*caps)
+    assert (result.passed, result.checked, result.detail, result.witness) == (
+        False, checked, detail, witness
+    )
 
 
 def test_battery_growth_small():
