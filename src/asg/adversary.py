@@ -23,7 +23,6 @@ from itertools import combinations
 from typing import Callable, Sequence
 
 from asg.core import (
-    MINUS_INF,
     PLUS_INF,
     Score,
     all_bitstrings,

@@ -43,8 +43,10 @@ from asg.core import (
     design_shapes,
     encode_int,
     encoded_length,
+    fill_count,
     one_positions,
     scaled_weights,
+    weight_ratio,
 )
 from asg.designs import design_for
 
@@ -267,20 +269,18 @@ def aoc_generic(problem, c, exact_limit: int | None = None) -> AdvicePair:
 class _KnapsackAlg(OnlineAlgorithm):
     def begin(self, tape):
         self.m = decode_int(tape)
-        self.cap = Fraction(2, self.m) if self.m else None
         self.load, self.scale = 0, 1  # the accepted weight is load / scale
 
     def answer(self, i, request):
-        a = Fraction(request)
-        if self.m == 0:
+        num, den = weight_ratio(request)
+        if self.m == 0 or num * self.m > 2 * den:  # heavier than 2/m
             return 1
-        if a <= self.cap:
-            scale = math.lcm(self.scale, a.denominator)
-            load = self.load * (scale // self.scale) + a.numerator * (scale // a.denominator)
-            if load <= scale:
-                self.load, self.scale = load, scale
-                return 0  # accept
-        return 1
+        scale = math.lcm(self.scale, den)
+        load = self.load * (scale // self.scale) + num * (scale // den)
+        if load > scale:
+            return 1
+        self.load, self.scale = load, scale
+        return 0  # accept
 
 
 def knapsack_two_competitive() -> AdvicePair:
@@ -292,14 +292,7 @@ def knapsack_two_competitive() -> AdvicePair:
     """
 
     def oracle(instance) -> list[int]:
-        weights, scale = scaled_weights([Fraction(w) for w in instance])
-        total = m = 0
-        for w in sorted(weights):
-            if total + w > scale:
-                break
-            total += w
-            m += 1
-        return encode_int(m)
+        return encode_int(fill_count(*scaled_weights(instance)))
 
     return AdvicePair(oracle, _KnapsackAlg, lambda n: encoded_length(n))
 

@@ -47,7 +47,9 @@ __all__ = [
     "all_bitstrings",
     "as_ratio",
     "design_shapes",
+    "weight_ratio",
     "scaled_weights",
+    "fill_count",
     "ceil_log2",
     "encode_int",
     "decode_int",
@@ -191,14 +193,38 @@ def design_shapes(objective: str, c, n: int) -> tuple[tuple[int, int], ...]:
     raise ValueError(f"unknown objective: {objective!r}")
 
 
+def weight_ratio(w) -> tuple[int, int]:
+    """A knapsack weight (int, float or Fraction; a float at its exact
+    value) as its integer (numerator, denominator)."""
+    if not isinstance(w, (int, float, Fraction)):
+        raise TypeError(f"knapsack weight {w!r} is not an int, float or Fraction")
+    try:
+        return w.as_integer_ratio()  # a NaN raises ValueError here
+    except OverflowError:
+        raise ValueError(f"knapsack weight {w!r} is not finite") from None
+
+
 def scaled_weights(weights) -> tuple[list[int], int]:
-    """The weights (Fractions, ints or floats, taken at their exact values)
-    as integer numerators over the lcm of their denominators, and that lcm:
-    a load fits the unit knapsack exactly when its scaled sum is at most
-    the lcm."""
-    ratios = [w.as_integer_ratio() for w in weights]
-    scale = math.lcm(*(d for _, d in ratios))
+    """The weights, each read as `weight_ratio` reads it, as integer
+    numerators over the lcm of their denominators, and that lcm: a load
+    fits the unit knapsack exactly when its scaled sum is at most the lcm."""
+    # exact ints and Fractions need no check; the inline test saves a call
+    # per weight on the packing battery's hot path
+    ratios = [w.as_integer_ratio() if type(w) in (Fraction, int) else weight_ratio(w) for w in weights]
+    scale = math.lcm(*[d for _, d in ratios])
     return [n * (scale // d) for n, d in ratios], scale
+
+
+def fill_count(loads, scale: int) -> int:
+    """The largest number of items whose integer loads fit within scale:
+    the smallest first, as many as fit."""
+    total = count = 0
+    for w in sorted(loads):
+        total += w
+        if total > scale:
+            break
+        count += 1
+    return count
 
 
 class MalformedAdviceError(ValueError):

@@ -17,9 +17,9 @@ graph, a star, a singleton cover, and a halving family of subpaths.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
+from typing import Callable
 
 from asg.core import (
     MINUS_INF,
@@ -236,6 +236,11 @@ class Problem:
     def _length(self, instance) -> int:
         return len(self.requests(instance))
 
+    def _scorer(self, instance) -> Callable[[str], Score]:
+        """`score` on one instance; a problem overrides it to prepare the
+        instance once for all 2^n outputs of a table."""
+        return partial(self.score, instance)
+
     def opt(self, instance) -> Score:
         return self._best(_score_table(self, instance))
 
@@ -271,7 +276,8 @@ def _scores(problem: Problem, instance) -> tuple[Score, ...]:
     n = problem._length(instance)
     if n > BRUTE_GUARD:
         raise ValueError(f"brute force capped at {BRUTE_GUARD} requests")
-    return tuple(problem.score(instance, y) for y in all_bitstrings(n))
+    score = problem._scorer(instance)
+    return tuple(score(y) for y in all_bitstrings(n))
 
 
 def _check_len(y: str, n: int) -> None:
@@ -362,13 +368,20 @@ class UnitKnapsack(Problem):
     objective = "max"
 
     def requests(self, instance) -> list:
-        return [Fraction(w) for w in instance]
+        return list(instance)
 
     def score(self, instance, y):
-        weights, scale = scaled_weights(self.requests(instance))
-        _check_len(y, len(weights))
-        load = sum(w for w, b in zip(weights, y) if b == "0")
-        return zeros(y) if load <= scale else MINUS_INF
+        return self._scorer(instance)(y)
+
+    def _scorer(self, instance):
+        loads, scale = scaled_weights(instance)
+
+        def score(y):
+            _check_len(y, len(loads))
+            load = sum(w for w, b in zip(loads, y) if b == "0")
+            return zeros(y) if load <= scale else MINUS_INF
+
+        return score
 
 
 class EdgeMatching(Problem):

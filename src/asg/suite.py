@@ -71,6 +71,7 @@ from asg.core import (
     ceil_log2,
     competitive_ok,
     encoded_length,
+    fill_count,
     ones,
     run_asg,
     run_online,
@@ -640,14 +641,7 @@ def battery_reductions(n_max: int = 8, ratios=None) -> BatteryResult:
 
 def _greedy_fill_count(weights) -> int:
     """Largest number of items fitting in the unit knapsack: smallest first."""
-    scaled, scale = scaled_weights(weights)
-    total = count = 0
-    for w in sorted(scaled):
-        if total + w > scale:
-            break
-        total += w
-        count += 1
-    return count
+    return fill_count(*scaled_weights(weights))
 
 
 def _matching_tables(vertices: int):

@@ -22,7 +22,6 @@ from asg.core import (
     MalformedAdviceError,
     Variant,
     all_bitstrings,
-    asg_opt,
     dominates,
     encode_int,
     encoded_length,
@@ -308,3 +307,43 @@ def test_knapsack_loads_are_exact():
     assert ks.score((0.3, 0.7), "00") == 2
     assert _greedy_fill_count((0.1, 0.9)) == 1
     assert _greedy_fill_count((0.3, 0.7)) == 2
+
+
+def _two_over_m_rule(weights, m) -> str:
+    """The knapsack algorithm's rule on Fraction sums: accept a weight of at
+    most 2/m that still fits; floats count at their exact values."""
+    load, y = Fraction(0), ""
+    for w in map(Fraction, weights):
+        take = m > 0 and w <= Fraction(2, m) and load + w <= 1
+        load += w if take else 0
+        y += "0" if take else "1"
+    return y
+
+
+def test_knapsack_algorithm_matches_the_fraction_rule():
+    pair = knapsack_two_competitive()
+    grid = [Fraction(k, 8) for k in range(9)]
+    instances = [w for n in range(4) for w in product(KNAPSACK_POOL, repeat=n)]
+    instances += [w for n in range(5) for w in product(grid, repeat=n)]
+    for weights in instances:
+        for m in range(len(weights) + 1):
+            y = run_online(pair.algorithm(), AdviceTape(encode_int(m)), weights)
+            assert y == _two_over_m_rule(weights, m), (weights, m)
+
+
+@pytest.mark.parametrize("bad", [None, "1/2", float("nan"), float("inf")])
+def test_knapsack_rejects_bad_weights(bad):
+    ks = PROBLEMS["ks"]
+    pair = knapsack_two_competitive()
+    weights = (Fraction(1, 2), bad)
+    calls = [
+        lambda: ks.score(weights, "00"),
+        lambda: ks.opt(weights),
+        lambda: pair.oracle(weights),
+        lambda: run_online(pair.algorithm(), AdviceTape(encode_int(0)), weights),
+        lambda: run_online(pair.algorithm(), AdviceTape(encode_int(2)), weights),
+    ]
+    for call in calls:
+        with pytest.raises((TypeError, ValueError)) as info:
+            call()
+        assert "\n" not in str(info.value)
