@@ -194,23 +194,29 @@ def design_shapes(objective: str, c, n: int) -> tuple[tuple[int, int], ...]:
 
 
 def weight_ratio(w) -> tuple[int, int]:
-    """A knapsack weight (int, float or Fraction; a float at its exact
-    value) as its integer (numerator, denominator)."""
+    """A knapsack weight in [0, 1] (int, float or Fraction; a float at its
+    exact value) as its integer (numerator, denominator)."""
     if not isinstance(w, (int, float, Fraction)):
         raise TypeError(f"knapsack weight {w!r} is not an int, float or Fraction")
     try:
-        return w.as_integer_ratio()  # a NaN raises ValueError here
+        num, den = w.as_integer_ratio()  # a NaN raises ValueError here
     except OverflowError:
         raise ValueError(f"knapsack weight {w!r} is not finite") from None
+    if not 0 <= num <= den:
+        raise ValueError(f"knapsack weight {w} is outside [0, 1]")
+    return num, den
 
 
 def scaled_weights(weights) -> tuple[list[int], int]:
     """The weights, each read as `weight_ratio` reads it, as integer
     numerators over the lcm of their denominators, and that lcm: a load
     fits the unit knapsack exactly when its scaled sum is at most the lcm."""
-    # exact ints and Fractions need no check; the inline test saves a call
-    # per weight on the packing battery's hot path
+    # exact ints and Fractions are read inline, which saves a call per
+    # weight on the packing battery's hot path, and range-checked here
     ratios = [w.as_integer_ratio() if type(w) in (Fraction, int) else weight_ratio(w) for w in weights]
+    for num, den in ratios:
+        if not 0 <= num <= den:
+            raise ValueError(f"knapsack weight {Fraction(num, den)} is outside [0, 1]")
     scale = math.lcm(*[d for _, d in ratios])
     return [n * (scale // d) for n, d in ratios], scale
 

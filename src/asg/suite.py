@@ -6,6 +6,16 @@ first violation.  Everything here is deterministic: a configuration fully
 determines every output byte (the seed only drives the shuffled arrival
 orders in the packing battery and is recorded in the report).
 
+A battery body is a generator that yields one entry per check: None when
+the check passes, or its failure as (detail, witness), written as a
+conditional expression so that a witness string is built only on failure.
+A weighted entry, `_Weighted(count, failure)`, settles `count` checks at
+once, for a sweep that reports only its first failure.  The body returns
+its pass detail, where "{checked}" stands for the final count.  The
+runner, `_run`, owns the rest: it counts the entries up to and including
+the first failure, stops there, and builds the `BatteryResult`;
+`@_battery` makes `battery_<name>(...)` run its body through it.
+
 The batteries, in order:
 
 * envelope    - the advice bound sits between its linear envelopes
@@ -22,6 +32,7 @@ The batteries, in order:
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -29,6 +40,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
+from typing import NamedTuple
 
 from asg.adversary import (
     _alive_masks,
@@ -191,14 +203,12 @@ class ExperimentConfig:
     n_max: int | None = None  # cap on exhaustive input lengths
     grid_max: int | None = None  # cap on numeric grid sweeps
     ratios: tuple | None = None  # override the per-battery ratio grids
-    design_limit: int | None = None
-    brute_limit: int | None = None
     output_format: str = "json"
 
     def __post_init__(self):
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        for name in ("n_max", "grid_max", "design_limit", "brute_limit"):
+        for name in ("n_max", "grid_max"):
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be positive")
@@ -215,8 +225,6 @@ class ExperimentConfig:
             "n_max": self.n_max,
             "grid_max": self.grid_max,
             "ratios": None if self.ratios is None else [str(r) for r in self.ratios],
-            "design_limit": self.design_limit,
-            "brute_limit": self.brute_limit,
             "output_format": self.output_format,
         }
 
@@ -278,6 +286,57 @@ def _cap(value: int, cap: int | None) -> int:
     return value if cap is None else min(value, cap)
 
 
+# --- the battery runner ---------------------------------------------------------
+
+
+class _Weighted(NamedTuple):
+    """`count` checks settled at once: all passed (failure None), or the
+    last of them failed with failure = (detail, witness)."""
+
+    count: int
+    failure: tuple[str, str] | None
+
+
+def _run(name: str, checks) -> BatteryResult:
+    """Count the entries of a battery's checks up to and including the
+    first failure, and build its result."""
+    checked = 0
+    while True:
+        try:
+            entry = next(checks)
+        except StopIteration as done:
+            passed, detail, witness = True, done.value.format(checked=checked), None
+            break
+        if entry is None:
+            checked += 1
+            continue
+        count, failure = entry if type(entry) is _Weighted else (1, entry)
+        checked += count
+        if failure is not None:
+            passed, (detail, witness) = False, failure
+            break
+    return BatteryResult(name, passed, checked, detail, witness)
+
+
+def _battery(body):
+    """battery_<name>(...) runs the generator `body` through `_run`."""
+    name = body.__name__.removeprefix("battery_")
+
+    @functools.wraps(body)
+    def battery(*args, **kwargs) -> BatteryResult:
+        return _run(name, body(*args, **kwargs))
+
+    return battery
+
+
+def _ratios(ratios, default) -> tuple:
+    return default if ratios is None else tuple(as_ratio(r) for r in ratios)
+
+
+def _ratio_list(ratios) -> str:
+    return ", ".join(map(str, ratios))
+
+
 # --- battery 1: envelope sandwich -------------------------------------------
 
 ENVELOPE_RATIOS = (
@@ -292,22 +351,17 @@ ENVELOPE_RATIOS = (
 )
 
 
-def battery_envelope(n: int = 10**6, ratios=None, rel_tol: float = 1e-9) -> BatteryResult:
+@_battery
+def battery_envelope(n: int = 10**6, ratios=None, rel_tol: float = 1e-9):
     """n/(e ln2 c) <= B(n,c) <= n/c on the ratio grid."""
-    ratios = ENVELOPE_RATIOS if ratios is None else tuple(as_ratio(r) for r in ratios)
-    checked = 0
+    ratios = _ratios(ratios, ENVELOPE_RATIOS)
     for c in ratios:
         bound = advice_bound(n, c)
         lo, hi = envelope(n, c)
-        checked += 1
-        if not (lo * (1 - rel_tol) <= bound <= hi * (1 + rel_tol)):
-            return BatteryResult(
-                "envelope", False, checked, f"sandwich violated at n={n}",
-                f"c={c}: {float(lo)} <= {float(bound)} <= {float(hi)}",
-            )
-    return BatteryResult(
-        "envelope", True, checked, f"{checked} ratios sandwiched at n={n}, rel tol {rel_tol:g}"
-    )
+        yield None if lo * (1 - rel_tol) <= bound <= hi * (1 + rel_tol) else (
+            f"sandwich violated at n={n}", f"c={c}: {float(lo)} <= {float(bound)} <= {float(hi)}"
+        )
+    return f"{{checked}} ratios sandwiched at n={n}, rel tol {rel_tol:g}"
 
 
 # --- battery 2: trivial protocols -------------------------------------------
@@ -315,11 +369,11 @@ def battery_envelope(n: int = 10**6, ratios=None, rel_tol: float = 1e-9) -> Batt
 TRIVIAL_RATIOS = (Fraction(3, 2), Fraction(2), Fraction(3))
 
 
-def battery_trivial(n_max: int = 10, ratios=None) -> BatteryResult:
+@_battery
+def battery_trivial(n_max: int = 10, ratios=None):
     """Residue-class and block-copy protocols: feasible, strictly
     ceil(c)-competitive, and within the stated advice budgets, exhaustively."""
-    ratios = TRIVIAL_RATIOS if ratios is None else tuple(as_ratio(r) for r in ratios)
-    checked = 0
+    ratios = _ratios(ratios, TRIVIAL_RATIOS)
     for c in ratios:
         pair_min, pair_max = trivial_min(c), trivial_max(c)
         target = Fraction(math.ceil(c))
@@ -329,31 +383,24 @@ def battery_trivial(n_max: int = 10, ratios=None) -> BatteryResult:
             max_budget = pair_max.budget(n)
             for x in all_bitstrings(n):
                 res = run_asg(Variant.MIN_UNKNOWN, pair_min, x)
-                checked += 1
-                if (
-                    res.score == PLUS_INF
-                    or not competitive_ok("min", res.score, ones(x), target, 0)
-                    or res.bits > min_budget
-                ):
-                    return BatteryResult(
-                        "trivial", False, checked, "residue-class protocol failed",
-                        f"c={c} x={x!r}: y={res.y!r} bits={res.bits}/{min_budget}",
-                    )
+                yield None if (
+                    res.score != PLUS_INF
+                    and competitive_ok("min", res.score, ones(x), target, 0)
+                    and res.bits <= min_budget
+                ) else (
+                    "residue-class protocol failed",
+                    f"c={c} x={x!r}: y={res.y!r} bits={res.bits}/{min_budget}",
+                )
                 res = run_asg(Variant.MAX_UNKNOWN, pair_max, x)
-                checked += 1
-                if (
-                    res.score == MINUS_INF
-                    or not competitive_ok("max", res.score, zeros(x), target, 0)
-                    or res.bits > max_budget
-                ):
-                    return BatteryResult(
-                        "trivial", False, checked, "block-copy protocol failed",
-                        f"c={c} x={x!r}: y={res.y!r} bits={res.bits}/{max_budget}",
-                    )
-    return BatteryResult(
-        "trivial", True, checked,
-        f"{checked} runs over n <= {n_max}, ratios {', '.join(map(str, ratios))}",
-    )
+                yield None if (
+                    res.score != MINUS_INF
+                    and competitive_ok("max", res.score, zeros(x), target, 0)
+                    and res.bits <= max_budget
+                ) else (
+                    "block-copy protocol failed",
+                    f"c={c} x={x!r}: y={res.y!r} bits={res.bits}/{max_budget}",
+                )
+    return f"{{checked}} runs over n <= {n_max}, ratios {_ratio_list(ratios)}"
 
 
 # --- battery 3: covering-design protocols -----------------------------------
@@ -361,46 +408,36 @@ def battery_trivial(n_max: int = 10, ratios=None) -> BatteryResult:
 COVERING_RATIOS = (Fraction(3, 2), Fraction(2), Fraction(3))
 
 
-def battery_covering(n_max: int = 8, ratios=None, design_limit: int | None = None) -> BatteryResult:
+@_battery
+def battery_covering(n_max: int = 8, ratios=None):
     """Covering protocols: exact interior cost/zeros, strict
     c-competitiveness, index width within the exact design's ceil-log."""
-    ratios = COVERING_RATIOS if ratios is None else tuple(as_ratio(r) for r in ratios)
-    checked = 0
+    ratios = _ratios(ratios, COVERING_RATIOS)
     for c in ratios:
-        pair_min = covering_min(c, design_limit)
-        pair_max = covering_max(c, design_limit)
+        pair_min, pair_max = covering_min(c), covering_max(c)
         for n in range(n_max + 1):
             header = encoded_length(n) + ceil_log2(n + 1)
             for x in all_bitstrings(n):
                 t, u = ones(x), zeros(x)
                 res = run_asg(Variant.MIN_UNKNOWN, pair_min, x)
-                checked += 1
-                bad = res.score == PLUS_INF or not competitive_ok("min", res.score, t, c, 0)
+                ok = res.score != PLUS_INF and competitive_ok("min", res.score, t, c, 0)
                 k = math.floor(c * t)
-                if not bad and 0 < k < n:
+                if ok and 0 < k < n:
                     width = ceil_log2(exact_cover_number(n, k, t).size)
-                    bad = res.score != k or res.bits - header > width
-                if bad:
-                    return BatteryResult(
-                        "covering", False, checked, "minimization protocol failed",
-                        f"c={c} x={x!r}: y={res.y!r} bits={res.bits}",
-                    )
+                    ok = res.score == k and res.bits - header <= width
+                yield None if ok else (
+                    "minimization protocol failed", f"c={c} x={x!r}: y={res.y!r} bits={res.bits}"
+                )
                 res = run_asg(Variant.MAX_UNKNOWN, pair_max, x)
-                checked += 1
-                bad = res.score == MINUS_INF or not competitive_ok("max", res.score, u, c, 0)
-                if not bad and 0 < u < n:
+                ok = res.score != MINUS_INF and competitive_ok("max", res.score, u, c, 0)
+                if ok and 0 < u < n:
                     goal = math.ceil(Fraction(u) / c)
                     width = ceil_log2(exact_cover_number(n, n - goal, n - u).size)
-                    bad = res.score != goal or res.bits - header > width
-                if bad:
-                    return BatteryResult(
-                        "covering", False, checked, "maximization protocol failed",
-                        f"c={c} x={x!r}: y={res.y!r} bits={res.bits}",
-                    )
-    return BatteryResult(
-        "covering", True, checked,
-        f"{checked} runs over n <= {n_max}, ratios {', '.join(map(str, ratios))}",
-    )
+                    ok = res.score == goal and res.bits - header <= width
+                yield None if ok else (
+                    "maximization protocol failed", f"c={c} x={x!r}: y={res.y!r} bits={res.bits}"
+                )
+    return f"{{checked}} runs over n <= {n_max}, ratios {_ratio_list(ratios)}"
 
 
 # --- battery 4: strategy counts and quotient slacks --------------------------
@@ -409,42 +446,30 @@ COUNTING_RATIOS = (Fraction(3, 2), Fraction(2))
 QUOTIENT_RATIOS = (Fraction(3, 2), Fraction(2), Fraction(3), Fraction(5))
 
 
-def battery_counting(
-    n_max: int = 8,
-    ratios=None,
-    quotient_n_max: int = 2000,
-    quotient_ratios=None,
-) -> BatteryResult:
+@_battery
+def battery_counting(n_max: int = 8, ratios=None, quotient_n_max: int = 2000, quotient_ratios=None):
     """Exact strategy-count bits inside the design sandwich, and the exact
     log-max quotient within its additive slacks of the closed-form bound."""
-    ratios = COUNTING_RATIOS if ratios is None else tuple(as_ratio(r) for r in ratios)
-    quotient_ratios = (
-        QUOTIENT_RATIOS if quotient_ratios is None else tuple(as_ratio(r) for r in quotient_ratios)
-    )
-    checked = 0
+    ratios = _ratios(ratios, COUNTING_RATIOS)
+    quotient_ratios = _ratios(quotient_ratios, QUOTIENT_RATIOS)
     for c in ratios:
         for n in range(1, n_max + 1):
             cover = exact_strategy_count(n, c, "min", limit=n)
             lo, hi = strategy_count_bounds(n, c, "min")
-            checked += 1
-            if not (lo <= cover.count <= hi and ceil_log2(lo) <= cover.bits <= ceil_log2(hi)):
-                return BatteryResult(
-                    "counting", False, checked, "strategy count left the design sandwich",
-                    f"n={n} c={c}: count={cover.count} bits={cover.bits} sandwich=[{lo},{hi}]",
-                )
+            yield None if (
+                lo <= cover.count <= hi and ceil_log2(lo) <= cover.bits <= ceil_log2(hi)
+            ) else (
+                "strategy count left the design sandwich",
+                f"n={n} c={c}: count={cover.count} bits={cover.bits} sandwich=[{lo},{hi}]",
+            )
     for c in quotient_ratios:
         for n in range(3, quotient_n_max + 1):
             report = check_min_quotient_approx(n, c)
-            checked += 1
-            if not report.ok:
-                return BatteryResult(
-                    "counting", False, checked, "quotient left its additive slack window",
-                    f"n={n} c={c}: quotient={report.log_max_quotient} bound={report.bound_bits}",
-                )
-    return BatteryResult(
-        "counting", True, checked,
-        f"exact counts to n={n_max}; quotient slacks to n={quotient_n_max}",
-    )
+            yield None if report.ok else (
+                "quotient left its additive slack window",
+                f"n={n} c={c}: quotient={report.log_max_quotient} bound={report.bound_bits}",
+            )
+    return f"exact counts to n={n_max}; quotient slacks to n={quotient_n_max}"
 
 
 # --- battery 5: revealed-history adversary -----------------------------------
@@ -457,100 +482,75 @@ def _prefix_tables(n: int):
         yield dict(zip(slots, values))
 
 
-def battery_adversary(
-    n_max: int = 6, script_n_max: int = 5, table_n_max: int = 3, m_cap: int = 20
-) -> BatteryResult:
+@_battery
+def battery_adversary(n_max: int = 6, script_n_max: int = 5, table_n_max: int = 3, m_cap: int = 20):
     """The adversary extracts at least the binomial bound from every
     deterministic algorithm on every equal-weight alive set, with equality
     at single-weight and single-string sets."""
-    checked = 0
     # best-response play on every alive set
     for n in range(1, n_max + 1):
         for t, cls, cols, alive in _alive_masks(n, m_cap):
-            checked += 1
-            if not _min_score(*_play(cols, alive, t)) >= forced_cost_bound(alive.bit_count(), t):
-                return BatteryResult(
-                    "adversary", False, checked, "canonical play beat the bound",
-                    f"n={n} alive={_members(cls, alive)}",
-                )
+            score = _min_score(*_play(cols, alive, t))
+            yield None if score >= forced_cost_bound(alive.bit_count(), t) else (
+                "canonical play beat the bound", f"n={n} alive={_members(cls, alive)}"
+            )
     # every algorithm, as the answer script it produces against this adversary
     for n in range(1, script_n_max + 1):
         for t, cls, cols, alive in _alive_masks(n, m_cap):
             bound = forced_cost_bound(alive.bit_count(), t)
             for script, score in enumerate(_script_scores(cols, alive, t)):
-                checked += 1
-                if not score >= bound:
-                    return BatteryResult(
-                        "adversary", False, checked, "a scripted algorithm beat the bound",
-                        f"n={n} alive={_members(cls, alive)} script={script:0{n}b}",
-                    )
+                yield None if score >= bound else (
+                    "a scripted algorithm beat the bound",
+                    f"n={n} alive={_members(cls, alive)} script={script:0{n}b}",
+                )
     # and literally every strategy table at tiny n
     for n in range(1, table_n_max + 1):
         sets_here = list(_alive_masks(n, m_cap))
         for table in _prefix_tables(n):
             player = lambda i, prefix: table[(i, prefix)]
             for t, cls, cols, alive in sets_here:
-                checked += 1
                 score = _min_score(*_play(cols, alive, t, player))
-                if not score >= forced_cost_bound(alive.bit_count(), t):
-                    return BatteryResult(
-                        "adversary", False, checked, "a strategy table beat the bound",
-                        f"n={n} alive={_members(cls, alive)} table={sorted(table.items())}",
-                    )
+                yield None if score >= forced_cost_bound(alive.bit_count(), t) else (
+                    "a strategy table beat the bound",
+                    f"n={n} alive={_members(cls, alive)} table={sorted(table.items())}",
+                )
     # equality witnesses: m singletons of weight one, and one string of weight h
     for m in range(1, n_max + 1):
         for alive in combinations(weight_class(n_max, 1), m):
-            transcript = min_game_against(alive)
-            checked += 1
-            if transcript.score != m:
-                return BatteryResult(
-                    "adversary", False, checked, "weight-one equality failed",
-                    f"alive={alive}: score={transcript.score} != {m}",
-                )
-    for x in all_bitstrings(n_max):
-        transcript = min_game_against([x])
-        checked += 1
-        if transcript.score != ones(x):
-            return BatteryResult(
-                "adversary", False, checked, "single-string equality failed",
-                f"x={x!r}: score={transcript.score}",
+            score = min_game_against(alive).score
+            yield None if score == m else (
+                "weight-one equality failed", f"alive={alive}: score={score} != {m}"
             )
-    return BatteryResult(
-        "adversary", True, checked,
-        f"{checked} games; alive sets to n={n_max}, scripts to n={script_n_max}, "
-        f"tables to n={table_n_max}",
+    for x in all_bitstrings(n_max):
+        score = min_game_against([x]).score
+        yield None if score == ones(x) else (
+            "single-string equality failed", f"x={x!r}: score={score}"
+        )
+    return (
+        f"{{checked}} games; alive sets to n={n_max}, scripts to n={script_n_max}, "
+        f"tables to n={table_n_max}"
     )
 
 
 # --- battery 6: no-advice maximization and binomial growth -------------------
 
 
-def battery_growth(
-    n: int = 16, sweep_n_max: int = 10**4, int_ratios=range(2, 11)
-) -> BatteryResult:
+@_battery
+def battery_growth(n: int = 16, sweep_n_max: int = 10**4, int_ratios=range(2, 11)):
     """Defeat of 2^(floor(log n) - 1) no-advice strategies at once, and the
     e^t growth floor of the binomial quotient along the whole grid."""
     m = 1 << (n.bit_length() - 2)  # 2^(floor(log2 n) - 1)
     outcome = max_no_advice_game(standard_max_behaviors(m), n)
     opt = asg_opt("max", outcome.x)
-    checked = 1
-    if ones(outcome.x) > m or opt < n - m or any(s > 0 for s in outcome.scores):
-        return BatteryResult(
-            "growth", False, checked, "a strategy survived the defeat",
-            f"x={outcome.x!r} scores={outcome.scores}",
-        )
+    yield None if (
+        ones(outcome.x) <= m and opt >= n - m and not any(s > 0 for s in outcome.scores)
+    ) else ("a strategy survived the defeat", f"x={outcome.x!r} scores={outcome.scores}")
     for c in int_ratios:
         failures = exp_growth_floor_sweep(sweep_n_max, c)
-        checked += sweep_n_max
-        if failures:
-            return BatteryResult(
-                "growth", False, checked, "growth floor failed",
-                f"c={c} first failing n={failures[0]}",
-            )
-    return BatteryResult(
-        "growth", True, checked,
-        f"{m} strategies defeated at n={n}; floor holds to n={sweep_n_max}",
-    )
+        yield _Weighted(sweep_n_max, None if not failures else (
+            "growth floor failed", f"c={c} first failing n={failures[0]}"
+        ))
+    return f"{m} strategies defeated at n={n}; floor holds to n={sweep_n_max}"
 
 
 # --- battery 7: problem reductions -------------------------------------------
@@ -568,12 +568,12 @@ def _constructible(name: str, x: str) -> bool:
     return True
 
 
-def battery_reductions(n_max: int = 8, ratios=None) -> BatteryResult:
+@_battery
+def battery_reductions(n_max: int = 8, ratios=None):
     """Class membership on the constructed instances, strict competitiveness
     of the generic covering protocol, and lifted round trips within the
     header allowance, for each of the six problem reductions."""
-    ratios = REDUCTION_RATIOS if ratios is None else tuple(as_ratio(r) for r in ratios)
-    checked = 0
+    ratios = _ratios(ratios, REDUCTION_RATIOS)
     for name in REDUCTIONS:
         problem = PROBLEMS[name]
         build = CONSTRUCTIONS[name]
@@ -584,12 +584,9 @@ def battery_reductions(n_max: int = 8, ratios=None) -> BatteryResult:
                 if _constructible(name, x):
                     instances[x] = build(x)
         violations = aoc_membership_check(problem, instances.values())
-        checked += len(instances)
-        if violations:
-            return BatteryResult(
-                "reductions", False, checked, f"{name} left the covering class",
-                str(violations[0]),
-            )
+        yield _Weighted(len(instances), None if not violations else (
+            f"{name} left the covering class", str(violations[0])
+        ))
         for c in ratios:
             pair = aoc_generic(problem, c)
             lifted = lift_to_asg(pair, name)
@@ -602,38 +599,22 @@ def battery_reductions(n_max: int = 8, ratios=None) -> BatteryResult:
                         tape_bits = pair.oracle(instance)
                         phi = AdviceTape(tape_bits)
                         y = run_online(pair.algorithm(), phi, problem.requests(instance))
-                        checked += 1
-                        if not competitive_ok(
-                            problem.objective,
-                            problem.score(instance, y),
-                            problem.opt(instance),
-                            c,
-                            0,
-                        ):
-                            return BatteryResult(
-                                "reductions", False, checked,
-                                f"{name} covering run broke strictness",
-                                f"c={c} x={x!r}: y={y!r}",
-                            )
+                        score, opt = problem.score(instance, y), problem.opt(instance)
+                        yield None if competitive_ok(problem.objective, score, opt, c, 0) else (
+                            f"{name} covering run broke strictness", f"c={c} x={x!r}: y={y!r}"
+                        )
                         inner_len, inner_read = len(tape_bits), phi.bits_read
                     res = run_asg(variant, lifted, x)
-                    checked += 1
-                    if (
-                        not competitive_ok(
-                            variant.objective, res.score, asg_opt(variant.objective, x), c, 0
-                        )
-                        or res.bits - inner_read > allowance
-                        or len(lifted.oracle(x)) - inner_len > allowance
-                    ):
-                        return BatteryResult(
-                            "reductions", False, checked, f"{name} lift round trip failed",
-                            f"c={c} x={x!r}: y={res.y!r} bits={res.bits} inner={inner_read}",
-                        )
-    return BatteryResult(
-        "reductions", True, checked,
-        f"{len(REDUCTIONS)} reductions over n <= {n_max}, "
-        f"ratios {', '.join(map(str, ratios))}",
-    )
+                    opt = asg_opt(variant.objective, x)
+                    yield None if (
+                        competitive_ok(variant.objective, res.score, opt, c, 0)
+                        and res.bits - inner_read <= allowance
+                        and len(lifted.oracle(x)) - inner_len <= allowance
+                    ) else (
+                        f"{name} lift round trip failed",
+                        f"c={c} x={x!r}: y={res.y!r} bits={res.bits} inner={inner_read}",
+                    )
+    return f"{len(REDUCTIONS)} reductions over n <= {n_max}, ratios {_ratio_list(ratios)}"
 
 
 # --- battery 8: knapsack and matching ----------------------------------------
@@ -671,187 +652,146 @@ def _matching_tables(vertices: int):
     return edge_list, opt, fwd, rev
 
 
+@_battery
 def battery_packing(
     n_exhaustive: int = 5,
     n_max: int = 10,
     grid_denominator: int = 8,
     match_vertices: int = 7,
     seed: int = 0,
-) -> BatteryResult:
+):
     """Knapsack protocol within twice the optimum on eighth-step weight
     grids with logarithmic advice; greedy matching within twice the optimum
     on every graph, with the four-path witness exactly at ratio two."""
     problem = PROBLEMS["ks"]
     pair = knapsack_two_competitive()
     values = [Fraction(k, grid_denominator) for k in range(grid_denominator + 1)]
-    checked = 0
 
-    def knapsack_run(weights) -> BatteryResult | None:
-        instance = tuple(weights)
+    def knapsack_run(instance, opt):
+        """One run against the reference count opt: None, or its failure."""
         tape = AdviceTape(pair.oracle(instance))
         y = run_online(pair.algorithm(), tape, problem.requests(instance))
         score = problem.score(instance, y)
-        opt = _greedy_fill_count(instance)
         if score == MINUS_INF or opt > 2 * score or tape.bits_read > encoded_length(len(instance)):
-            return BatteryResult(
-                "packing", False, checked, "knapsack run failed",
-                f"weights={instance}: y={y!r} opt={opt}",
-            )
+            return "knapsack run failed", f"weights={instance}: y={y!r} opt={opt}"
         if len(instance) <= 4 and problem.opt(instance) != opt:
-            return BatteryResult(
-                "packing", False, checked, "knapsack optimum disagrees with brute force",
-                f"weights={instance}",
-            )
+            return "knapsack optimum disagrees with brute force", f"weights={instance}"
         return None
 
     for n in range(n_exhaustive + 1):
         for weights in product(values, repeat=n):
-            checked += 1
-            failed = knapsack_run(weights)
-            if failed:
-                return failed
+            yield knapsack_run(weights, _greedy_fill_count(weights))
     rng = random.Random(seed)
     for n in range(n_exhaustive + 1, n_max + 1):
         for base in combinations_with_replacement(values, n):
             shuffled = list(base)
             rng.shuffle(shuffled)
+            opt = _greedy_fill_count(base)  # the same for every arrival order
             for weights in (base, tuple(reversed(base)), tuple(shuffled)):
-                checked += 1
-                failed = knapsack_run(weights)
-                if failed:
-                    return failed
+                yield knapsack_run(weights, opt)
 
     matching = PROBLEMS["om"]
     match_pair = greedy_matching()
 
-    def greedy_run(instance) -> int:
+    def greedy_run(instance):
         y = run_online(match_pair.algorithm(), AdviceTape([]), matching.requests(instance))
-        score = matching.score(instance, y)
-        assert score != MINUS_INF  # disjoint by construction
-        return score
+        return matching.score(instance, y)
 
     edge_list, opt, fwd, rev = _matching_tables(match_vertices)
-    for mask in range(1 << len(edge_list)):
-        checked += 1
-        if opt[mask] > 2 * fwd[mask] or opt[mask] > 2 * rev[mask]:
-            picked = tuple(e for i, e in enumerate(edge_list) if mask >> i & 1)
-            return BatteryResult(
-                "packing", False, checked, "greedy matching broke its factor",
-                f"edges={picked}",
-            )
-    # tie the table to the implementation on every small graph
+    total = 1 << len(edge_list)
+    bad = next((m for m in range(total) if opt[m] > 2 * fwd[m] or opt[m] > 2 * rev[m]), None)
+    yield _Weighted(total, None) if bad is None else _Weighted(bad + 1, (
+        "greedy matching broke its factor",
+        f"edges={tuple(e for i, e in enumerate(edge_list) if bad >> i & 1)}",
+    ))
+    # tie the table to the implementation on every small graph; an
+    # infeasible (MINUS_INF) greedy answer disagrees with every table entry
     small = list(combinations(range(1, min(match_vertices, 5) + 1), 2))
     into = [edge_list.index(e) for e in small]
     for mask in range(1 << len(small)):
         instance = tuple(e for i, e in enumerate(small) if mask >> i & 1)
         big_mask = sum(1 << into[i] for i in range(len(small)) if mask >> i & 1)
-        checked += 1
-        if greedy_run(instance) != fwd[big_mask]:
-            return BatteryResult(
-                "packing", False, checked, "greedy table disagrees with the implementation",
-                f"edges={instance}",
-            )
-        if len(instance) <= 6 and matching.opt(instance) != opt[big_mask]:
-            return BatteryResult(
-                "packing", False, checked, "matching optimum disagrees with brute force",
-                f"edges={instance}",
-            )
+        yield (
+            ("greedy table disagrees with the implementation", f"edges={instance}")
+            if greedy_run(instance) != fwd[big_mask]
+            else ("matching optimum disagrees with brute force", f"edges={instance}")
+            if len(instance) <= 6 and matching.opt(instance) != opt[big_mask]
+            else None
+        )
     witness = ((2, 3), (1, 2), (3, 4))
     alg = greedy_run(witness)
-    checked += 1
-    if matching.opt(witness) != 2 * alg:
-        return BatteryResult(
-            "packing", False, checked, "the four-path witness missed ratio two",
-            f"alg={alg} opt={matching.opt(witness)}",
-        )
-    return BatteryResult(
-        "packing", True, checked,
+    yield None if matching.opt(witness) == 2 * alg else (
+        "the four-path witness missed ratio two", f"alg={alg} opt={matching.opt(witness)}"
+    )
+    return (
         f"knapsack to n={n_max} on the 1/{grid_denominator} grid; "
-        f"matching on all {match_vertices}-vertex graphs",
+        f"matching on all {match_vertices}-vertex graphs"
     )
 
 
 # --- battery 9: curve reproduction --------------------------------------------
 
 
-def battery_curve(steps: int = 60, n: int = 10**6) -> BatteryResult:
+@_battery
+def battery_curve(steps: int = 60, n: int = 10**6):
     """The emitted curve hits log2(5/4) at c=2, decreases monotonically,
     stays inside its envelopes, and carries the comparison column exactly
     on (1, 2]."""
     points = emit_curve(Fraction(21, 20), Fraction(4), steps, n)
-    checked = 0
     previous = None
     for p in points:
-        checked += 1
         inside = p.envelope_lo - 1e-12 <= p.asg_bits_per_request <= p.envelope_hi + 1e-12
         sg_ok = (p.sg_bits_per_request is not None) == (1 < p.c <= 2)
-        if not inside or not sg_ok:
-            return BatteryResult(
-                "curve", False, checked, "a sampled point broke the envelope contract",
-                f"c={p.c}: {p}",
-            )
-        if previous is not None and not p.asg_bits_per_request < previous:
-            return BatteryResult(
-                "curve", False, checked, "curve is not strictly decreasing",
-                f"c={p.c}",
-            )
+        yield (
+            ("a sampled point broke the envelope contract", f"c={p.c}: {p}")
+            if not inside or not sg_ok
+            else ("curve is not strictly decreasing", f"c={p.c}")
+            if previous is not None and not p.asg_bits_per_request < previous
+            else None
+        )
         previous = p.asg_bits_per_request
     at_two = [p for p in points if p.c == 2]
-    checked += 1
-    if not at_two or abs(at_two[0].asg_bits_per_request - math.log2(Fraction(5, 4))) > 1e-5:
-        return BatteryResult(
-            "curve", False, checked, "the c=2 sample missed log2(5/4)",
-            f"points at 2: {at_two}",
-        )
-    return BatteryResult(
-        "curve", True, checked, f"{len(points)} samples on [21/20, 4], c=2 at log2(5/4)"
-    )
+    yield None if (
+        at_two and abs(at_two[0].asg_bits_per_request - math.log2(Fraction(5, 4))) <= 1e-5
+    ) else ("the c=2 sample missed log2(5/4)", f"points at 2: {at_two}")
+    return f"{len(points)} samples on [21/20, 4], c=2 at log2(5/4)"
 
 
 # --- orchestration ------------------------------------------------------------
 
-BATTERY_ORDER = (
-    "envelope",
-    "trivial",
-    "covering",
-    "counting",
-    "adversary",
-    "growth",
-    "reductions",
-    "packing",
-    "curve",
-)
-
-# batteries built on the covering protocols or the curve, where c must exceed 1
-_STRICT_RATIO_BATTERIES = frozenset({"envelope", "covering", "counting", "reductions", "curve"})
-
-
-def _build_battery_calls(config: ExperimentConfig) -> dict:
-    return {
-        "envelope": lambda: battery_envelope(ratios=config.ratios),
-        "trivial": lambda: battery_trivial(_cap(10, config.n_max), config.ratios),
-        "covering": lambda: battery_covering(
-            _cap(8, config.n_max), config.ratios, config.design_limit
+# In battery order: the call a suite configuration makes, and whether the
+# battery needs c > 1 (it builds the covering protocols or the curve).
+_BATTERIES = {
+    "envelope": (lambda config: battery_envelope(ratios=config.ratios), True),
+    "trivial": (lambda config: battery_trivial(_cap(10, config.n_max), config.ratios), False),
+    "covering": (lambda config: battery_covering(_cap(8, config.n_max), config.ratios), True),
+    "counting": (
+        lambda config: battery_counting(
+            _cap(8, config.n_max), config.ratios, _cap(2000, config.grid_max), config.ratios
         ),
-        "counting": lambda: battery_counting(
-            _cap(_cap(8, config.n_max), config.brute_limit),
-            config.ratios,
-            _cap(2000, config.grid_max),
-            config.ratios,
-        ),
-        "adversary": lambda: battery_adversary(
+        True,
+    ),
+    "adversary": (
+        lambda config: battery_adversary(
             _cap(6, config.n_max), _cap(5, config.n_max), _cap(3, config.n_max)
         ),
-        "growth": lambda: battery_growth(sweep_n_max=_cap(10**4, config.grid_max)),
-        "reductions": lambda: battery_reductions(_cap(8, config.n_max), config.ratios),
-        "packing": lambda: battery_packing(
+        False,
+    ),
+    "growth": (lambda config: battery_growth(sweep_n_max=_cap(10**4, config.grid_max)), False),
+    "reductions": (lambda config: battery_reductions(_cap(8, config.n_max), config.ratios), True),
+    "packing": (
+        lambda config: battery_packing(
             n_exhaustive=_cap(5, config.n_max),
             n_max=_cap(10, config.n_max),
             match_vertices=_cap(7, config.n_max),
             seed=config.seed,
         ),
-        "curve": lambda: battery_curve(),
-    }
+        False,
+    ),
+    "curve": (lambda config: battery_curve(), True),
+}
+
+BATTERY_ORDER = tuple(_BATTERIES)
 
 
 def run_suite(config: ExperimentConfig | None = None, only=None) -> SuiteReport:
@@ -867,11 +807,10 @@ def run_suite(config: ExperimentConfig | None = None, only=None) -> SuiteReport:
             raise ValueError(f"unknown batteries: {', '.join(unknown)}")
         names = [name for name in BATTERY_ORDER if name in set(only)]
     if config.ratios is not None and any(r <= 1 for r in config.ratios):
-        offending = [name for name in names if name in _STRICT_RATIO_BATTERIES]
+        offending = [name for name in names if _BATTERIES[name][1]]
         if offending:
             low = min(config.ratios)
             raise ValueError(
                 f"ratio {low} is outside the covering protocols' domain (c > 1): {offending[0]}"
             )
-    calls = _build_battery_calls(config)
-    return SuiteReport(config, tuple(calls[name]() for name in names))
+    return SuiteReport(config, tuple(_BATTERIES[name][0](config) for name in names))

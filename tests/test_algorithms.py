@@ -331,7 +331,9 @@ def test_knapsack_algorithm_matches_the_fraction_rule():
             assert y == _two_over_m_rule(weights, m), (weights, m)
 
 
-@pytest.mark.parametrize("bad", [None, "1/2", float("nan"), float("inf")])
+@pytest.mark.parametrize(
+    "bad", [None, "1/2", float("nan"), float("inf"), -1, 2, Fraction(3, 2), 1.5]
+)
 def test_knapsack_rejects_bad_weights(bad):
     ks = PROBLEMS["ks"]
     pair = knapsack_two_competitive()
@@ -347,3 +349,15 @@ def test_knapsack_rejects_bad_weights(bad):
         with pytest.raises((TypeError, ValueError)) as info:
             call()
         assert "\n" not in str(info.value)
+
+
+@pytest.mark.parametrize("weight, fits", [(0, 2), (Fraction(1, 8), 2), (1, 1)])
+def test_knapsack_accepts_the_ends_of_the_unit_interval(weight, fits):
+    ks = PROBLEMS["ks"]
+    pair = knapsack_two_competitive()
+    weights = (Fraction(1, 2), weight)
+    assert ks.score(weights, "00") == (2 if fits == 2 else MINUS_INF)
+    assert ks.opt(weights) == fits
+    assert pair.oracle(weights) == encode_int(fits)
+    y = run_online(pair.algorithm(), AdviceTape(encode_int(fits)), weights)
+    assert y == "0" * fits + "1" * (2 - fits)

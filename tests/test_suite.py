@@ -1,13 +1,19 @@
 """Unit tests for the verification batteries and curve emission, on ranges
 small enough to stay fast; the full sweeps live in test_acceptance."""
 
+import dataclasses
+import itertools
 import json
 from fractions import Fraction
 
 import pytest
 
+import asg.cli
+import asg.suite
 from asg.adversary import max_no_advice_game
-from asg.core import ones
+from asg.algorithms import AdvicePair
+from asg.core import MINUS_INF, PLUS_INF, OnlineAlgorithm, Variant, ones
+from asg.problems import EdgeMatching, UnitKnapsack
 from asg.suite import (
     BATTERY_ORDER,
     CURVE_COLUMNS,
@@ -16,6 +22,7 @@ from asg.suite import (
     battery_adversary,
     battery_counting,
     battery_covering,
+    battery_curve,
     battery_envelope,
     battery_growth,
     battery_packing,
@@ -142,6 +149,219 @@ def test_battery_adversary_catches_a_sabotaged_reveal_rule(monkeypatch, caps, ch
     )
 
 
+# --- failure paths ----------------------------------------------------------------
+# Each case sabotages one dependency of one battery and pins the failing
+# result: the count at the first failure, its detail and its witness.
+
+
+def _wrap(monkeypatch, name, sabotage):
+    """Replace asg.suite.<name> by sabotage(real, *args)."""
+    real = getattr(asg.suite, name)
+    monkeypatch.setattr(asg.suite, name, lambda *args, **kw: sabotage(real, *args, **kw))
+
+
+def _wrap_opt(monkeypatch, cls, sabotage):
+    """Replace cls.opt by sabotage(real, instance)."""
+    real = cls.opt
+    monkeypatch.setattr(cls, "opt", lambda self, instance: sabotage(lambda i: real(self, i), instance))
+
+
+def _run_asg_sabotage(variant, x, **changes):
+    def sabotage(real, v, pair, y):
+        res = real(v, pair, y)
+        return dataclasses.replace(res, **changes) if v is variant and y == x else res
+
+    return sabotage
+
+
+def _nth_call_fails(n):
+    calls = itertools.count(1)
+    return lambda real, *args: next(calls) != n and real(*args)
+
+
+class _Refuse(OnlineAlgorithm):
+    """No advice; refuses every request."""
+
+    def answer(self, i, request):
+        return 1
+
+
+class _Accept(OnlineAlgorithm):
+    """No advice; accepts every request."""
+
+    def answer(self, i, request):
+        return 0
+
+
+FOUR_PATH = ((2, 3), (1, 2), (3, 4))
+
+FAILURE_CASES = {
+    "envelope": (
+        lambda mp: _wrap(mp, "advice_bound", lambda real, n, c: real(n, c) * (2 if c == 3 else 1)),
+        lambda: battery_envelope(n=1000),
+        (
+            5,
+            "sandwich violated at n=1000",
+            "c=3: 176.91261514101433 <= 398.6176164468133 <= 333.3333333333333",
+        ),
+    ),
+    "curve-envelope": (
+        lambda mp: _wrap(mp, "advice_bound", lambda real, n, c: real(n, c) * (10 if c == 2 else 1)),
+        lambda: battery_curve(),
+        (
+            20,
+            "a sampled point broke the envelope contract",
+            "c=2: CurvePoint(c=Fraction(2, 1), asg_bits_per_request=3.219280948873623, "
+            "envelope_hi=0.5, envelope_lo=0.2653689227115215, sg_bits_per_request=0.0)",
+        ),
+    ),
+    "curve-decreasing": (
+        lambda mp: _wrap(mp, "advice_bound", lambda real, n, c: real(n, min(c, Fraction(3)))),
+        lambda: battery_curve(),
+        (41, "curve is not strictly decreasing", "c=61/20"),
+    ),
+    "curve-at-two": (
+        lambda mp: _wrap(mp, "advice_bound", lambda real, n, c: real(n, c) * (1.001 if c == 2 else 1)),
+        lambda: battery_curve(),
+        (
+            61,
+            "the c=2 sample missed log2(5/4)",
+            "points at 2: [CurvePoint(c=Fraction(2, 1), asg_bits_per_request=0.3222500229822497, "
+            "envelope_hi=0.5, envelope_lo=0.2653689227115215, sg_bits_per_request=0.0)]",
+        ),
+    ),
+    "trivial-min": (
+        lambda mp: _wrap(mp, "run_asg", _run_asg_sabotage(Variant.MIN_UNKNOWN, "0110", bits=99)),
+        lambda: battery_trivial(n_max=4),
+        (43, "residue-class protocol failed", "c=3/2 x='0110': y='0110' bits=99/8"),
+    ),
+    "trivial-max": (
+        lambda mp: _wrap(mp, "run_asg", _run_asg_sabotage(Variant.MAX_UNKNOWN, "101", score=MINUS_INF)),
+        lambda: battery_trivial(n_max=4),
+        (26, "block-copy protocol failed", "c=3/2 x='101': y='101' bits=10/12"),
+    ),
+    "covering-min": (
+        lambda mp: _wrap(mp, "run_asg", _run_asg_sabotage(Variant.MIN_UNKNOWN, "0110", bits=99)),
+        lambda: battery_covering(n_max=4),
+        (43, "minimization protocol failed", "c=3/2 x='0110': y='1110' bits=99"),
+    ),
+    "covering-max": (
+        lambda mp: _wrap(mp, "run_asg", _run_asg_sabotage(Variant.MAX_UNKNOWN, "0100", score=PLUS_INF)),
+        lambda: battery_covering(n_max=4),
+        (40, "maximization protocol failed", "c=3/2 x='0100': y='1100' bits=11"),
+    ),
+    "counting-sandwich": (
+        lambda mp: _wrap(mp, "exact_strategy_count", lambda real, n, c, *rest, **kw: (
+            dataclasses.replace(real(n, c, *rest, **kw), count=1) if (n, c) == (3, 2)
+            else real(n, c, *rest, **kw)
+        )),
+        lambda: battery_counting(n_max=3, quotient_n_max=20),
+        (6, "strategy count left the design sandwich", "n=3 c=2: count=1 bits=2 sandwich=[2,5]"),
+    ),
+    "counting-quotient": (
+        lambda mp: _wrap(mp, "check_min_quotient_approx", lambda real, n, c: (
+            dataclasses.replace(real(n, c), upper_ok=False) if (n, c) == (10, 3) else real(n, c)
+        )),
+        lambda: battery_counting(n_max=2, quotient_n_max=20),
+        (
+            48,
+            "quotient left its additive slack window",
+            "n=10 c=3: quotient=1.736965594166206 bound=1.9930880822340666",
+        ),
+    ),
+    "growth-defeat": (
+        lambda mp: _wrap(mp, "asg_opt", lambda real, objective, x: 0),
+        lambda: battery_growth(n=8, sweep_n_max=100),
+        (1, "a strategy survived the defeat", "x='11000000' scores=(0, -inf, -inf, -inf)"),
+    ),
+    "growth-floor": (
+        lambda mp: _wrap(mp, "exp_growth_floor_sweep", lambda real, n_max, c: (
+            [7] if c == 4 else real(n_max, c)
+        )),
+        lambda: battery_growth(n=8, sweep_n_max=100),
+        (301, "growth floor failed", "c=4 first failing n=7"),
+    ),
+    "reductions-membership": (
+        lambda mp: _wrap(mp, "aoc_membership_check", lambda real, problem, instances: (
+            [("sabotaged", problem.name)] if problem.name == "ds" else real(problem, instances)
+        )),
+        lambda: battery_reductions(n_max=3),
+        (155, "ds left the covering class", "('sabotaged', 'ds')"),
+    ),
+    "reductions-strictness": (
+        lambda mp: _wrap(mp, "competitive_ok", _nth_call_fails(7)),
+        lambda: battery_reductions(n_max=3),
+        (21, "vc covering run broke strictness", "c=5/4 x='01': y='00'"),
+    ),
+    "reductions-lift": (
+        lambda mp: _wrap(mp, "competitive_ok", _nth_call_fails(8)),
+        lambda: battery_reductions(n_max=3),
+        (22, "vc lift round trip failed", "c=5/4 x='01': y='01' bits=14 inner=7"),
+    ),
+    "packing-knapsack": (
+        lambda mp: _wrap(mp, "fill_count", lambda real, loads, scale: (
+            real(loads, scale) + 5 * (len(loads) == 3 and real(loads, scale) == 2)
+        )),
+        lambda: battery_packing(n_exhaustive=2, n_max=3, match_vertices=4),
+        (
+            140,
+            "knapsack run failed",
+            "weights=(Fraction(0, 1), Fraction(1, 8), Fraction(1, 1)): y='001' opt=7",
+        ),
+    ),
+    "packing-knapsack-brute": (
+        lambda mp: _wrap_opt(mp, UnitKnapsack, lambda real, weights: real(weights) + (len(weights) == 2)),
+        lambda: battery_packing(n_exhaustive=2, n_max=3, match_vertices=4),
+        (
+            11,
+            "knapsack optimum disagrees with brute force",
+            "weights=(Fraction(0, 1), Fraction(0, 1))",
+        ),
+    ),
+    "packing-matching-table": (
+        lambda mp: _wrap(mp, "_matching_tables", lambda real, vertices: (
+            lambda edges, opt, fwd, rev: (edges, opt, fwd, rev.replace(b"\x02", b"\x00"))
+        )(*real(vertices))),
+        lambda: battery_packing(n_exhaustive=2, n_max=3, match_vertices=4),
+        (599, "greedy matching broke its factor", "edges=((1, 4), (2, 3))"),
+    ),
+    "packing-greedy-table": (
+        lambda mp: mp.setattr(asg.suite, "greedy_matching", lambda: AdvicePair(list, _Refuse, len)),
+        lambda: battery_packing(n_exhaustive=2, n_max=3, match_vertices=4),
+        (652, "greedy table disagrees with the implementation", "edges=((1, 2),)"),
+    ),
+    "packing-matching-brute": (
+        lambda mp: _wrap_opt(mp, EdgeMatching, lambda real, edges: real(edges) + (len(edges) == 3)),
+        lambda: battery_packing(n_exhaustive=2, n_max=3, match_vertices=4),
+        (658, "matching optimum disagrees with brute force", "edges=((1, 2), (1, 3), (1, 4))"),
+    ),
+    "packing-four-path": (
+        lambda mp: _wrap_opt(mp, EdgeMatching, lambda real, edges: 3 if edges == FOUR_PATH else real(edges)),
+        lambda: battery_packing(n_exhaustive=2, n_max=3, match_vertices=4),
+        (715, "the four-path witness missed ratio two", "alg=1 opt=3"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", FAILURE_CASES)
+def test_battery_failure_paths_are_pinned(monkeypatch, case):
+    sabotage, run, (checked, detail, witness) = FAILURE_CASES[case]
+    sabotage(monkeypatch)
+    result = run()
+    assert (result.passed, result.checked, result.detail, result.witness) == (
+        False, checked, detail, witness
+    )
+
+
+def test_battery_packing_reports_an_infeasible_greedy_answer(monkeypatch):
+    # a "greedy" that accepts every edge is infeasible on two incident edges
+    monkeypatch.setattr(asg.suite, "greedy_matching", lambda: AdvicePair(list, _Accept, len))
+    result = battery_packing(n_exhaustive=2, n_max=3, match_vertices=4)
+    assert (result.passed, result.checked, result.detail, result.witness) == (
+        False, 654, "greedy table disagrees with the implementation", "edges=((1, 2), (1, 3))"
+    )
+
+
 def test_battery_growth_small():
     result = battery_growth(n=8, sweep_n_max=100)
     assert result.passed
@@ -201,3 +421,11 @@ def test_suite_report_rendering_is_deterministic():
 def test_battery_order_covers_all_names():
     assert len(BATTERY_ORDER) == 9
     assert len(set(BATTERY_ORDER)) == 9
+    # one table in battery order: the suite's, the public battery_* names
+    # and the CLI's literal copy list the same nine names in the same order
+    exported = tuple(
+        name.removeprefix("battery_") for name in asg.suite.__all__ if name.startswith("battery_")
+    )
+    assert tuple(asg.suite._BATTERIES) == BATTERY_ORDER
+    assert exported == BATTERY_ORDER
+    assert asg.cli.BATTERY_ORDER == BATTERY_ORDER
