@@ -15,7 +15,6 @@ with covering-design sizes.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 from fractions import Fraction
@@ -54,7 +53,7 @@ __all__ = [
     "DEFAULT_BRUTE_LIMIT",
 ]
 
-DEFAULT_BRUTE_LIMIT = int(os.environ.get("ASG_BRUTE_LIMIT", "8"))
+DEFAULT_BRUTE_LIMIT = 8  # exact_strategy_count's default largest n
 
 
 @lru_cache(maxsize=None)
@@ -293,6 +292,8 @@ def max_no_advice_game(
     most once, so the input has at most len(behaviors) ones, yet every
     strategy ends infeasible or with profit 0.
     """
+    if n < 0:
+        raise ValueError("needs n >= 0 rounds")
     revealed: list[str] = []
     outputs = [[] for _ in behaviors]
     pure = [True] * len(behaviors)
@@ -322,6 +323,8 @@ def standard_max_behaviors(m: int):
         lambda i, p: 0 if i > 8 else 1,
         lambda i, p: 0 if p.count("0") % 2 == 0 else 1,
     ]
+    if m < 0:
+        raise ValueError("needs m >= 0 strategies")
     if m <= len(base):
         return base[:m]
     extra = [(lambda j: lambda i, p: 0 if i == j else 1)(j) for j in range(2, m - len(base) + 2)]

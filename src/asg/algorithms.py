@@ -168,8 +168,8 @@ def trivial_max(c) -> AdvicePair:
 
 
 class _CoveringAlg(OnlineAlgorithm):
-    def __init__(self, c: Fraction, objective: str, exact_limit):
-        self.c, self.objective, self.exact_limit = c, objective, exact_limit
+    def __init__(self, c: Fraction, objective: str):
+        self.c, self.objective = c, objective
 
     def begin(self, tape):
         n = decode_int(tape)
@@ -179,7 +179,7 @@ class _CoveringAlg(OnlineAlgorithm):
         k, t = design_shapes(self.objective, self.c, n)[w]
         self.in_block = range(1, n + 1) if t else ()  # a boundary class: all 1s or all 0s
         if 0 < t and k < n:
-            design = design_for(n, k, t, self.exact_limit)
+            design = design_for(n, k, t)
             index = _read_fixed(tape, ceil_log2(design.size))
             if index >= design.size:
                 raise MalformedAdviceError(f"block index {index} outside {design.size} blocks")
@@ -189,7 +189,7 @@ class _CoveringAlg(OnlineAlgorithm):
         return int(i in self.in_block)
 
 
-def _covering(c, objective: str, exact_limit: int | None) -> AdvicePair:
+def _covering(c, objective: str) -> AdvicePair:
     """The covering-design protocol for either objective.
 
     The oracle sends n (self-delimited), the weight w = OPT(x) on a fixed
@@ -210,7 +210,7 @@ def _covering(c, objective: str, exact_limit: int | None) -> AdvicePair:
         bits.extend(_fixed_width(w, ceil_log2(n + 1)))
         k, t = design_shapes(objective, c, n)[w]
         if 0 < t and k < n:
-            design = design_for(n, k, t, exact_limit)
+            design = design_for(n, k, t)
             support = set(one_positions(x))
             index = next(
                 i for i, block in enumerate(design.blocks) if support <= set(block)
@@ -220,33 +220,33 @@ def _covering(c, objective: str, exact_limit: int | None) -> AdvicePair:
 
     def budget(n: int) -> int:
         widths = [
-            ceil_log2(design_for(n, k, t, exact_limit).size)
+            ceil_log2(design_for(n, k, t).size)
             for k, t in design_shapes(objective, c, n)
             if 0 < t and k < n
         ]
         return encoded_length(n) + ceil_log2(n + 1) + max(widths, default=0)
 
-    return AdvicePair(oracle, lambda: _CoveringAlg(c, objective, exact_limit), budget)
+    return AdvicePair(oracle, lambda: _CoveringAlg(c, objective), budget)
 
 
-def covering_min(c, exact_limit: int | None = None) -> AdvicePair:
+def covering_min(c) -> AdvicePair:
     """Covering-design protocol for the minimization game: an (n, floor(c t), t)
     design serves t = |x|_1, at cost exactly floor(c t) when 0 < floor(c t) < n."""
-    return _covering(c, "min", exact_limit)
+    return _covering(c, "min")
 
 
-def covering_max(c, exact_limit: int | None = None) -> AdvicePair:
+def covering_max(c) -> AdvicePair:
     """Covering-design protocol for the maximization game: an (n, n - ceil(u/c),
     n - u) design serves u = |x|_0, leaving exactly ceil(u/c) zeros when 0 < u < n."""
-    return _covering(c, "max", exact_limit)
+    return _covering(c, "max")
 
 
 # --- the generic reduction to covering protocols ---------------------------
 
 
-def aoc_generic(problem, c, exact_limit: int | None = None) -> AdvicePair:
+def aoc_generic(problem, c) -> AdvicePair:
     """Generic strictly c-competitive pair for any asymmetrically scored
-    binary-choice problem (see problems.check_aoc_membership).
+    binary-choice problem (see problems.aoc_membership_check).
 
     The oracle computes the lexicographically smallest optimal solution
     string of the instance and runs the matching covering oracle on it; the
@@ -254,7 +254,7 @@ def aoc_generic(problem, c, exact_limit: int | None = None) -> AdvicePair:
     entirely.  Domination of the optimal string keeps the output feasible,
     and the covering guarantee bounds its score.
     """
-    base = _covering(c, problem.objective, exact_limit)
+    base = _covering(c, problem.objective)
 
     def oracle(instance) -> list[int]:
         best = problem.optimal_strings(instance)[0]

@@ -136,6 +136,8 @@ def cmd_verify(args) -> int:
     pair = factory(args.c)
     target = args.c if args.protocol.startswith("covering") else Fraction(math.ceil(args.c))
     infeasible = PLUS_INF if objective == "min" else MINUS_INF
+    if args.n_max < 0:
+        raise ValueError("--n-max must be at least 0")
     checked = 0
     witness = None
     for n in range(args.n_max + 1):
@@ -186,6 +188,8 @@ def cmd_adversary(args) -> int:
                 raise ValueError("--game min needs --strings or both --n and --weight")
             alive = weight_class(args.n, args.weight)
             if args.m is not None:
+                if args.m < 0:
+                    raise ValueError("--m must be at least 0")
                 alive = alive[: args.m]
         _emit_json(min_game_against(alive).to_json(), args.out)
         return 0

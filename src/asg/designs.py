@@ -12,14 +12,13 @@ the lowest uncovered t-subset and bans failed siblings.  It proves the
 minimum size (growing the size from a counting/degree lower bound until a
 cover exists), then fixes the witness block by block, keeping at each
 position the smallest block that still leaves a completion.  Results are
-cached once per (v, k, t); the binom(v, t) and binom(v, k) guard is
-checked on every call, before the cache.
+cached once per (v, k, t); the binom(v, t) and binom(v, k) guard is a
+module constant, checked on every call, before the cache.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -38,7 +37,10 @@ __all__ = [
     "design_for",
 ]
 
-DEFAULT_TSUBSET_LIMIT = int(os.environ.get("ASG_DESIGN_LIMIT", "100000"))
+DEFAULT_TSUBSET_LIMIT = 100000  # the search guard on binom(v, t) and binom(v, k)
+# design_for's exact/greedy cut-over on binom(v, t); the greedy branch
+# passes the guard only while this stays below DEFAULT_TSUBSET_LIMIT
+EXACT_TSUBSET_LIMIT = DEFAULT_TSUBSET_LIMIT
 
 
 class SearchLimitError(RuntimeError):
@@ -113,10 +115,11 @@ def cover_number_bounds(v: int, k: int, t: int) -> CoverNumberBounds:
     return CoverNumberBounds(v, k, t, lower, max(lower, upper))
 
 
-def _guard(v: int, k: int, t: int, limit: int | None) -> None:
+def _guard(v: int, k: int, t: int) -> None:
     """Both tables a search builds, binom(v, t) subsets and binom(v, k)
     blocks, must fit the guard before either is built."""
-    limit = DEFAULT_TSUBSET_LIMIT if limit is None else limit
+    _check_params(v, k, t)
+    limit = DEFAULT_TSUBSET_LIMIT
     for m in (t, k):
         if math.comb(v, m) > limit:
             raise SearchLimitError(
@@ -208,22 +211,26 @@ def _exact_cached(v: int, k: int, t: int) -> CoveringDesign:
     return CoveringDesign(v, k, t, tuple(blocks[i] for i in family))
 
 
-def exact_cover_number(v: int, k: int, t: int, limit: int | None = None) -> CoveringDesign:
+def exact_cover_number(v: int, k: int, t: int) -> CoveringDesign:
     """Minimum-size covering design, lexicographically first witness.
 
-    Deterministic: repeated calls return the identical family, whatever the
-    limit.  Raises SearchLimitError when binom(v, t) or binom(v, k) exceeds
-    the guard.
+    Deterministic: repeated calls return the identical family.  Raises
+    SearchLimitError when binom(v, t) or binom(v, k) exceeds the guard.
     """
-    _check_params(v, k, t)
-    _guard(v, k, t, limit)
+    _guard(v, k, t)
     return _exact_cached(v, k, t)
 
 
+def greedy_cover(v: int, k: int, t: int) -> CoveringDesign:
+    """Greedy covering design: repeatedly take the block covering the most
+    still-uncovered t-subsets, ties broken toward the lex-smallest block.
+    The guard is checked on every call, before the cache."""
+    _guard(v, k, t)
+    return _greedy_cached(v, k, t)
+
+
 @lru_cache(maxsize=None)
-def _greedy_cached(v: int, k: int, t: int, limit: int | None) -> CoveringDesign:
-    _check_params(v, k, t)
-    _guard(v, k, t, limit)
+def _greedy_cached(v: int, k: int, t: int) -> CoveringDesign:
     blocks, masks, _ = _coverage_tables(v, k, t)
     uncovered = (1 << math.comb(v, t)) - 1
     chosen = []
@@ -238,20 +245,12 @@ def _greedy_cached(v: int, k: int, t: int, limit: int | None) -> CoveringDesign:
     return CoveringDesign(v, k, t, tuple(blocks[i] for i in chosen))
 
 
-def greedy_cover(v: int, k: int, t: int, limit: int | None = None) -> CoveringDesign:
-    """Greedy covering design: repeatedly take the block covering the most
-    still-uncovered t-subsets, ties broken toward the lex-smallest block."""
-    return _greedy_cached(v, k, t, limit)
-
-
-def design_for(v: int, k: int, t: int, exact_limit: int | None = None) -> CoveringDesign:
-    """The design both the oracle and the algorithm agree on.
-
-    Exact search while binom(v, t) is within the exact guard, the greedy
-    construction beyond it (subject to the default guard).  Both parties
-    must call this with the same limit to stay in sync.
-    """
-    lim = DEFAULT_TSUBSET_LIMIT if exact_limit is None else exact_limit
-    if math.comb(v, t) <= lim:
-        return exact_cover_number(v, k, t, lim)
+def design_for(v: int, k: int, t: int) -> CoveringDesign:
+    """The design both the oracle and the algorithm agree on: the exact
+    minimum while binom(v, t) is within EXACT_TSUBSET_LIMIT, the greedy
+    construction beyond it.  Both read the same module constants, so they
+    stay in sync by construction."""
+    _check_params(v, k, t)
+    if math.comb(v, t) <= EXACT_TSUBSET_LIMIT:
+        return exact_cover_number(v, k, t)
     return greedy_cover(v, k, t)

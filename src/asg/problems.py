@@ -7,11 +7,12 @@ for maximization problems 0 accepts, so that a feasible score is always
 the count dominated-side bits of the answer string (1s for min, 0s for
 max) and domination toward an optimal answer string preserves feasibility.
 
-Each Problem object bundles the arrival model (requests), the scorer, and
-a brute-force optimum, so the covering protocols can be pointed at any of
-them.  The construction functions build the instance families on which the
-guessing game embeds into each problem: a split graph, a unique-cycle
-graph, a star, a singleton cover, and a halving family of subpaths.
+Each Problem object bundles the arrival model (requests), the feasibility
+predicate and a brute-force optimum, so the covering protocols can be
+pointed at any of them.  The construction functions build the instance
+families on which the guessing game embeds into each problem: a split
+graph, a unique-cycle graph, a star, a singleton cover, and a halving
+family of subpaths.
 """
 
 from __future__ import annotations
@@ -216,7 +217,13 @@ def matching_vertex_disjoint(edges, chosen_indices: set) -> bool:
 
 
 class Problem:
-    """An online problem with binary answers and asymmetric scoring.
+    """An online problem in the asymmetric online covering class.
+
+    A problem states only which sets of accepted rounds are feasible; one
+    class rule scores every answer: a feasible one costs (min) or earns
+    (max) the number of rounds it accepts, an infeasible one scores +inf
+    (min) or -inf (max).  Feasibility must be closed upward (min) or
+    downward (max); `aoc_membership_check` verifies that on a family.
 
     Instances are immutable values: two equal instances are the same
     instance.  `opt`, `optimal_strings` and `aoc_membership_check` all read
@@ -230,8 +237,23 @@ class Problem:
     def requests(self, instance) -> list:
         raise NotImplementedError
 
-    def score(self, instance, y: str) -> Score:
+    def feasible(self, instance, accepted: set[int]) -> bool:
+        """Whether accepting exactly the 1-based rounds in `accepted` is a
+        feasible answer on the instance."""
         raise NotImplementedError
+
+    def score(self, instance, y: str) -> Score:
+        return self._judge(y, self._length(instance), self.feasible, instance)
+
+    def _judge(self, y: str, n: int, feasible, instance) -> Score:
+        """The class rule for answer y to n requests, feasibility read by
+        `feasible(instance, accepted)`."""
+        _check_len(y, n)
+        accept = "1" if self.objective == "min" else "0"
+        accepted = {i for i, b in enumerate(y, 1) if b == accept}
+        if feasible(instance, accepted):
+            return len(accepted)
+        return PLUS_INF if self.objective == "min" else MINUS_INF
 
     def _length(self, instance) -> int:
         return len(self.requests(instance))
@@ -290,15 +312,14 @@ class _GraphProblem(Problem):
     def requests(self, instance: VertexArrivalGraph) -> list:
         return [instance.neighbors_before(j) for j in range(1, instance.n + 1)]
 
+    def _length(self, instance: VertexArrivalGraph) -> int:
+        return instance.n
+
 
 class VertexCover(_GraphProblem):
     name = "vc"
     objective = "min"
-
-    def score(self, instance, y):
-        _check_len(y, instance.n)
-        chosen = set(one_positions(y))
-        return ones(y) if is_vertex_cover(instance, chosen) else PLUS_INF
+    feasible = staticmethod(is_vertex_cover)
 
 
 class CycleFinding(_GraphProblem):
@@ -307,45 +328,31 @@ class CycleFinding(_GraphProblem):
 
     name = "cf"
     objective = "min"
-
-    def score(self, instance, y):
-        _check_len(y, instance.n)
-        chosen = set(one_positions(y))
-        return ones(y) if induced_has_cycle(instance, chosen) else PLUS_INF
+    feasible = staticmethod(induced_has_cycle)
 
 
 class DominatingSet(_GraphProblem):
     name = "ds"
     objective = "min"
-
-    def score(self, instance, y):
-        _check_len(y, instance.n)
-        chosen = set(one_positions(y))
-        return ones(y) if is_dominating_set(instance, chosen) else PLUS_INF
+    feasible = staticmethod(is_dominating_set)
 
 
 class SetCover(Problem):
     name = "sc"
     objective = "min"
+    feasible = staticmethod(covers_universe)
 
     def requests(self, instance: SetCoverInstance) -> list:
         return [tuple(sorted(r)) for r in instance.requests]
 
-    def score(self, instance, y):
-        _check_len(y, len(instance.requests))
-        chosen = set(one_positions(y))
-        return ones(y) if covers_universe(instance, chosen) else PLUS_INF
+    def _length(self, instance: SetCoverInstance) -> int:
+        return len(instance.requests)
 
 
 class IndependentSet(_GraphProblem):
-    # 0 accepts a vertex: the profit of a feasible output is its zero count
     name = "is"
     objective = "max"
-
-    def score(self, instance, y):
-        _check_len(y, instance.n)
-        chosen = {i for i in range(1, instance.n + 1) if y[i - 1] == "0"}
-        return zeros(y) if is_independent_set(instance, chosen) else MINUS_INF
+    feasible = staticmethod(is_independent_set)
 
 
 class DisjointPaths(Problem):
@@ -355,12 +362,13 @@ class DisjointPaths(Problem):
     def requests(self, instance: DisjointPathInstance) -> list:
         return list(instance.requests)
 
-    def score(self, instance, y):
-        _check_len(y, len(instance.requests))
-        chosen = {i for i in range(1, len(y) + 1) if y[i - 1] == "0"}
-        if paths_edge_disjoint(instance.requests, chosen):
-            return zeros(y)
-        return MINUS_INF
+    def feasible(self, instance: DisjointPathInstance, accepted) -> bool:
+        return paths_edge_disjoint(instance.requests, accepted)
+
+
+def _fits(prepared, accepted) -> bool:
+    loads, scale = prepared
+    return sum(loads[i - 1] for i in accepted) <= scale
 
 
 class UnitKnapsack(Problem):
@@ -370,34 +378,21 @@ class UnitKnapsack(Problem):
     def requests(self, instance) -> list:
         return list(instance)
 
-    def score(self, instance, y):
-        return self._scorer(instance)(y)
+    def feasible(self, instance, accepted) -> bool:
+        return _fits(scaled_weights(instance), accepted)
 
     def _scorer(self, instance):
-        loads, scale = scaled_weights(instance)
-
-        def score(y):
-            _check_len(y, len(loads))
-            load = sum(w for w, b in zip(loads, y) if b == "0")
-            return zeros(y) if load <= scale else MINUS_INF
-
-        return score
+        prepared = scaled_weights(instance)  # integer loads over one scale
+        return lambda y: self._judge(y, len(prepared[0]), _fits, prepared)
 
 
 class EdgeMatching(Problem):
     name = "om"
     objective = "max"
+    feasible = staticmethod(matching_vertex_disjoint)
 
     def requests(self, instance) -> list:
         return [tuple(e) for e in instance]
-
-    def score(self, instance, y):
-        edges = self.requests(instance)
-        _check_len(y, len(edges))
-        chosen = {i for i in range(1, len(y) + 1) if y[i - 1] == "0"}
-        if matching_vertex_disjoint(edges, chosen):
-            return zeros(y)
-        return MINUS_INF
 
 
 PROBLEMS = {
@@ -480,15 +475,15 @@ def singleton_cover_instance(x: str) -> SetCoverInstance:
     return SetCoverInstance(tuple(range(1, n + 1)), tuple(requests))
 
 
-def halving_paths_instance(x: str, guard: int = 30) -> DisjointPathInstance:
+def halving_paths_instance(x: str) -> DisjointPathInstance:
     """Subpaths of halving lengths on a path with 2^n edges: request i has
     length 2^(n-i) and starts where request i-1 started (x_{i-1} = 1) or
     ended (x_{i-1} = 0).  A request at a 1-position overlaps every later
     request; one at a 0-position overlaps none of them."""
     check_bits(x)
     n = len(x)
-    if n > guard:
-        raise ValueError(f"length {n} exceeds the construction guard {guard}")
+    if n > 30:  # the path has 2^n edges
+        raise ValueError(f"length {n} exceeds the construction guard 30")
     if n == 0:
         return DisjointPathInstance(1, ())
     u, requests = 0, []

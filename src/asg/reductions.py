@@ -24,6 +24,8 @@ which the header pins down, and nothing after it matters.
 
 from __future__ import annotations
 
+from functools import partial
+
 from asg.algorithms import AdvicePair
 from asg.core import (
     MINUS_INF,
@@ -93,20 +95,15 @@ def _case_header(to_one: list[int], to_zero: list[int]) -> list[int]:
     return [1, 0] + encode_int(to_one[0])
 
 
-def _vc_tape(pair: AdvicePair, x: str) -> list[int]:
+def _patch_tape(name: str, build, pair: AdvicePair, x: str) -> list[int]:
+    """The tape of the lifts that patch at most one round each way: run the
+    pair on build(x), then name the first 1-round it rejected and the first
+    0-round it accepted."""
     check_bits(x)
-    phi, y = _feasible_run(pair, PROBLEMS["vc"], split_graph(x))
-    dropped = [i for i in one_positions(x) if y[i - 1] == "0"]
-    extras = [i for i in zero_positions(x) if y[i - 1] == "1"]
-    return _case_header(dropped, extras) + phi
-
-
-def _is_tape(pair: AdvicePair, x: str) -> list[int]:
-    check_bits(x)
-    phi, y = _feasible_run(pair, PROBLEMS["is"], split_graph(x))
-    overreach = [i for i in one_positions(x) if y[i - 1] == "0"]
-    dropped = [i for i in zero_positions(x) if y[i - 1] == "1"]
-    return _case_header(overreach, dropped) + phi
+    phi, y = _feasible_run(pair, PROBLEMS[name], build(x))
+    to_one = [i for i in one_positions(x) if y[i - 1] == "0"]
+    to_zero = [i for i in zero_positions(x) if y[i - 1] == "1"]
+    return _case_header(to_one, to_zero) + phi
 
 
 def _cf_tape(pair: AdvicePair, x: str) -> list[int]:
@@ -149,11 +146,8 @@ def _sc_tape(pair: AdvicePair, x: str) -> list[int]:
 
 
 def _dpa_tape(pair: AdvicePair, x: str) -> list[int]:
-    check_bits(x)
-    phi, y = _feasible_run(pair, PROBLEMS["dpa"], halving_paths_instance(x))
-    overreach = [i for i in one_positions(x) if y[i - 1] == "0"]
-    dropped = [i for i in zero_positions(x) if y[i - 1] == "1"]
-    return encode_int(len(x)) + _case_header(overreach, dropped) + phi
+    # the replay sizes its spans by the input length, sent first
+    return encode_int(len(check_bits(x))) + _patch_tape("dpa", halving_paths_instance, pair, x)
 
 
 # --- algorithm side ----------------------------------------------------------
@@ -192,10 +186,14 @@ class _SplitLift(OnlineAlgorithm):
         self.inner.begin(tape)
 
     def answer(self, i, request):
+        a = _checked(self.inner.answer(i, self._rebuild(i, request)))
+        return self.force.get(i, a)
+
+    def _rebuild(self, i, request):
+        """The problem request of round i, from the revealed bit x_{i-1}."""
         if request:
             self.prior_ones.append(i - 1)
-        a = _checked(self.inner.answer(i, tuple(self.prior_ones)))
-        return self.force.get(i, a)
+        return tuple(self.prior_ones)
 
 
 class _CycleLift(OnlineAlgorithm):
@@ -279,34 +277,26 @@ class _SingletonLift(OnlineAlgorithm):
         return _checked(self.inner.answer(i, (i,)))
 
 
-class _HalvingLift(OnlineAlgorithm):
+class _HalvingLift(_SplitLift):
     """Replay against the halving subpaths; the previous input bit says
     whether the next span restarts where the last one started or ended."""
 
-    def __init__(self, inner_factory):
-        self._make = inner_factory
-
     def begin(self, tape):
         self.n = decode_int(tape)
-        self.force = _read_case_overrides(tape)
-        self.u = 0
-        self.prev_end = 0
-        self.inner = self._make()
-        self.inner.begin(tape)
+        self.u = self.prev_end = 0
+        super().begin(tape)
 
-    def answer(self, i, request):
+    def _rebuild(self, i, request):
         if i > 1 and request == 0:
             self.u = self.prev_end
-        span = (self.u, self.u + (1 << (self.n - i)))
-        self.prev_end = span[1]
-        a = _checked(self.inner.answer(i, span))
-        return self.force.get(i, a)
+        self.prev_end = self.u + (1 << (self.n - i))
+        return (self.u, self.prev_end)
 
 
 # --- assembly ----------------------------------------------------------------
 
 _LIFTS = {
-    "vc": (_vc_tape, _SplitLift, lambda n: 2 + 2 * encoded_length(n)),
+    "vc": (partial(_patch_tape, "vc", split_graph), _SplitLift, lambda n: 2 + 2 * encoded_length(n)),
     "cf": (
         _cf_tape,
         _CycleLift,
@@ -314,7 +304,7 @@ _LIFTS = {
     ),
     "ds": (_ds_tape, _StarLift, lambda n: 2 + 2 * encoded_length(n)),
     "sc": (_sc_tape, _SingletonLift, lambda n: 1 + encoded_length(n)),
-    "is": (_is_tape, _SplitLift, lambda n: 2 + 2 * encoded_length(n)),
+    "is": (partial(_patch_tape, "is", split_graph), _SplitLift, lambda n: 2 + 2 * encoded_length(n)),
     "dpa": (_dpa_tape, _HalvingLift, lambda n: 2 + 3 * encoded_length(n)),
 }
 

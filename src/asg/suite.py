@@ -145,6 +145,8 @@ class CurvePoint:
 
 def curve_point(c, n: int = 10**6) -> CurvePoint:
     c = as_ratio(c)
+    if n < 1:
+        raise ValueError("the curve needs n >= 1")
     bound = advice_bound(n, c)
     lo, hi = envelope(n, c)
     sg = float(sg_comparison_value(c)) if 1 < c <= 2 else None

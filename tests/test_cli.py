@@ -178,6 +178,25 @@ def test_adversary_missing_arguments(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("curve", "--c-min", "2", "--c-max", "3", "--steps", "2", "--n", "0"),
+         "the curve needs n >= 1"),
+        (("adversary", "--game", "min", "--n", "4", "--weight", "2", "--m", "-1"),
+         "--m must be at least 0"),
+        (("adversary", "--game", "max", "--n", "4", "--m", "-3"), "needs m >= 0 strategies"),
+        (("adversary", "--game", "max", "--n", "-1", "--m", "2"), "needs n >= 0 rounds"),
+        (("verify", "--protocol", "covering-min", "--c", "2", "--n-max", "-1"),
+         "--n-max must be at least 0"),
+        (("design", "--v", "3", "--k", "2", "--t", "-1"), "need 0 <= t <= k <= v, got (3, 2, -1)"),
+    ],
+)
+def test_bad_sizes_fail_fast_with_exit_2(capsys, argv, message):
+    # no traceback, no exit 1 (a failed verification), no silent answer
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 def test_brute_matches_the_library(capsys):
     code, out, _ = run_cli(capsys, "brute", "--n", "4", "--c", "2")
     assert code == 0

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from asg import designs
 from asg.designs import (
     CoveringDesign,
     SearchLimitError,
@@ -132,26 +133,33 @@ def test_monotonicity_in_k():
             assert sizes == sorted(sizes, reverse=True)
 
 
-def test_search_guard():
+def test_search_guard(monkeypatch):
     with pytest.raises(SearchLimitError):
         exact_cover_number(30, 10, 8)
+    monkeypatch.setattr(designs, "DEFAULT_TSUBSET_LIMIT", 10)
     with pytest.raises(SearchLimitError):
-        exact_cover_number(6, 3, 2, limit=10)
+        exact_cover_number(6, 3, 2)
+    monkeypatch.setattr(designs, "DEFAULT_TSUBSET_LIMIT", 1000)
     with pytest.raises(SearchLimitError):
-        greedy_cover(40, 20, 2, limit=1000)
+        greedy_cover(40, 20, 2)
 
 
-def test_search_guard_counts_the_blocks_too():
+def test_search_guard_counts_the_blocks_too(monkeypatch):
     # binom(8,2) = 28 subsets fit a guard of 50; binom(8,4) = 70 blocks do not
+    monkeypatch.setattr(designs, "DEFAULT_TSUBSET_LIMIT", 50)
     for build in (exact_cover_number, design_for, greedy_cover):
         with pytest.raises(SearchLimitError, match=r"binom\(8,4\) = 70 exceeds .* 50"):
-            build(8, 4, 2, 50)
+            build(8, 4, 2)
 
 
-def test_guard_holds_after_an_unguarded_call_is_cached():
+def test_guard_holds_after_an_unguarded_call_is_cached(monkeypatch):
     exact_cover_number(6, 3, 2)
+    greedy_cover(6, 3, 2)
+    monkeypatch.setattr(designs, "DEFAULT_TSUBSET_LIMIT", 10)
     with pytest.raises(SearchLimitError):
-        exact_cover_number(6, 3, 2, limit=10)
+        exact_cover_number(6, 3, 2)
+    with pytest.raises(SearchLimitError):
+        greedy_cover(6, 3, 2)
 
 
 def test_exact_search_is_cached_once_per_vkt():
@@ -171,12 +179,20 @@ def test_exact_8_5_4_golden_blocks():
     )
 
 
-def test_design_for_modes():
+def test_design_for_modes(monkeypatch):
     exact = design_for(6, 4, 2)
     assert exact.size == exact_cover_number(6, 4, 2).size
-    forced_greedy = design_for(6, 4, 2, exact_limit=1)
+    monkeypatch.setattr(designs, "EXACT_TSUBSET_LIMIT", 1)
+    forced_greedy = design_for(6, 4, 2)
     assert forced_greedy.blocks == greedy_cover(6, 4, 2).blocks
     assert is_covering_design(forced_greedy)
+
+
+def test_design_for_checks_the_parameters_first():
+    # math.comb(3, -1) would raise its own, less telling message
+    for build in (exact_cover_number, design_for, greedy_cover):
+        with pytest.raises(ValueError, match=r"need 0 <= t <= k <= v, got \(3, 2, -1\)"):
+            build(3, 2, -1)
 
 
 def test_json_round_trip():

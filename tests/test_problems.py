@@ -1,17 +1,31 @@
 """Instance constructions, feasibility scoring, brute-force optima."""
 
+import hashlib
 from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
 
-from asg.core import MINUS_INF, PLUS_INF, all_bitstrings, ones, zeros
+from asg.algorithms import aoc_generic
+from asg.core import (
+    MINUS_INF,
+    PLUS_INF,
+    AdviceTape,
+    all_bitstrings,
+    asg_opt,
+    competitive_ok,
+    ones,
+    run_online,
+    zeros,
+)
 from asg.problems import (
     CONSTRUCTIONS,
     PROBLEMS,
     DisjointPathInstance,
+    Problem,
     SetCoverInstance,
     VertexArrivalGraph,
+    _score_table,
     all_graphs,
     aoc_membership_check,
     halving_paths_instance,
@@ -289,3 +303,80 @@ def test_one_score_table_per_instance():
     # an equal instance built anew reads the same table
     assert vc.opt(split_graph("0110")) == 2
     assert vc.calls == 2**4
+
+
+class _MustTake(Problem):
+    """Every flagged round must be accepted (answer 1)."""
+
+    name = "must-take"
+    objective = "min"
+
+    def requests(self, instance):
+        return list(instance)
+
+    def feasible(self, instance, accepted):
+        return all(i in accepted for i, flag in enumerate(instance, 1) if flag)
+
+
+class _MustAvoid(Problem):
+    """No flagged round may be accepted (answer 0)."""
+
+    name = "must-avoid"
+    objective = "max"
+
+    def requests(self, instance):
+        return list(instance)
+
+    def feasible(self, instance, accepted):
+        return not any(instance[i - 1] for i in accepted)
+
+
+@pytest.mark.parametrize("problem", [_MustTake(), _MustAvoid()], ids=lambda p: p.name)
+def test_a_problem_states_only_what_is_feasible(problem):
+    # the class rule, the optimum, membership and the generic protocol all
+    # come from Problem; either way the one optimal answer is the flags
+    flags = {x: tuple(map(int, x)) for n in range(6) for x in all_bitstrings(n)}
+    assert aoc_membership_check(problem, flags.values()) == []
+    c = Fraction(3, 2)
+    pair = aoc_generic(problem, c)
+    for x, instance in flags.items():
+        assert problem.optimal_strings(instance) == [x]
+        opt = problem.opt(instance)
+        assert opt == asg_opt(problem.objective, x)
+        tape = AdviceTape(pair.oracle(instance))
+        y = run_online(pair.algorithm(), tape, problem.requests(instance))
+        assert competitive_ok(problem.objective, problem.score(instance, y), opt, c, 0), (x, y)
+
+
+# --- pinned score tables --------------------------------------------------
+
+KNAPSACK_POOL = [Fraction(1, 3), Fraction(1, 2), Fraction(1, 6), Fraction(2, 5), 1, 0.1, 0.3, 0.7, 0.9]
+EIGHTHS = [Fraction(k, 8) for k in range(9)]
+
+
+def _pinned_instances():
+    """(problem, instance) for every table the digest below covers."""
+    for name, build in CONSTRUCTIONS.items():
+        for x in (x for n in range(7) for x in all_bitstrings(n)):
+            try:
+                instance = build(x)
+            except ValueError:  # too few 1s for this construction
+                continue
+            yield PROBLEMS[name], instance
+    for pool in (KNAPSACK_POOL, EIGHTHS):
+        for weights in (w for n in range(4) for w in product(pool, repeat=n)):
+            yield KS, weights
+    k4 = list(combinations(range(1, 5), 2))
+    for mask in range(1 << len(k4)):
+        yield OM, tuple(e for i, e in enumerate(k4) if mask >> i & 1)
+
+
+def test_score_tables_are_pinned():
+    # every table as the per-problem score methods gave it, before the
+    # class rule moved into one Problem.score
+    digest = hashlib.sha256()
+    for problem, instance in _pinned_instances():
+        digest.update(f"{problem.name} {_score_table(problem, instance)!r}\n".encode())
+    assert digest.hexdigest() == (
+        "7e50e84ce4a47341c7ef819bea76e943f0f3c6d0baef9e365e5a3c4e8e07f8b9"
+    )

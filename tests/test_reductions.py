@@ -1,6 +1,7 @@
 """Lifts from problem pairs to guessing pairs: round trips, case
 mechanics, request reconstruction, and contract violations."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -281,3 +282,19 @@ def test_variant_table():
     assert REDUCTION_VARIANT["sc"] is Variant.MIN_UNKNOWN
     assert REDUCTION_VARIANT["dpa"] is Variant.MAX_KNOWN
     assert set(REDUCTIONS) == set(CONSTRUCTIONS)
+
+
+def test_lift_runs_are_pinned():
+    # tape, answer and bits read of every lifted run to n = 6, as the
+    # per-problem tape builders and replay classes gave them
+    digest = hashlib.sha256()
+    for name in REDUCTIONS:
+        for c in RATIOS:
+            lifted = lift_to_asg(aoc_generic(PROBLEMS[name], c), name)
+            for x in (x for n in range(7) for x in all_bitstrings(n)):
+                res = run_asg(REDUCTION_VARIANT[name], lifted, x)
+                tape = "".join(map(str, lifted.oracle(x)))
+                digest.update(f"{name} {c} {x} {tape} {res.y} {res.bits}\n".encode())
+    assert digest.hexdigest() == (
+        "f80513bde280aef2deaa859f62019c01f6425390bcab5fdc5355cd026de934f2"
+    )
