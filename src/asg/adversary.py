@@ -23,6 +23,7 @@ from typing import Callable, Sequence
 
 from asg.core import (
     PLUS_INF,
+    JsonRecord,
     Score,
     all_bitstrings,
     as_ratio,
@@ -33,7 +34,7 @@ from asg.core import (
     design_shapes,
     dominates,
     ones,
-    score_to_json,
+    to_plain,
 )
 from asg.designs import exact_cover_number
 
@@ -82,7 +83,7 @@ def weight_class(n: int, t: int) -> list[str]:
 
 
 @dataclass(frozen=True)
-class GameRound:
+class GameRound(JsonRecord):
     index: int
     alive: int  # strings alive entering the round
     answer: int
@@ -92,7 +93,7 @@ class GameRound:
 
 
 @dataclass(frozen=True)
-class GameTranscript:
+class GameTranscript(JsonRecord):
     x: str  # the input the adversary committed to
     y: str  # the algorithm's answers
     score: Score
@@ -103,23 +104,9 @@ class GameTranscript:
         return sum(1 for r in self.rounds if r.forced)
 
     def to_json(self) -> dict:
-        return {
-            "x": self.x,
-            "y": self.y,
-            "score": score_to_json(self.score),
-            "forced_ones": self.forced_ones,
-            "rounds": [
-                {
-                    "index": r.index,
-                    "alive": r.alive,
-                    "answer": r.answer,
-                    "revealed": r.revealed,
-                    "forced": r.forced,
-                    "punished": r.punished,
-                }
-                for r in self.rounds
-            ],
-        }
+        plain = super().to_json()
+        rounds = plain.pop("rounds")  # so forced_ones goes before it
+        return {**plain, "forced_ones": self.forced_ones, "rounds": rounds}
 
 
 def _validate_alive(strings: Sequence[str]) -> list[str]:
@@ -266,7 +253,7 @@ def min_game_against(
 
 
 @dataclass(frozen=True)
-class MaxGameOutcome:
+class MaxGameOutcome(JsonRecord):
     x: str
     outputs: tuple[str, ...]
 
@@ -275,11 +262,7 @@ class MaxGameOutcome:
         return tuple(asg_score("max", self.x, y) for y in self.outputs)
 
     def to_json(self) -> dict:
-        return {
-            "x": self.x,
-            "outputs": list(self.outputs),
-            "scores": [score_to_json(s) for s in self.scores],
-        }
+        return {**super().to_json(), "scores": to_plain(self.scores)}
 
 
 def max_no_advice_game(
@@ -344,13 +327,10 @@ def covers(objective: str, x: str, y: str, c: Fraction) -> bool:
 
 
 @dataclass(frozen=True)
-class StrategyCover:
+class StrategyCover(JsonRecord):
     count: int
     bits: int
     family: tuple[str, ...]
-
-    def to_json(self) -> dict:
-        return {"count": self.count, "bits": self.bits, "family": list(self.family)}
 
 
 def _milp_cover(uncovered: int, active: list[int], masks: list[int]) -> list[int]:

@@ -20,12 +20,12 @@ exact rationals; floats are rejected at the API boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
 
-from asg.core import as_ratio, design_shapes
+from asg.core import JsonRecord, as_ratio, design_shapes
 
 __all__ = [
     "PRECISION",
@@ -125,23 +125,13 @@ def gap_maximizer(n: int, c) -> Maximizer:
 
 
 @dataclass(frozen=True)
-class BoundReport:
+class BoundReport(JsonRecord):
     n: int
     c: Fraction
     bound_bits: float
     lower_envelope: float
     upper_envelope: float
-    slack_terms: dict = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "c": str(self.c),
-            "bound_bits": self.bound_bits,
-            "lower_envelope": self.lower_envelope,
-            "upper_envelope": self.upper_envelope,
-            "slack_terms": dict(self.slack_terms),
-        }
+    slack_terms: dict
 
 
 _SLACK_TERMS = ("min_form_lower", "min_form_upper", "max_form_lower", "max_form_upper")
@@ -160,7 +150,11 @@ def _mp_log2(x) -> mpmath.mpf:
 
 def bound_report(n: int, c) -> BoundReport:
     c = as_ratio(c)
+    if n < 0:
+        raise ValueError("the bound needs n >= 0")
     lo, hi = envelope(n, c)
+    if not math.isfinite(float(hi)):  # hi = n/c is the largest of the three
+        raise ValueError("n is too large: the bound overflows a float")
     slacks = dict(zip(_SLACK_TERMS, _slacks(n, math.log2)))
     return BoundReport(n, c, float(advice_bound(n, c)), float(lo), float(hi), slacks)
 

@@ -18,15 +18,13 @@ import sys
 from fractions import Fraction
 
 from asg.core import (
-    MINUS_INF,
-    PLUS_INF,
     Variant,
     all_bitstrings,
     asg_opt,
     ceil_log2,
     competitive_ok,
+    json_text,
     run_asg,
-    score_to_json,
 )
 
 __all__ = ["main"]
@@ -74,20 +72,20 @@ def _emit(text: str, out: str | None) -> None:
             handle.write(text)
 
 
-def _emit_json(payload, out: str | None) -> None:
-    _emit(json.dumps(payload, indent=2) + "\n", out)
+def _emit_json(result, out: str | None) -> None:
+    _emit(json_text(result), out)
 
 
 def _run_report(name: str, c: Fraction, variant: Variant, pair, x: str) -> dict:
     res = run_asg(variant, pair, x)
     return {
         "protocol": name,
-        "c": str(c),
+        "c": c,
         "history": variant.history,
         "x": x,
         "y": res.y,
-        "score": score_to_json(res.score),
-        "opt": score_to_json(asg_opt(variant.objective, x)),
+        "score": res.score,
+        "opt": asg_opt(variant.objective, x),
         "bits": res.bits,
         "budget": pair.budget(len(x)),
     }
@@ -96,7 +94,7 @@ def _run_report(name: str, c: Fraction, variant: Variant, pair, x: str) -> dict:
 def cmd_bounds(args) -> int:
     from asg.bounds import bound_report
 
-    _emit_json(bound_report(args.n, args.c).to_json(), args.out)
+    _emit_json(bound_report(args.n, args.c), args.out)
     return 0
 
 
@@ -117,7 +115,7 @@ def cmd_design(args) -> int:
         design = greedy_cover(args.v, args.k, args.t)
     else:
         design = design_for(args.v, args.k, args.t)
-    _emit_json(design.to_json(), args.out)
+    _emit_json(design, args.out)
     return 0
 
 
@@ -135,7 +133,6 @@ def cmd_verify(args) -> int:
     variant = Variant((objective, "unknown"))
     pair = factory(args.c)
     target = args.c if args.protocol.startswith("covering") else Fraction(math.ceil(args.c))
-    infeasible = PLUS_INF if objective == "min" else MINUS_INF
     if args.n_max < 0:
         raise ValueError("--n-max must be at least 0")
     checked = 0
@@ -145,11 +142,8 @@ def cmd_verify(args) -> int:
         for x in all_bitstrings(n):
             res = run_asg(variant, pair, x)
             checked += 1
-            if (
-                res.score == infeasible
-                or not competitive_ok(objective, res.score, asg_opt(objective, x), target, 0)
-                or res.bits > budget
-            ):
+            ok = competitive_ok(objective, res.score, asg_opt(objective, x), target, 0)
+            if not ok or res.bits > budget:
                 witness = _run_report(args.protocol, args.c, variant, pair, x)
                 break
         if witness:
@@ -157,8 +151,8 @@ def cmd_verify(args) -> int:
     _emit_json(
         {
             "protocol": args.protocol,
-            "c": str(args.c),
-            "target": str(target),
+            "c": args.c,
+            "target": target,
             "n_max": args.n_max,
             "checked": checked,
             "passed": witness is None,
@@ -191,12 +185,11 @@ def cmd_adversary(args) -> int:
                 if args.m < 0:
                     raise ValueError("--m must be at least 0")
                 alive = alive[: args.m]
-        _emit_json(min_game_against(alive).to_json(), args.out)
+        _emit_json(min_game_against(alive), args.out)
         return 0
     if args.n is None or args.m is None:
         raise ValueError("--game max needs --n and --m")
-    outcome = max_no_advice_game(standard_max_behaviors(args.m), args.n)
-    _emit_json(outcome.to_json(), args.out)
+    _emit_json(max_no_advice_game(standard_max_behaviors(args.m), args.n), args.out)
     return 0
 
 
@@ -205,16 +198,14 @@ def cmd_brute(args) -> int:
 
     cover = exact_strategy_count(args.n, args.c, args.variant, limit=args.limit)
     lo, hi = strategy_count_bounds(args.n, args.c, args.variant)
-    payload = cover.to_json()
-    payload.update(
-        {
-            "n": args.n,
-            "c": str(args.c),
-            "objective": args.variant,
-            "lower_bits": ceil_log2(lo),
-            "upper_bits": ceil_log2(hi),
-        }
-    )
+    payload = {
+        **cover.to_json(),
+        "n": args.n,
+        "c": args.c,
+        "objective": args.variant,
+        "lower_bits": ceil_log2(lo),
+        "upper_bits": ceil_log2(hi),
+    }
     _emit_json(payload, args.out)
     return 0
 
@@ -222,8 +213,7 @@ def cmd_brute(args) -> int:
 def cmd_reduce(args) -> int:
     from asg.problems import CONSTRUCTIONS
 
-    instance = CONSTRUCTIONS[args.to](args.x)
-    _emit_json(instance.to_json(), args.out)
+    _emit_json(CONSTRUCTIONS[args.to](args.x), args.out)
     return 0
 
 

@@ -18,8 +18,10 @@ is 1-based, matching x = x_1 ... x_n.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import functools
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,6 +61,9 @@ __all__ = [
     "verify_competitive",
     "score_to_json",
     "score_from_json",
+    "JsonRecord",
+    "to_plain",
+    "json_text",
 ]
 
 # Scores are exact: a natural int when finite, one of these floats otherwise.
@@ -73,6 +78,40 @@ def score_to_json(score: Score):
     if isinstance(score, float):
         return "+inf" if score > 0 else "-inf"
     return int(score)
+
+
+class JsonRecord:
+    """Base of the result dataclasses: to_json() is the record's fields in
+    declaration order, each written by to_plain.  A record that adds,
+    renames or reformats a key overrides to_json."""
+
+    def to_json(self) -> dict:
+        return {f.name: to_plain(getattr(self, f.name)) for f in dataclasses.fields(self)}
+
+
+def to_plain(value):
+    """The JSON value of a result: a record through its to_json, tuples and
+    lists as lists, dicts by value, a Fraction as "P/Q" and an infinite
+    score as "+inf"/"-inf"; anything else as it is."""
+    if isinstance(value, (str, int)) or value is None:
+        return value
+    if isinstance(value, JsonRecord):
+        return value.to_json()
+    if isinstance(value, (tuple, list)):
+        return [to_plain(v) for v in value]
+    if isinstance(value, dict):
+        return {k: to_plain(v) for k, v in value.items()}
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, float) and math.isinf(value):
+        return score_to_json(value)
+    return value
+
+
+def json_text(value) -> str:
+    """The text every JSON result is written as: to_plain(value), indented
+    by two spaces, with a final newline."""
+    return json.dumps(to_plain(value), indent=2) + "\n"
 
 
 def score_from_json(value) -> Score:
@@ -332,13 +371,10 @@ class OnlineAlgorithm:
 
 
 @dataclass(frozen=True)
-class RunResult:
+class RunResult(JsonRecord):
     y: str
     score: Score
     bits: int
-
-    def to_json(self) -> dict:
-        return {"y": self.y, "score": score_to_json(self.score), "bits": self.bits}
 
     @classmethod
     def from_json(cls, data: dict) -> "RunResult":
@@ -375,7 +411,7 @@ def run_asg(variant: Variant, pair, x: str) -> RunResult:
 
 
 @dataclass(frozen=True)
-class CompetitiveVerdict:
+class CompetitiveVerdict(JsonRecord):
     ratio: Fraction
     additive: int
     strict: bool
@@ -384,14 +420,8 @@ class CompetitiveVerdict:
     witness: object = None  # a failing instance, or None
 
     def to_json(self) -> dict:
-        return {
-            "ratio": str(self.ratio),
-            "additive": self.additive,
-            "strict": self.strict,
-            "holds": self.holds,
-            "checked": self.checked,
-            "witness": None if self.witness is None else repr(self.witness),
-        }
+        witness = None if self.witness is None else repr(self.witness)
+        return {**super().to_json(), "witness": witness}
 
 
 def competitive_ok(objective: str, alg_score: Score, opt_score: Score, c: Fraction, additive: int) -> bool:

@@ -24,6 +24,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
+from asg.core import JsonRecord
+
 __all__ = [
     "CoveringDesign",
     "CoverNumberBounds",
@@ -48,7 +50,7 @@ class SearchLimitError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class CoveringDesign:
+class CoveringDesign(JsonRecord):
     v: int
     k: int
     t: int
@@ -57,9 +59,6 @@ class CoveringDesign:
     @property
     def size(self) -> int:
         return len(self.blocks)
-
-    def to_json(self) -> dict:
-        return {"v": self.v, "k": self.k, "t": self.t, "blocks": [list(b) for b in self.blocks]}
 
     @classmethod
     def from_json(cls, data: dict) -> "CoveringDesign":

@@ -25,6 +25,7 @@ from typing import Callable
 from asg.core import (
     MINUS_INF,
     PLUS_INF,
+    JsonRecord,
     Score,
     all_bitstrings,
     check_bits,
@@ -73,7 +74,7 @@ BRUTE_GUARD = 16  # selections are enumerated exhaustively up to this length
 
 
 @dataclass(frozen=True)
-class VertexArrivalGraph:
+class VertexArrivalGraph(JsonRecord):
     """A graph revealed vertex by vertex; vertices are 1..n in arrival
     order and every edge (i, j) with i < j arrives together with j."""
 
@@ -110,7 +111,7 @@ def all_graphs(n: int):
 
 
 @dataclass(frozen=True)
-class SetCoverInstance:
+class SetCoverInstance(JsonRecord):
     """Known universe, subsets arriving online; their union is the universe."""
 
     universe: tuple
@@ -123,16 +124,13 @@ class SetCoverInstance:
         if union != set(self.universe):
             raise ValueError("requests must union to the universe")
 
-    def to_json(self) -> dict:
-        return {"universe": list(self.universe), "requests": [list(r) for r in self.requests]}
-
     @classmethod
     def from_json(cls, data: dict) -> "SetCoverInstance":
         return cls(tuple(data["universe"]), tuple(tuple(r) for r in data["requests"]))
 
 
 @dataclass(frozen=True)
-class DisjointPathInstance:
+class DisjointPathInstance(JsonRecord):
     """Subpath requests (u, v), 0 <= u < v <= length, on a fixed path."""
 
     length: int
@@ -142,9 +140,6 @@ class DisjointPathInstance:
         for u, v in self.requests:
             if not (0 <= u < v <= self.length):
                 raise ValueError(f"request ({u},{v}) leaves the path")
-
-    def to_json(self) -> dict:
-        return {"length": self.length, "requests": [list(r) for r in self.requests]}
 
     @classmethod
     def from_json(cls, data: dict) -> "DisjointPathInstance":

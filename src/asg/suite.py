@@ -34,7 +34,6 @@ from __future__ import annotations
 import csv
 import functools
 import io
-import json
 import math
 import random
 from dataclasses import dataclass
@@ -73,9 +72,8 @@ from asg.bounds import (
     sg_comparison_value,
 )
 from asg.core import (
-    MINUS_INF,
-    PLUS_INF,
     AdviceTape,
+    JsonRecord,
     Variant,
     all_bitstrings,
     as_ratio,
@@ -84,10 +82,12 @@ from asg.core import (
     competitive_ok,
     encoded_length,
     fill_count,
+    json_text,
     ones,
     run_asg,
     run_online,
     scaled_weights,
+    to_plain,
     zeros,
 )
 from asg.designs import exact_cover_number
@@ -123,7 +123,7 @@ CURVE_COLUMNS = ("c", "asg_bits_per_request", "envelope_hi", "envelope_lo", "sg_
 
 
 @dataclass(frozen=True)
-class CurvePoint:
+class CurvePoint(JsonRecord):
     """One sampled ratio: per-request advice with its envelopes and, for
     1 < c <= 2, the per-request advice of plain string guessing."""
 
@@ -132,15 +132,6 @@ class CurvePoint:
     envelope_hi: float
     envelope_lo: float
     sg_bits_per_request: float | None
-
-    def to_json(self) -> dict:
-        return {
-            "c": str(self.c),
-            "asg_bits_per_request": self.asg_bits_per_request,
-            "envelope_hi": self.envelope_hi,
-            "envelope_lo": self.envelope_lo,
-            "sg_bits_per_request": self.sg_bits_per_request,
-        }
 
 
 def curve_point(c, n: int = 10**6) -> CurvePoint:
@@ -170,34 +161,44 @@ def emit_curve(c_min, c_max, steps: int, n: int = 10**6) -> list[CurvePoint]:
     return [curve_point(c, n) for c in grid]
 
 
-def render_curve(points, fmt: str = "csv") -> str:
-    """Serialize curve points; the column order is CURVE_COLUMNS in both
-    formats, with the comparison column empty/null for c > 2."""
-    if fmt == "json":
-        return json.dumps([p.to_json() for p in points], indent=2) + "\n"
+def _csv_text(fmt: str, header, rows) -> str:
+    """The text every CSV result is written as: a header row, then the
+    rows, each line ending in a bare newline."""
     if fmt != "csv":
         raise ValueError(f"unknown format {fmt!r}")
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CURVE_COLUMNS)
-    for p in points:
-        writer.writerow(
-            [
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+def render_curve(points, fmt: str = "csv") -> str:
+    """Serialize curve points; the column order is CURVE_COLUMNS in both
+    formats, with the comparison column empty/null for c > 2."""
+    if fmt == "json":
+        return json_text(points)
+    return _csv_text(
+        fmt,
+        CURVE_COLUMNS,
+        (
+            (
                 str(p.c),
                 format(p.asg_bits_per_request, ".12g"),
                 format(p.envelope_hi, ".12g"),
                 format(p.envelope_lo, ".12g"),
                 "" if p.sg_bits_per_request is None else format(p.sg_bits_per_request, ".12g"),
-            ]
-        )
-    return out.getvalue()
+            )
+            for p in points
+        ),
+    )
 
 
 # --- configuration and results ----------------------------------------------
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(JsonRecord):
     """Knobs for a suite run.  None leaves a battery at its full default
     range; caps only ever shrink the sweeps."""
 
@@ -221,18 +222,9 @@ class ExperimentConfig:
         if self.output_format not in ("csv", "json"):
             raise ValueError(f"unknown format {self.output_format!r}")
 
-    def to_json(self) -> dict:
-        return {
-            "seed": self.seed,
-            "n_max": self.n_max,
-            "grid_max": self.grid_max,
-            "ratios": None if self.ratios is None else [str(r) for r in self.ratios],
-            "output_format": self.output_format,
-        }
-
 
 @dataclass(frozen=True)
-class BatteryResult:
+class BatteryResult(JsonRecord):
     name: str
     passed: bool
     checked: int
@@ -244,18 +236,9 @@ class BatteryResult:
         tail = "" if self.witness is None else f" [{self.witness}]"
         return f"{status} {self.name}: {self.detail}{tail}"
 
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "checked": self.checked,
-            "detail": self.detail,
-            "witness": self.witness,
-        }
-
 
 @dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(JsonRecord):
     config: ExperimentConfig
     results: tuple
 
@@ -266,22 +249,22 @@ class SuiteReport:
     def to_json(self) -> dict:
         return {
             "passed": self.passed,
-            "config": self.config.to_json(),
-            "batteries": [r.to_json() for r in self.results],
+            "config": to_plain(self.config),
+            "batteries": to_plain(self.results),
         }
 
     def render(self, fmt: str | None = None) -> str:
         fmt = self.config.output_format if fmt is None else fmt
         if fmt == "json":
-            return json.dumps(self.to_json(), indent=2) + "\n"
-        if fmt != "csv":
-            raise ValueError(f"unknown format {fmt!r}")
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["battery", "passed", "checked", "detail", "witness"])
-        for r in self.results:
-            writer.writerow([r.name, str(r.passed).lower(), r.checked, r.detail, r.witness or ""])
-        return out.getvalue()
+            return json_text(self)
+        return _csv_text(
+            fmt,
+            ("battery", "passed", "checked", "detail", "witness"),
+            (
+                (r.name, str(r.passed).lower(), r.checked, r.detail, r.witness or "")
+                for r in self.results
+            ),
+        )
 
 
 def _cap(value: int, cap: int | None) -> int:
@@ -351,19 +334,20 @@ ENVELOPE_RATIOS = (
     Fraction(10),
     Fraction(100),
 )
+ENVELOPE_REL_TOL = 1e-9
 
 
 @_battery
-def battery_envelope(n: int = 10**6, ratios=None, rel_tol: float = 1e-9):
+def battery_envelope(n: int = 10**6, ratios=None):
     """n/(e ln2 c) <= B(n,c) <= n/c on the ratio grid."""
     ratios = _ratios(ratios, ENVELOPE_RATIOS)
     for c in ratios:
         bound = advice_bound(n, c)
         lo, hi = envelope(n, c)
-        yield None if lo * (1 - rel_tol) <= bound <= hi * (1 + rel_tol) else (
+        yield None if lo * (1 - ENVELOPE_REL_TOL) <= bound <= hi * (1 + ENVELOPE_REL_TOL) else (
             f"sandwich violated at n={n}", f"c={c}: {float(lo)} <= {float(bound)} <= {float(hi)}"
         )
-    return f"{{checked}} ratios sandwiched at n={n}, rel tol {rel_tol:g}"
+    return f"{{checked}} ratios sandwiched at n={n}, rel tol {ENVELOPE_REL_TOL:g}"
 
 
 # --- battery 2: trivial protocols -------------------------------------------
@@ -380,28 +364,22 @@ def battery_trivial(n_max: int = 10, ratios=None):
         pair_min, pair_max = trivial_min(c), trivial_max(c)
         target = Fraction(math.ceil(c))
         for n in range(n_max + 1):
-            p = math.ceil(n / c)
-            min_budget = p + 2 * ceil_log2(p + 1) + 1
-            max_budget = pair_max.budget(n)
+            p = math.ceil(n / c)  # the min budget is derived here, not read from the pair
+            protocols = (
+                ("residue-class", Variant.MIN_UNKNOWN, pair_min, p + 2 * ceil_log2(p + 1) + 1),
+                ("block-copy", Variant.MAX_UNKNOWN, pair_max, pair_max.budget(n)),
+            )
             for x in all_bitstrings(n):
-                res = run_asg(Variant.MIN_UNKNOWN, pair_min, x)
-                yield None if (
-                    res.score != PLUS_INF
-                    and competitive_ok("min", res.score, ones(x), target, 0)
-                    and res.bits <= min_budget
-                ) else (
-                    "residue-class protocol failed",
-                    f"c={c} x={x!r}: y={res.y!r} bits={res.bits}/{min_budget}",
-                )
-                res = run_asg(Variant.MAX_UNKNOWN, pair_max, x)
-                yield None if (
-                    res.score != MINUS_INF
-                    and competitive_ok("max", res.score, zeros(x), target, 0)
-                    and res.bits <= max_budget
-                ) else (
-                    "block-copy protocol failed",
-                    f"c={c} x={x!r}: y={res.y!r} bits={res.bits}/{max_budget}",
-                )
+                for label, variant, pair, budget in protocols:
+                    res = run_asg(variant, pair, x)
+                    opt = asg_opt(variant.objective, x)
+                    yield None if (
+                        competitive_ok(variant.objective, res.score, opt, target, 0)
+                        and res.bits <= budget
+                    ) else (
+                        f"{label} protocol failed",
+                        f"c={c} x={x!r}: y={res.y!r} bits={res.bits}/{budget}",
+                    )
     return f"{{checked}} runs over n <= {n_max}, ratios {_ratio_list(ratios)}"
 
 
@@ -422,7 +400,7 @@ def battery_covering(n_max: int = 8, ratios=None):
             for x in all_bitstrings(n):
                 t, u = ones(x), zeros(x)
                 res = run_asg(Variant.MIN_UNKNOWN, pair_min, x)
-                ok = res.score != PLUS_INF and competitive_ok("min", res.score, t, c, 0)
+                ok = competitive_ok("min", res.score, t, c, 0)
                 k = math.floor(c * t)
                 if ok and 0 < k < n:
                     width = ceil_log2(exact_cover_number(n, k, t).size)
@@ -431,7 +409,7 @@ def battery_covering(n_max: int = 8, ratios=None):
                     "minimization protocol failed", f"c={c} x={x!r}: y={res.y!r} bits={res.bits}"
                 )
                 res = run_asg(Variant.MAX_UNKNOWN, pair_max, x)
-                ok = res.score != MINUS_INF and competitive_ok("max", res.score, u, c, 0)
+                ok = competitive_ok("max", res.score, u, c, 0)
                 if ok and 0 < u < n:
                     goal = math.ceil(Fraction(u) / c)
                     width = ceil_log2(exact_cover_number(n, n - goal, n - u).size)
@@ -537,8 +515,11 @@ def battery_adversary(n_max: int = 6, script_n_max: int = 5, table_n_max: int = 
 # --- battery 6: no-advice maximization and binomial growth -------------------
 
 
+GROWTH_RATIOS = range(2, 11)
+
+
 @_battery
-def battery_growth(n: int = 16, sweep_n_max: int = 10**4, int_ratios=range(2, 11)):
+def battery_growth(n: int = 16, sweep_n_max: int = 10**4):
     """Defeat of 2^(floor(log n) - 1) no-advice strategies at once, and the
     e^t growth floor of the binomial quotient along the whole grid."""
     m = 1 << (n.bit_length() - 2)  # 2^(floor(log2 n) - 1)
@@ -547,7 +528,7 @@ def battery_growth(n: int = 16, sweep_n_max: int = 10**4, int_ratios=range(2, 11
     yield None if (
         ones(outcome.x) <= m and opt >= n - m and not any(s > 0 for s in outcome.scores)
     ) else ("a strategy survived the defeat", f"x={outcome.x!r} scores={outcome.scores}")
-    for c in int_ratios:
+    for c in GROWTH_RATIOS:
         failures = exp_growth_floor_sweep(sweep_n_max, c)
         yield _Weighted(sweep_n_max, None if not failures else (
             "growth floor failed", f"c={c} first failing n={failures[0]}"
@@ -654,27 +635,24 @@ def _matching_tables(vertices: int):
     return edge_list, opt, fwd, rev
 
 
+PACKING_GRID = 8  # knapsack weights are the multiples of 1/PACKING_GRID in [0, 1]
+
+
 @_battery
-def battery_packing(
-    n_exhaustive: int = 5,
-    n_max: int = 10,
-    grid_denominator: int = 8,
-    match_vertices: int = 7,
-    seed: int = 0,
-):
+def battery_packing(n_exhaustive: int = 5, n_max: int = 10, match_vertices: int = 7, seed: int = 0):
     """Knapsack protocol within twice the optimum on eighth-step weight
     grids with logarithmic advice; greedy matching within twice the optimum
     on every graph, with the four-path witness exactly at ratio two."""
     problem = PROBLEMS["ks"]
     pair = knapsack_two_competitive()
-    values = [Fraction(k, grid_denominator) for k in range(grid_denominator + 1)]
+    values = [Fraction(k, PACKING_GRID) for k in range(PACKING_GRID + 1)]
 
     def knapsack_run(instance, opt):
         """One run against the reference count opt: None, or its failure."""
         tape = AdviceTape(pair.oracle(instance))
         y = run_online(pair.algorithm(), tape, problem.requests(instance))
-        score = problem.score(instance, y)
-        if score == MINUS_INF or opt > 2 * score or tape.bits_read > encoded_length(len(instance)):
+        score = problem.score(instance, y)  # -inf when infeasible, which fails opt > 2 score
+        if opt > 2 * score or tape.bits_read > encoded_length(len(instance)):
             return "knapsack run failed", f"weights={instance}: y={y!r} opt={opt}"
         if len(instance) <= 4 and problem.opt(instance) != opt:
             return "knapsack optimum disagrees with brute force", f"weights={instance}"
@@ -726,7 +704,7 @@ def battery_packing(
         "the four-path witness missed ratio two", f"alg={alg} opt={matching.opt(witness)}"
     )
     return (
-        f"knapsack to n={n_max} on the 1/{grid_denominator} grid; "
+        f"knapsack to n={n_max} on the 1/{PACKING_GRID} grid; "
         f"matching on all {match_vertices}-vertex graphs"
     )
 
@@ -734,12 +712,15 @@ def battery_packing(
 # --- battery 9: curve reproduction --------------------------------------------
 
 
+CURVE_N = 10**6  # the input length the curve is sampled at
+
+
 @_battery
-def battery_curve(steps: int = 60, n: int = 10**6):
+def battery_curve(steps: int = 60):
     """The emitted curve hits log2(5/4) at c=2, decreases monotonically,
     stays inside its envelopes, and carries the comparison column exactly
     on (1, 2]."""
-    points = emit_curve(Fraction(21, 20), Fraction(4), steps, n)
+    points = emit_curve(Fraction(21, 20), Fraction(4), steps, CURVE_N)
     previous = None
     for p in points:
         inside = p.envelope_lo - 1e-12 <= p.asg_bits_per_request <= p.envelope_hi + 1e-12

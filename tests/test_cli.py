@@ -190,6 +190,9 @@ def test_adversary_missing_arguments(capsys):
         (("verify", "--protocol", "covering-min", "--c", "2", "--n-max", "-1"),
          "--n-max must be at least 0"),
         (("design", "--v", "3", "--k", "2", "--t", "-1"), "need 0 <= t <= k <= v, got (3, 2, -1)"),
+        (("bounds", "--n", "-5", "--c", "2"), "the bound needs n >= 0"),
+        # n/c past the largest float would print `Infinity`, which is not JSON
+        (("bounds", "--n", "1" + "0" * 320, "--c", "2"), "n is too large: the bound overflows a float"),
     ],
 )
 def test_bad_sizes_fail_fast_with_exit_2(capsys, argv, message):
