@@ -9,7 +9,10 @@ fixed finite collection of advice-free strategies outright.
 For tiny n, exact_strategy_count computes the true minimum number of fixed
 outputs any strictly competitive oblivious algorithm needs, by exact set
 cover over all 2^n inputs; strategy_count_bounds sandwiches that number
-with covering-design sizes.
+with covering-design sizes.  The cover is a ladder of steps, each bounded
+by a count: forced picks, then dominance, then a branch-and-bound search
+of at most SEARCH_NODES nodes, and only for a residual that search does
+not settle, HiGHS (scipy, imported then and only then).
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from asg.core import (
     PLUS_INF,
     JsonRecord,
     Score,
-    all_bitstrings,
     as_ratio,
     asg_opt,
     asg_score,
@@ -55,6 +57,7 @@ __all__ = [
 ]
 
 DEFAULT_BRUTE_LIMIT = 8  # exact_strategy_count's default largest n
+SEARCH_NODES = 1000  # _bounded_cover's node budget; past it HiGHS takes the residual
 
 
 @lru_cache(maxsize=None)
@@ -326,6 +329,28 @@ def covers(objective: str, x: str, y: str, c: Fraction) -> bool:
     return ones(y) <= design_shapes(objective, c, len(x))[asg_opt(objective, x)][0]
 
 
+def _coverage_masks(objective: str, c: Fraction, n: int) -> list[int]:
+    """covers() on ints: entry y has bit x set when output y serves input x,
+    strings read as binary numbers.  That is x & ~y == 0 and y has at most
+    the k 1s of x's weight class, so each y scans only its submasks."""
+    shapes = design_shapes(objective, c, n)
+    if objective == "min":
+        k_of = [shapes[x.bit_count()][0] for x in range(1 << n)]
+    else:
+        k_of = [shapes[n - x.bit_count()][0] for x in range(1 << n)]
+    masks = []
+    for y in range(1 << n):
+        w, mask, x = y.bit_count(), 0, y
+        while True:
+            if k_of[x] >= w:
+                mask |= 1 << x
+            if not x:
+                break
+            x = (x - 1) & y
+        masks.append(mask)
+    return masks
+
+
 @dataclass(frozen=True)
 class StrategyCover(JsonRecord):
     count: int
@@ -366,10 +391,102 @@ def _milp_cover(uncovered: int, active: list[int], masks: list[int]) -> list[int
     return [active[col] for col, v in enumerate(result.x) if v > 0.5]
 
 
+class _OutOfNodes(Exception):
+    pass
+
+
+def _cover_lower_bound(todo: int, gains: list[tuple[int, int]], cols: list[int]) -> int | None:
+    """ceil(sum over e in todo of 1 / the largest gain of a column holding
+    e), in exact integers, or None when some element has no column.  gains
+    holds (gain, position) with gain = |cols[position] & todo|, largest
+    first; every element is charged to the first column that holds it.
+    The charges are a feasible dual of the cover LP (Lovasz 1975), so any
+    cover of todo by these columns has at least this many of them."""
+    share: dict[int, int] = {}
+    left = todo
+    for g, i in gains:
+        new = cols[i] & left
+        if new:
+            share[g] = share.get(g, 0) + new.bit_count()
+            left ^= new
+    if left:
+        return None
+    den = math.lcm(*share)
+    return -(-sum(count * (den // g) for g, count in share.items()) // den)
+
+
+def _bounded_cover(uncovered: int, active: list[int], masks: list[int], seed: list[int]):
+    """An exact minimum cover of the residual by depth-first branch and
+    bound over bitmasks, or None when SEARCH_NODES nodes do not settle it.
+
+    The incumbent starts as the greedy family seed.  A node prunes when
+    its picks plus _cover_lower_bound reach the incumbent's size; at the
+    root that settles every seed that meets the bound.  Otherwise it
+    branches on the uncovered element with the fewest allowed holders
+    (ties to the lower element) and tries those holders by residual gain,
+    ties to the lower index; each tried holder is banned for its later
+    siblings.  The effort limit is the node count alone, so repeated calls
+    return the identical family."""
+    cols = [masks[j] & uncovered for j in active]  # position i stands for active[i]
+    holders: dict[int, int] = {}  # element -> mask over positions
+    for i, col in enumerate(cols):
+        while col:
+            low = col & -col
+            e = low.bit_length() - 1
+            holders[e] = holders.get(e, 0) | 1 << i
+            col ^= low
+    best = list(seed)
+    nodes = 0
+
+    def search(todo: int, allowed: int, picked: list[int]) -> None:
+        nonlocal best, nodes
+        nodes += 1
+        if nodes > SEARCH_NODES:
+            raise _OutOfNodes
+        if not todo:
+            best = picked
+            return
+        gains = []
+        rest = allowed
+        while rest:
+            low = rest & -rest
+            i = low.bit_length() - 1
+            gains.append(((cols[i] & todo).bit_count(), i))
+            rest ^= low
+        gains.sort(key=lambda gi: (-gi[0], gi[1]))
+        bound = _cover_lower_bound(todo, gains, cols)
+        if bound is None or len(picked) + bound >= len(best):
+            return
+        branch, fewest = 0, len(cols) + 1
+        rest = todo
+        while rest:
+            low = rest & -rest
+            e = low.bit_length() - 1
+            count = (holders[e] & allowed).bit_count()
+            if count < fewest:
+                branch, fewest = holders[e] & allowed, count
+            rest ^= low
+        for _, i in gains:  # by gain, ties to the lower index
+            if branch >> i & 1:
+                search(todo & ~cols[i], allowed, picked + [active[i]])
+                allowed &= ~(1 << i)
+
+    try:
+        search(uncovered, (1 << len(cols)) - 1, [])
+    except _OutOfNodes:
+        return None
+    return best
+
+
 def _min_set_cover(element_count: int, masks: list[int]) -> list[int]:
     """Indices of a minimum subfamily of masks whose union covers all
     element_count elements.  Exact; assumes a cover exists.  Deterministic:
-    repeated calls return the identical family."""
+    repeated calls return the identical family.
+
+    A ladder of steps, each bounded by a count: forced picks, then
+    dominance, then the bounded search (_bounded_cover, at most
+    SEARCH_NODES nodes), and only then HiGHS (_milp_cover) on the residual
+    the search did not settle."""
     full = (1 << element_count) - 1
 
     chosen: list[int] = []
@@ -400,17 +517,14 @@ def _min_set_cover(element_count: int, masks: list[int]) -> list[int]:
                 kept.append(j)
         active = sorted(kept)
 
-        # the greedy family is already optimal when it meets the counting bound
+        # the greedy family is the search's first incumbent
         todo, seed = uncovered, []
         while todo:
             best_j = max(active, key=lambda j: ((masks[j] & todo).bit_count(), -j))
             seed.append(best_j)
             todo &= ~masks[best_j]
-        biggest = max((masks[j] & uncovered).bit_count() for j in active)
-        if len(seed) == math.ceil(uncovered.bit_count() / biggest):
-            chosen.extend(seed)
-        else:
-            chosen.extend(_milp_cover(uncovered, active, masks))
+        found = _bounded_cover(uncovered, active, masks, seed)
+        chosen.extend(_milp_cover(uncovered, active, masks) if found is None else found)
 
     return sorted(chosen)
 
@@ -433,17 +547,8 @@ def exact_strategy_count(n: int, c, objective: str = "min", limit: int | None = 
     ratio = as_ratio(c)
     if ratio < 1:
         raise ValueError("needs c >= 1")
-    inputs = list(all_bitstrings(n))
-    candidates = list(all_bitstrings(n))
-    masks = []
-    for y in candidates:
-        mask = 0
-        for e, x in enumerate(inputs):
-            if covers(objective, x, y, ratio):
-                mask |= 1 << e
-        masks.append(mask)
-    picked = _min_set_cover(len(inputs), masks)
-    family = tuple(candidates[j] for j in picked)
+    picked = _min_set_cover(1 << n, _coverage_masks(objective, ratio, n))
+    family = tuple(format(j, f"0{n}b") for j in picked)
     return StrategyCover(len(family), ceil_log2(len(family)), family)
 
 

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import mpmath
 
-from asg.core import JsonRecord, as_ratio, design_shapes
+from asg.core import JsonRecord, as_ratio
 
 __all__ = [
     "PRECISION",
@@ -226,43 +226,60 @@ def binomial_entropy_ok(n: int, m: int) -> bool:
         return ent - mpmath.log(n + 1, 2) <= lhs <= ent
 
 
-def _lgamma_log2_binom(lg: list[float], n: int, m: int) -> float:
-    return (lg[n] - lg[m] - lg[n - m]) / math.log(2)
+_LOG_FACTORIALS = [0.0, 0.0]  # entry i is ln(i!), grown on demand by _log_factorials
+
+
+def _log_factorials(n: int) -> list[float]:
+    """The shared table of ln(i!) for every i <= n.  Entry i is the running
+    sum ln 2 + ... + ln i in that order, so it holds the same float however
+    far earlier calls grew the table."""
+    lg = _LOG_FACTORIALS
+    for i in range(len(lg), n + 1):
+        lg.append(lg[-1] + math.log(i))
+    return lg
 
 
 def _log_max_quotient(objective: str, n: int, c: Fraction) -> tuple[mpmath.mpf, int]:
     """max over the weights w with k < n of log2(binom(n,w)/binom(k,t)), for
     the (k, t) that core.design_shapes assigns to w, and its first maximizer.
 
-    A float sweep (lgamma) locates candidate maximizers; among the
+    A float sweep (log-factorials) locates candidate maximizers; among the
     candidates within a safety margin, exact integer cross-products pick the
     largest quotient, ties to the smallest w, and only its log is taken at
     working precision.
     """
     if c <= 1:
         raise ValueError("needs c > 1")
-    shapes = design_shapes(objective, c, n)
-    lg = [0.0] * (n + 2)
-    for i in range(2, n + 2):
-        lg[i] = lg[i - 1] + math.log(i)
-    approx = {
-        w: _lgamma_log2_binom(lg, n, w) - _lgamma_log2_binom(lg, k, t)
-        for w, (k, t) in enumerate(shapes)
-        if k < n
-    }
+    # design_shapes' (k, t) for each weight w, inline, over the w with k < n
+    p, q = c.numerator, c.denominator
+    if objective == "min":
+        ws = range((n * q - 1) // p + 1)  # floor(c w) < n
+        ks = [p * w // q for w in ws]
+        ts = ws
+    else:
+        ws = range(1, n + 1)  # n - ceil(w / c) < n
+        ks = [n + (-w * q) // p for w in ws]
+        ts = [n - w for w in ws]
+    lg = _log_factorials(n)
+    ln2 = math.log(2)
+    approx = [
+        (lg[n] - lg[w] - lg[n - w]) / ln2 - (lg[k] - lg[t] - lg[k - t]) / ln2
+        for w, k, t in zip(ws, ks, ts)
+    ]
     if not approx:
         raise ValueError(f"no weight t has floor(c t) < n for n={n}, c={c}")
-    peak = max(approx.values())
-    best_w = None
-    for w, a in approx.items():  # ascending w, so only a strictly larger quotient moves best_w
+    peak = max(approx)
+    best = None
+    for i, a in enumerate(approx):  # ascending w, so only a strictly larger quotient moves best
         if a >= peak - 1e-6 and (
-            best_w is None
-            or math.comb(n, w) * math.comb(*shapes[best_w])
-            > math.comb(n, best_w) * math.comb(*shapes[w])
+            best is None
+            or math.comb(n, ws[i]) * math.comb(ks[best], ts[best])
+            > math.comb(n, ws[best]) * math.comb(ks[i], ts[i])
         ):
-            best_w = w
+            best = i
+    w, k, t = ws[best], ks[best], ts[best]
     with mpmath.workprec(PRECISION):
-        return log2_binom(n, best_w) - log2_binom(*shapes[best_w]), best_w
+        return log2_binom(n, w) - log2_binom(k, t), w
 
 
 def log_max_weight_quotient(n: int, c) -> tuple[mpmath.mpf, int]:

@@ -7,9 +7,13 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
+import scipy.optimize
 
+from asg import adversary
 from asg.adversary import (
+    _bounded_cover,
     _columns,
+    _coverage_masks,
     _milp_cover,
     _script_scores,
     covers,
@@ -278,6 +282,68 @@ def test_milp_cover_repeats_its_family():
     for j in first:
         covered |= masks[j]
     assert covered == uncovered
+
+
+def _residuals(monkeypatch, shapes):
+    """The (uncovered, active, masks, seed) that exact_strategy_count hands
+    to the bounded search for each (n, c, objective), by shape."""
+    found = {}
+
+    def record(uncovered, active, masks, seed):
+        found[shape] = (uncovered, active, masks, seed)
+        return seed  # a cover, so nothing reaches HiGHS here
+
+    with monkeypatch.context() as mp:
+        mp.setattr(adversary, "_bounded_cover", record)
+        for shape in shapes:
+            exact_strategy_count(*shape)
+    return found
+
+
+def test_bounded_cover_agrees_with_highs_on_every_residual(monkeypatch):
+    shapes = [(n, c, objective) for n in range(1, 8) for c in (Fraction(3, 2), 2, 3)
+              for objective in ("min", "max")]
+    past_budget = set()
+    for shape, (uncovered, active, masks, seed) in _residuals(monkeypatch, shapes).items():
+        got = _bounded_cover(uncovered, active, masks, seed)
+        assert _bounded_cover(uncovered, active, masks, seed) == got, shape
+        if got is None:
+            past_budget.add(shape)
+            continue
+        assert len(got) == len(_milp_cover(uncovered, active, masks)), shape
+        covered = 0
+        for j in got:
+            covered |= masks[j]
+        assert covered & uncovered == uncovered, shape
+    assert past_budget == {
+        (6, Fraction(3, 2), "min"), (7, Fraction(3, 2), "max"), (7, 2, "min"), (7, 2, "max"),
+        (7, 3, "max"),
+    }
+
+
+def test_a_cover_past_the_node_budget_goes_to_highs_once(monkeypatch):
+    calls = []
+    milp = scipy.optimize.milp
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return milp(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "milp", counted)
+    assert exact_strategy_count(7, 2, "min").count == 12
+    assert len(calls) == 1
+
+
+def test_coverage_masks_are_covers_on_ints():
+    for n in range(1, 7):
+        strings = list(all_bitstrings(n))
+        for c in (Fraction(5, 4), Fraction(3, 2), Fraction(2), Fraction(3)):
+            for objective in ("min", "max"):
+                want = [
+                    sum(1 << e for e, x in enumerate(strings) if covers(objective, x, y, c))
+                    for y in strings
+                ]
+                assert _coverage_masks(objective, c, n) == want, (n, c, objective)
 
 
 def test_exact_strategy_count_identity_ratio():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -155,6 +156,21 @@ def test_quotient_forms_match_an_exact_brute_force():
                 with mpmath.workprec(bounds.PRECISION):
                     want = mpmath.log(best.numerator, 2) - mpmath.log(best.denominator, 2)
                     assert abs(value - want) < mpmath.mpf(2) ** -100, (quotient.__name__, n, c)
+
+
+def test_quotient_sweep_values_are_pinned():
+    # (repr of the value, argmax) of both forms at the sweep's four ratios,
+    # recorded when each call rebuilt its own log-factorials; n = 2000 comes
+    # first so that the small n read a table grown past them
+    rows = []
+    for c in ("3/2", "2", "3", "5"):
+        for n in (2000, 1999, 1000, 500, *range(1, 201)):
+            rows.append(f"min {c} {n} {log_max_weight_quotient(n, c)!r}")
+            if n >= 2:
+                rows.append(f"max {c} {n} {log_max_cozero_quotient(n, c)!r}")
+    assert rows[0] == "min 3/2 2000 (mpf('939.79697841306235'), 555)"
+    digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
+    assert digest == "a2c29ea4b56dad5bc4a9e2f339ac3a41a217cfa4d54c2c962621f7f677aa6f20"
 
 
 def test_quotient_forms_at_the_smallest_lengths():
