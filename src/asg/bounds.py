@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 
@@ -84,9 +85,16 @@ def advice_bound(n: int, c) -> mpmath.mpf:
     if c <= 1:
         raise ValueError("the bound needs c > 1")
     with mpmath.workprec(PRECISION):
+        return n * _bound_rate(c)
+
+
+@lru_cache(maxsize=None)
+def _bound_rate(c: Fraction) -> mpmath.mpf:
+    """B(1, c) = log2(1 + ((c-1)/c)^(c-1) / c) at working precision, once per c."""
+    with mpmath.workprec(PRECISION):
         cm = _mpf(c)
         ratio = mpmath.power((cm - 1) / cm, cm - 1) / cm
-        return n * mpmath.log(1 + ratio, 2)
+        return mpmath.log(1 + ratio, 2)
 
 
 def envelope(n: int, c) -> tuple[mpmath.mpf, mpmath.mpf]:

@@ -1,19 +1,38 @@
-"""Covering designs: exact minimum search, greedy construction, bounds.
+"""Covering designs: a count-bounded ladder of exact steps, greedy
+construction, bounds.
 
 A (v, k, t) covering design is a family of k-element blocks of {1..v} such
 that every t-element subset lies inside some block.  Block order and family
 order are pinned so that two independent parties (an advice oracle and an
 algorithm) construct the identical family: blocks are sorted element tuples
-ordered lexicographically, and the exact search returns the
-lexicographically first family among those of minimum size.
+ordered lexicographically, and the exact design is the lexicographically
+first family among those of minimum size.
 
-The exact search is one depth-first search over bitmasks: it branches on
-the lowest uncovered t-subset and bans failed siblings.  It proves the
-minimum size (growing the size from a counting/degree lower bound until a
-cover exists), then fixes the witness block by block, keeping at each
-position the smallest block that still leaves a completion.  Results are
-cached once per (v, k, t); the binom(v, t) and binom(v, k) guard is a
-module constant, checked on every call, before the cache.
+The exact design comes from one ladder of steps, cheapest first:
+
+* the sandwich: the greedy family's size against the lower bound
+  max(ceil(binom(v,t)/binom(k,t)), ceil(v * inner / k)), where inner is
+  the proven lower end of (v-1, k-1, t-1) from the same ladder; when the
+  two meet, the size is proven without a search;
+* one depth-first search over bitmasks with the first block fixed to
+  (1..k), which any minimum family can be permuted to contain (so the
+  lex-first one starts with it): it branches on the lowest uncovered
+  t-subset, bans failed siblings and grows the size from the lower bound
+  until a cover exists;
+* the witness: the family found (or the greedy one) is turned into the
+  lex-first one position by position, keeping at each the smallest block
+  that still leaves a completion.
+
+The search and the witness share one budget of SEARCH_NODES nodes, one
+per coverer tried, per (v, k, t).  If it runs out after the size is
+proven, the witness is the greedy family when that has the proven size,
+else the searched family, sorted.  If it runs out before, the size stays
+unproven: `design_for` takes the greedy family and `exact_cover_number`
+raises SearchLimitError naming the [lower, upper] bracket.  Every limit is a count, never time,
+so the oracle and the algorithm build the same design.  Results are
+cached once per (v, k, t) and budget beside a `DesignProvenance` record
+(`design_provenance`); the binom(v, t) and binom(v, k) guard is a module
+constant, checked on every call, before the cache.
 """
 
 from __future__ import annotations
@@ -29,24 +48,30 @@ from asg.core import JsonRecord
 __all__ = [
     "CoveringDesign",
     "CoverNumberBounds",
+    "DesignProvenance",
     "SearchLimitError",
     "DEFAULT_TSUBSET_LIMIT",
+    "SEARCH_NODES",
     "is_covering_design",
     "binom_quotient",
     "cover_number_bounds",
     "exact_cover_number",
     "greedy_cover",
     "design_for",
+    "design_provenance",
 ]
 
 DEFAULT_TSUBSET_LIMIT = 100000  # the search guard on binom(v, t) and binom(v, k)
-# design_for's exact/greedy cut-over on binom(v, t); the greedy branch
-# passes the guard only while this stays below DEFAULT_TSUBSET_LIMIT
-EXACT_TSUBSET_LIMIT = DEFAULT_TSUBSET_LIMIT
+SEARCH_NODES = 1_000_000  # search nodes per (v, k, t), size proof and witness together
 
 
 class SearchLimitError(RuntimeError):
-    """The instance exceeds the configured search guard."""
+    """The instance exceeds the search guard, or its size is unproven
+    within the node budget."""
+
+
+class _BudgetSpent(Exception):
+    """The search used up its node budget."""
 
 
 @dataclass(frozen=True)
@@ -64,6 +89,28 @@ class CoveringDesign(JsonRecord):
     def from_json(cls, data: dict) -> "CoveringDesign":
         blocks = tuple(tuple(int(e) for e in b) for b in data["blocks"])
         return cls(int(data["v"]), int(data["k"]), int(data["t"]), blocks)
+
+
+@dataclass(frozen=True)
+class DesignProvenance(JsonRecord):
+    """How the ladder settled one (v, k, t).  `method` is "trivial",
+    "sandwich" or "search" when the size is proven (lower == upper), and
+    "greedy" when the budget ran out first and [lower, upper] brackets it.
+    `nodes` counts the search nodes spent on this (v, k, t) alone;
+    `lex_first` says whether the design is the lex-first minimum family."""
+
+    v: int
+    k: int
+    t: int
+    method: str
+    nodes: int
+    lower: int
+    upper: int
+    lex_first: bool
+
+    @property
+    def proven(self) -> bool:
+        return self.lower == self.upper
 
 
 @dataclass(frozen=True)
@@ -142,82 +189,132 @@ def _coverage_tables(v: int, k: int, t: int):
     return blocks, masks, coverers
 
 
-def _lowest_uncovered(uncovered: int) -> int:
-    return (uncovered & -uncovered).bit_length() - 1
-
-
-def _degree_lower_bound(v: int, k: int, t: int) -> int:
-    """Each element joined with any (t-1)-subset of the rest forms a t-subset,
-    so the blocks through one element carry a full (v-1, k-1, t-1) cover;
-    summing degrees over elements bounds the family size from below."""
-    if t == 0 or k == v:
-        return 1
-    if t == 1:
-        return math.ceil(Fraction(v, k))
-    inner = _exact_cached(v - 1, k - 1, t - 1).size
-    return math.ceil(Fraction(v * inner, k))
-
-
 @lru_cache(maxsize=None)
-def _exact_cached(v: int, k: int, t: int) -> CoveringDesign:
+def _ladder(v: int, k: int, t: int, budget: int) -> tuple[CoveringDesign, DesignProvenance]:
+    """The design for (v, k, t) and how it was settled, within `budget`
+    search nodes of its own (the inner bound's ladder has its own)."""
     blocks, masks, coverers = _coverage_tables(v, k, t)
-    if t == 0 or k == v:
-        return CoveringDesign(v, k, t, (blocks[0],))
-    if k == t:
-        # each t-subset is its own only coverer: the design is all of them
-        return CoveringDesign(v, k, t, tuple(blocks))
+    if t == 0 or k == v or k == t:
+        # one block holds every t-subset, or each t-subset is its own only
+        # coverer and so a block
+        family = tuple(blocks[:1] if t == 0 or k == v else blocks)
+        size = len(family)
+        return CoveringDesign(v, k, t, family), DesignProvenance(
+            v, k, t, "trivial", 0, size, size, True)
+    greedy = _greedy_cached(v, k, t)
     per_block = math.comb(k, t)
+    # Each element joined with any (t-1)-subset of the rest forms a t-subset,
+    # so the blocks through one element carry a (v-1, k-1, t-1) cover;
+    # summing degrees over elements bounds the family size from below.
+    inner = _ladder(v - 1, k - 1, t - 1, budget)[1].lower
+    lower = max(-(-math.comb(v, t) // per_block), -(-v * inner // k))
+    upper = greedy.size
+    method = "sandwich" if lower == upper else "search"
+    spent = 0
 
-    def completes(uncovered: int, slots: int, start: int, banned: int = 0) -> list[int] | None:
-        """At most `slots` blocks of index >= start that cover `uncovered`, or
-        None when there are none.
+    # per t-subset, its coverers as (block bit, what the block leaves uncovered)
+    options = [[(1 << bi, ~masks[bi]) for bi in row] for row in coverers]
+
+    def search(uncovered: int, slots: int, banned: int) -> list[int] | None:
+        """At most `slots` blocks outside `banned`, as block bits, that cover
+        `uncovered` (nonzero, and at most `slots` blocks' worth), or None
+        when there are none.
 
         Branches on the lowest uncovered t-subset; a coverer that failed is
         banned (one bit per block) for its later siblings, so each family is
-        visited at most once.
+        visited at most once.  Each coverer tried spends one node of the
+        budget; one that leaves more than the other slots can hold fails
+        without a call.
         """
-        if uncovered == 0:
+        nonlocal spent
+        room = (slots - 1) * per_block
+        for bit, keep in options[(uncovered & -uncovered).bit_length() - 1]:
+            if banned & bit:
+                continue
+            if spent == budget:
+                raise _BudgetSpent
+            spent += 1
+            rest = uncovered & keep
+            if not rest:
+                return [bit]
+            if rest.bit_count() <= room:
+                found = search(rest, slots - 1, banned)
+                if found is not None:
+                    return [bit, *found]
+            banned |= bit
+        return None
+
+    def completes(uncovered: int, slots: int, start: int) -> list[int] | None:
+        """At most `slots` blocks of index >= start that cover `uncovered`."""
+        if not uncovered:
             return []
         if uncovered.bit_count() > slots * per_block:
             return None
-        for bi in coverers[_lowest_uncovered(uncovered)]:
-            if bi < start or banned >> bi & 1:
-                continue
-            rest = completes(uncovered & ~masks[bi], slots - 1, start, banned)
-            if rest is not None:
-                return [bi, *rest]
-            banned |= 1 << bi
-        return None
+        found = search(uncovered, slots, (1 << start) - 1)
+        return None if found is None else [bit.bit_length() - 1 for bit in found]
 
-    total = math.comb(v, t)
-    uncovered = (1 << total) - 1
-    size = max(math.ceil(Fraction(total, per_block)), _degree_lower_bound(v, k, t))
-    while (family := completes(uncovered, size, 0)) is None:
-        size += 1
-    # Turn the minimum family found into the lex-first one, position by
-    # position: before keeping family[p], try every earlier block after
-    # family[p-1] that covers something new (in a minimum family every block
-    # does) and still leaves a completion with the slots left.
-    family.sort()
-    for p in range(size):
-        for bi in range(family[p - 1] + 1 if p else 0, family[p]):
-            if uncovered & masks[bi]:
-                rest = completes(uncovered & ~masks[bi], size - p - 1, bi + 1)
-                if rest is not None:
-                    family[p:] = [bi, *sorted(rest)]
-                    break
-        uncovered &= ~masks[family[p]]
-    return CoveringDesign(v, k, t, tuple(blocks[i] for i in family))
+    uncovered = (1 << math.comb(v, t)) - 1
+    found = None
+    try:
+        # block 0 = (1..k) is fixed; each size without a cover raises `lower`
+        while lower < upper:
+            rest = completes(uncovered & ~masks[0], lower - 1, 1)
+            if rest is None:
+                lower += 1
+            else:
+                found, upper = [0, *rest], lower
+    except _BudgetSpent:
+        return greedy, DesignProvenance(v, k, t, "greedy", spent, lower, upper, False)
+    size = upper
+    if found is None:
+        index = {block: i for i, block in enumerate(blocks)}
+        family = sorted(index[block] for block in greedy.blocks)
+        fallback = greedy
+    else:
+        family = sorted(found)
+        fallback = CoveringDesign(v, k, t, tuple(blocks[i] for i in family))
+    try:
+        # Turn the minimum family into the lex-first one, position by
+        # position: before keeping family[p], try every earlier block after
+        # family[p-1] that covers something new (in a minimum family every
+        # block does) and still leaves a completion with the slots left.
+        for p in range(size):
+            for bi in range(family[p - 1] + 1 if p else 0, family[p]):
+                if uncovered & masks[bi]:
+                    rest = completes(uncovered & ~masks[bi], size - p - 1, bi + 1)
+                    if rest is not None:
+                        family[p:] = [bi, *sorted(rest)]
+                        break
+            uncovered &= ~masks[family[p]]
+    except _BudgetSpent:
+        return fallback, DesignProvenance(v, k, t, method, spent, size, size, False)
+    design = CoveringDesign(v, k, t, tuple(blocks[i] for i in family))
+    return design, DesignProvenance(v, k, t, method, spent, size, size, True)
 
 
 def exact_cover_number(v: int, k: int, t: int) -> CoveringDesign:
-    """Minimum-size covering design, lexicographically first witness.
+    """Minimum-size covering design, lexicographically first witness unless
+    the node budget ran out while fixing it (see the module docstring).
 
     Deterministic: repeated calls return the identical family.  Raises
-    SearchLimitError when binom(v, t) or binom(v, k) exceeds the guard.
+    SearchLimitError when binom(v, t) or binom(v, k) exceeds the guard, or
+    when the size is not proven within SEARCH_NODES search nodes.
     """
     _guard(v, k, t)
-    return _exact_cached(v, k, t)
+    design, record = _ladder(v, k, t, SEARCH_NODES)
+    if not record.proven:
+        raise SearchLimitError(
+            f"the ({v},{k},{t}) cover number lies in [{record.lower}, {record.upper}]: "
+            f"not proven within {SEARCH_NODES} search nodes"
+        )
+    return design
+
+
+def design_provenance(v: int, k: int, t: int) -> DesignProvenance:
+    """How `design_for(v, k, t)` was settled: the method, the search nodes
+    spent and the proven size or the [lower, upper] bracket."""
+    _guard(v, k, t)
+    return _ladder(v, k, t, SEARCH_NODES)[1]
 
 
 def greedy_cover(v: int, k: int, t: int) -> CoveringDesign:
@@ -246,10 +343,8 @@ def _greedy_cached(v: int, k: int, t: int) -> CoveringDesign:
 
 def design_for(v: int, k: int, t: int) -> CoveringDesign:
     """The design both the oracle and the algorithm agree on: the exact
-    minimum while binom(v, t) is within EXACT_TSUBSET_LIMIT, the greedy
-    construction beyond it.  Both read the same module constants, so they
-    stay in sync by construction."""
-    _check_params(v, k, t)
-    if math.comb(v, t) <= EXACT_TSUBSET_LIMIT:
-        return exact_cover_number(v, k, t)
-    return greedy_cover(v, k, t)
+    minimum when its size is proven within SEARCH_NODES search nodes, the
+    greedy construction otherwise.  Both read the same module constants and
+    every limit is a count, so they stay in sync by construction."""
+    _guard(v, k, t)
+    return _ladder(v, k, t, SEARCH_NODES)[0]

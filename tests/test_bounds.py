@@ -49,6 +49,18 @@ def test_advice_bound_values():
         advice_bound(10, 1.5)
 
 
+def test_advice_bound_bits_are_pinned():
+    # every 128-bit mantissa, recorded when each call recomputed the per-c
+    # constant; it is now computed once per c and multiplied by n
+    rows = [
+        f"{c} {n} {advice_bound(n, c)._mpf_}"
+        for c in ("21/20", "3/2", "2", "3", "5")
+        for n in (*range(2001), 10**6, 10**12)
+    ]
+    digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
+    assert digest == "2922bec48f38cc95c26aaf546711ba3cb8aad91977c5458a74f3f4ef8b23a274"
+
+
 def test_advice_bound_stable_near_one():
     # rewritten form stays finite and between the envelopes as c -> 1+
     for c in (Fraction(101, 100), Fraction(1001, 1000), Fraction(10001, 10000)):

@@ -17,6 +17,7 @@ import asg.cli
 from asg import algorithms
 from asg.adversary import exact_strategy_count
 from asg.cli import main
+from asg.designs import SEARCH_NODES, CoveringDesign, is_covering_design
 from asg.problems import CONSTRUCTIONS
 from asg.reductions import REDUCTIONS
 from asg.suite import BATTERY_ORDER, CURVE_COLUMNS
@@ -231,6 +232,35 @@ def test_exact_design_with_too_many_blocks_fails_before_building_them():
     assert done.returncode == 2
     assert done.stdout == ""
     assert done.stderr == "error: binom(20,10) = 184756 exceeds the search guard 100000\n"
+
+
+# The node budget bounds these; the timeouts are only a safety net.
+def test_exact_9_4_3_design_answers():
+    done = _run_module("design", "--v", "9", "--k", "4", "--t", "3", "--method", "exact",
+                       timeout=60)
+    assert done.returncode == 0, done.stderr
+    blocks = tuple(tuple(b) for b in json.loads(done.stdout)["blocks"])
+    assert len(blocks) == 25
+    assert is_covering_design(CoveringDesign(9, 4, 3, blocks))
+
+
+def test_covering_min_at_n_10_answers():
+    x = "0101100100"
+    done = _run_module("simulate", "--protocol", "covering-min", "--c", "2", "--x", x,
+                       timeout=60)
+    assert done.returncode == 0, done.stderr
+    y = json.loads(done.stdout)["y"]
+    assert len(y) == len(x) and all(b == "1" for a, b in zip(x, y) if a == "1")
+
+
+def test_unproven_exact_design_is_a_one_line_error_with_exit_2():
+    done = _run_module("design", "--v", "10", "--k", "6", "--t", "3", "--method", "exact",
+                       timeout=60)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == (
+        f"error: the (10,6,3) cover number lies in [9, 10]: not proven within {SEARCH_NODES} "
+        "search nodes\n")
 
 
 def test_exact_design_with_k_equal_t_needs_no_search(capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 from itertools import combinations
@@ -9,10 +10,12 @@ from hypothesis import strategies as st
 from asg import designs
 from asg.designs import (
     CoveringDesign,
+    DesignProvenance,
     SearchLimitError,
     binom_quotient,
     cover_number_bounds,
     design_for,
+    design_provenance,
     exact_cover_number,
     greedy_cover,
     is_covering_design,
@@ -179,13 +182,72 @@ def test_exact_8_5_4_golden_blocks():
     )
 
 
+def test_blocks_for_every_v_up_to_8_are_pinned():
+    # recorded before the node budget replaced the unbounded search: all 164
+    # (v, k, t) with v <= 8 keep their lex-first blocks byte for byte
+    digest = hashlib.sha256()
+    count = 0
+    for v in range(1, 9):
+        for k in range(v + 1):
+            for t in range(k + 1):
+                digest.update(repr((v, k, t, exact_cover_number(v, k, t).blocks)).encode())
+                count += 1
+    assert count == 164
+    assert digest.hexdigest() == "d78a1c1468442d24680d8f0a1330e4b65a5cf12273cac1c11467bbb11f2f11eb"
+
+
+def test_exact_9_3_2_golden_blocks():
+    # the affine plane of order 3, the only v = 9 exact design the cli workload builds
+    assert exact_cover_number(9, 3, 2).blocks == (
+        (1, 2, 3), (1, 4, 5), (1, 6, 7), (1, 8, 9), (2, 4, 6), (2, 5, 8),
+        (2, 7, 9), (3, 4, 9), (3, 5, 7), (3, 6, 8), (4, 7, 8), (5, 6, 9),
+    )
+
+
 def test_design_for_modes(monkeypatch):
-    exact = design_for(6, 4, 2)
-    assert exact.size == exact_cover_number(6, 4, 2).size
-    monkeypatch.setattr(designs, "EXACT_TSUBSET_LIMIT", 1)
-    forced_greedy = design_for(6, 4, 2)
-    assert forced_greedy.blocks == greedy_cover(6, 4, 2).blocks
+    # (7,4,3) needs the search: greedy takes 14 blocks, the minimum is 12
+    exact = design_for(7, 4, 3)
+    assert exact.size == exact_cover_number(7, 4, 3).size == 12
+    assert design_provenance(7, 4, 3).method == "search"
+    monkeypatch.setattr(designs, "SEARCH_NODES", 100)
+    forced_greedy = design_for(7, 4, 3)
+    assert forced_greedy.blocks == greedy_cover(7, 4, 3).blocks
+    assert forced_greedy.size == 14
     assert is_covering_design(forced_greedy)
+    assert design_provenance(7, 4, 3) == DesignProvenance(7, 4, 3, "greedy", 100, 11, 14, False)
+    with pytest.raises(SearchLimitError, match=r"^the \(7,4,3\) cover number lies in \[11, 14\]: "
+                                               r"not proven within 100 search nodes$"):
+        exact_cover_number(7, 4, 3)
+    monkeypatch.undo()
+    assert design_for(7, 4, 3) is exact
+
+
+def test_provenance_names_the_step_that_settled_the_size():
+    # greedy meets the degree bound ceil(9 * C(8,3,2) / 4) = ceil(99 / 4): no search
+    # needed, and the lex-first fix-up from the greedy family spends the budget
+    assert design_provenance(9, 4, 3) == DesignProvenance(
+        9, 4, 3, "sandwich", designs.SEARCH_NODES, 25, 25, False)
+    assert exact_cover_number(9, 4, 3) is greedy_cover(9, 4, 3)
+    record = design_provenance(8, 5, 4)
+    assert (record.method, record.lower, record.upper, record.lex_first) == ("search", 20, 20, True)
+    assert 800_000 < record.nodes < designs.SEARCH_NODES
+    record = design_provenance(10, 6, 3)
+    assert (record.method, record.lower, record.upper) == ("greedy", 9, 10)
+    assert record.nodes == designs.SEARCH_NODES and not record.proven
+    assert design_for(10, 6, 3) is greedy_cover(10, 6, 3)
+    assert design_provenance(5, 3, 0).method == design_provenance(6, 2, 2).method == "trivial"
+    assert design_provenance(10, 8, 4).method == "sandwich"
+
+
+def test_every_design_up_to_v_8_is_proven_and_lex_first():
+    # the digest test pins these blocks; the records must agree with them
+    for v in range(1, 9):
+        for k in range(v + 1):
+            for t in range(k + 1):
+                record = design_provenance(v, k, t)
+                assert record.proven and record.lex_first, (v, k, t)
+                assert record.nodes <= designs.SEARCH_NODES
+                assert design_for(v, k, t).size == record.upper
 
 
 def test_design_for_checks_the_parameters_first():
