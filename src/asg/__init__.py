@@ -4,14 +4,12 @@ from asg.core import (
     MINUS_INF,
     PLUS_INF,
     AdviceTape,
-    CompetitiveVerdict,
     RunResult,
     Variant,
     asg_opt,
     asg_score,
     dominates,
     run_asg,
-    verify_competitive,
 )
 
 __version__ = "0.1.0"

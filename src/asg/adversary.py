@@ -38,7 +38,7 @@ from asg.core import (
     ones,
     to_plain,
 )
-from asg.designs import exact_cover_number
+from asg.designs import exact_cover_number, greedy_picks
 
 __all__ = [
     "forced_cost_bound",
@@ -56,7 +56,7 @@ __all__ = [
     "DEFAULT_BRUTE_LIMIT",
 ]
 
-DEFAULT_BRUTE_LIMIT = 8  # exact_strategy_count's default largest n
+DEFAULT_BRUTE_LIMIT = 8  # the largest n exact_strategy_count takes
 SEARCH_NODES = 1000  # _bounded_cover's node budget; past it HiGHS takes the residual
 
 
@@ -113,6 +113,9 @@ class GameTranscript(JsonRecord):
 
 
 def _validate_alive(strings: Sequence[str]) -> list[str]:
+    for s in strings:
+        if not isinstance(s, str):
+            raise ValueError(f"alive strings must be 0/1 strings, got {s!r}")
     alive = sorted(set(strings))
     if not alive:
         raise ValueError("needs at least one alive string")
@@ -518,18 +521,14 @@ def _min_set_cover(element_count: int, masks: list[int]) -> list[int]:
         active = sorted(kept)
 
         # the greedy family is the search's first incumbent
-        todo, seed = uncovered, []
-        while todo:
-            best_j = max(active, key=lambda j: ((masks[j] & todo).bit_count(), -j))
-            seed.append(best_j)
-            todo &= ~masks[best_j]
+        seed = greedy_picks(uncovered, masks, active)
         found = _bounded_cover(uncovered, active, masks, seed)
         chosen.extend(_milp_cover(uncovered, active, masks) if found is None else found)
 
     return sorted(chosen)
 
 
-def exact_strategy_count(n: int, c, objective: str = "min", limit: int | None = None) -> StrategyCover:
+def exact_strategy_count(n: int, c, objective: str = "min") -> StrategyCover:
     """Minimum number of fixed outputs that serve every length-n input
     within the strict budget, found by exact set cover; the bit count is
     the ceiling log of that minimum.
@@ -539,9 +538,8 @@ def exact_strategy_count(n: int, c, objective: str = "min", limit: int | None = 
     unknown-history game at length n, not counting any self-delimiting
     overhead.
     """
-    lim = DEFAULT_BRUTE_LIMIT if limit is None else limit
-    if n > lim:
-        raise ValueError(f"n={n} exceeds the brute-force limit {lim}")
+    if n > DEFAULT_BRUTE_LIMIT:
+        raise ValueError(f"n={n} exceeds the brute-force limit {DEFAULT_BRUTE_LIMIT}")
     if n < 1:
         raise ValueError("needs n >= 1")
     ratio = as_ratio(c)

@@ -1,4 +1,4 @@
-"""Closed-form advice bounds, entropy tools, and approximation checks.
+"""Closed-form advice bounds, the binary entropy, and approximation checks.
 
 The central quantity is the per-input advice bound
 
@@ -33,21 +33,14 @@ __all__ = [
     "binary_entropy",
     "advice_bound",
     "envelope",
-    "entropy_gap",
-    "gap_maximizer",
-    "Maximizer",
     "BoundReport",
     "bound_report",
-    "check_entropy_properties",
-    "binomial_entropy_ok",
     "log2_binom",
     "log_max_weight_quotient",
     "log_max_cozero_quotient",
     "QuotientApproxReport",
     "check_min_quotient_approx",
     "check_max_quotient_approx",
-    "forms_within_factor_n",
-    "binom_ratio_identity_ok",
     "exp_growth_floor_ok",
     "exp_growth_floor_sweep",
     "sg_comparison_value",
@@ -107,31 +100,6 @@ def envelope(n: int, c) -> tuple[mpmath.mpf, mpmath.mpf]:
         return n / (mpmath.e * mpmath.ln(2) * cm), n / cm
 
 
-def entropy_gap(n: int, t: int, c) -> mpmath.mpf:
-    """n H(t/n) - c t H(1/c): the entropy estimate of the log quotient."""
-    c = as_ratio(c)
-    with mpmath.workprec(PRECISION):
-        return n * binary_entropy(Fraction(t, n)) - _mpf(c) * t * binary_entropy(1 / c)
-
-
-@dataclass(frozen=True)
-class Maximizer:
-    c: Fraction
-    x_value: mpmath.mpf  # (c/(c-1))^c (c-1) + 1
-    t_star: mpmath.mpf  # n / x_value
-
-
-def gap_maximizer(n: int, c) -> Maximizer:
-    """Where the entropy gap peaks: t* = n/x with x = (c/(c-1))^c (c-1) + 1."""
-    c = as_ratio(c)
-    if c <= 1:
-        raise ValueError("the maximizer needs c > 1")
-    with mpmath.workprec(PRECISION):
-        cm = _mpf(c)
-        x = mpmath.power(cm / (cm - 1), cm) * (cm - 1) + 1
-        return Maximizer(c, x, n / x)
-
-
 @dataclass(frozen=True)
 class BoundReport(JsonRecord):
     n: int
@@ -167,71 +135,10 @@ def bound_report(n: int, c) -> BoundReport:
     return BoundReport(n, c, float(advice_bound(n, c)), float(lo), float(hi), slacks)
 
 
-def check_entropy_properties(
-    s_values=range(2, 60),
-    fd_step: Fraction = Fraction(1, 10000),
-    fd_tol: float = 1e-6,
-) -> list[str]:
-    """Verify the standard entropy facts used by the bound proofs.
-
-    Returns a list of violation descriptions (empty when all hold):
-      1. H(1/s) = log s + ((1-s)/s) log(s-1) for s > 1
-      2. s H(1/s) <= log s + 2
-      3. H is strictly concave: second differences at step fd_step are < -fd_tol
-      4. s H(t/s) is increasing in s for s > t
-      5. n H(1/x) - n H(1/x + 1/n) < 3 for n >= 3, x > 2
-    """
-    bad = []
-    with mpmath.workprec(PRECISION):
-        tol = mpmath.mpf(10) ** -25
-        for s in s_values:
-            lhs = binary_entropy(Fraction(1, s))
-            rhs = mpmath.log(s, 2) + mpmath.mpf(1 - s) / s * mpmath.log(s - 1, 2)
-            if abs(lhs - rhs) > tol:
-                bad.append(f"H(1/s) identity fails at s={s}")
-            if s * binary_entropy(Fraction(1, s)) > mpmath.log(s, 2) + 2 + tol:
-                bad.append(f"s H(1/s) <= log s + 2 fails at s={s}")
-        h = fd_step
-        for num in range(1, 50):
-            p = Fraction(num, 50)
-            if p - h <= 0 or p + h >= 1:
-                continue
-            d2 = (binary_entropy(p + h) - 2 * binary_entropy(p) + binary_entropy(p - h)) / _mpf(
-                h * h
-            )
-            if not d2 < -fd_tol:
-                bad.append(f"concavity fails at p={p}")
-        for t in range(1, 8):
-            prev = None
-            for s in range(t + 1, 40):
-                val = s * binary_entropy(Fraction(t, s))
-                if prev is not None and not val > prev - tol:
-                    bad.append(f"s H(t/s) not increasing at t={t}, s={s}")
-                prev = val
-        for n in (3, 4, 5, 10, 100, 1000):
-            for x in (Fraction(21, 10), Fraction(5, 2), Fraction(3), Fraction(10), Fraction(50)):
-                if x <= 2:
-                    continue
-                gap = n * binary_entropy(1 / x) - n * binary_entropy(1 / x + Fraction(1, n))
-                if not gap < 3:
-                    bad.append(f"entropy shift bound fails at n={n}, x={x}")
-    return bad
-
-
 def log2_binom(n: int, m: int) -> mpmath.mpf:
     """log2 of the exact binomial, precise to the working precision."""
     with mpmath.workprec(PRECISION):
         return mpmath.log(mpmath.mpf(math.comb(n, m)), 2)
-
-
-def binomial_entropy_ok(n: int, m: int) -> bool:
-    """2^{n H(m/n)} / (n+1) <= binom(n, m) <= 2^{n H(m/n)}, checked in log space."""
-    if not 0 <= m <= n or n < 1:
-        raise ValueError("need 1 <= n and 0 <= m <= n")
-    with mpmath.workprec(PRECISION):
-        lhs = log2_binom(n, m)
-        ent = n * binary_entropy(Fraction(m, n))
-        return ent - mpmath.log(n + 1, 2) <= lhs <= ent
 
 
 _LOG_FACTORIALS = [0.0, 0.0]  # entry i is ln(i!), grown on demand by _log_factorials
@@ -350,24 +257,6 @@ def check_max_quotient_approx(n: int, c, tol: float = 1e-9) -> QuotientApproxRep
     with mpmath.workprec(PRECISION):
         slacks = _slacks(n, _mp_log2)[2:]
     return _check_quotient_approx(n, c, log_max_cozero_quotient(n, c), slacks, tol)
-
-
-def forms_within_factor_n(n: int, c, tol: float = 1e-9) -> bool:
-    """The two quotient forms agree within a multiplicative factor n each way."""
-    min_form, _ = log_max_weight_quotient(n, c)
-    max_form, _ = log_max_cozero_quotient(n, c)
-    with mpmath.workprec(PRECISION):
-        gap = mpmath.log(n, 2)
-        return bool(abs(min_form - max_form) <= gap + tol)
-
-
-def binom_ratio_identity_ok(a: int, b: int, c: int) -> bool:
-    """binom(a,c)/binom(b,c) = binom(a,b)/binom(a-c,a-b) for c <= b <= a, exactly."""
-    if not 0 <= c <= b <= a:
-        raise ValueError("need c <= b <= a")
-    lhs = Fraction(math.comb(a, c), math.comb(b, c))
-    rhs = Fraction(math.comb(a, b), math.comb(a - c, a - b))
-    return lhs == rhs
 
 
 def exp_growth_floor_ok(n: int, c: int, tol: float = 1e-9) -> bool:

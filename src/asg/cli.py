@@ -196,7 +196,7 @@ def cmd_adversary(args) -> int:
 def cmd_brute(args) -> int:
     from asg.adversary import exact_strategy_count, strategy_count_bounds
 
-    cover = exact_strategy_count(args.n, args.c, args.variant, limit=args.limit)
+    cover = exact_strategy_count(args.n, args.c, args.variant)
     lo, hi = strategy_count_bounds(args.n, args.c, args.variant)
     payload = {
         **cover.to_json(),
@@ -246,8 +246,16 @@ def cmd_suite(args) -> int:
     return 0 if report.passed else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is one `error: ...` line and exit 2, as every other
+    error is; the subcommand parsers inherit the class."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="asg", description="advice complexity of string guessing: tools and checks"
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -306,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--c", type=rational, required=True)
     p.add_argument("--variant", choices=("min", "max"), default="min")
-    p.add_argument("--limit", type=int)
     add_out(p)
     p.set_defaults(func=cmd_brute)
 

@@ -25,7 +25,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "PLUS_INF",
@@ -35,7 +35,6 @@ __all__ = [
     "AdviceTape",
     "MalformedAdviceError",
     "RunResult",
-    "CompetitiveVerdict",
     "OnlineAlgorithm",
     "check_bits",
     "bit_at",
@@ -58,9 +57,6 @@ __all__ = [
     "encoded_length",
     "run_asg",
     "run_online",
-    "verify_competitive",
-    "score_to_json",
-    "score_from_json",
     "JsonRecord",
     "to_plain",
     "json_text",
@@ -71,13 +67,6 @@ PLUS_INF = math.inf
 MINUS_INF = -math.inf
 
 Score = int | float
-
-
-def score_to_json(score: Score):
-    """Serialize a score: finite values as int, infinities as +inf/-inf."""
-    if isinstance(score, float):
-        return "+inf" if score > 0 else "-inf"
-    return int(score)
 
 
 class JsonRecord:
@@ -104,7 +93,7 @@ def to_plain(value):
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, float) and math.isinf(value):
-        return score_to_json(value)
+        return "+inf" if value > 0 else "-inf"
     return value
 
 
@@ -112,16 +101,6 @@ def json_text(value) -> str:
     """The text every JSON result is written as: to_plain(value), indented
     by two spaces, with a final newline."""
     return json.dumps(to_plain(value), indent=2) + "\n"
-
-
-def score_from_json(value) -> Score:
-    if value == "+inf":
-        return PLUS_INF
-    if value == "-inf":
-        return MINUS_INF
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"not a score: {value!r}")
-    return value
 
 
 class Variant(enum.Enum):
@@ -309,10 +288,6 @@ class AdviceTape:
     def bits_read(self) -> int:
         return self._max_cursor
 
-    @property
-    def written(self) -> tuple[int, ...]:
-        return tuple(self._written)
-
 
 def ceil_log2(m: int) -> int:
     """ceil(log2 m) for m >= 1; by convention 0 for m in {0, 1}."""
@@ -376,10 +351,6 @@ class RunResult(JsonRecord):
     score: Score
     bits: int
 
-    @classmethod
-    def from_json(cls, data: dict) -> "RunResult":
-        return cls(check_bits(data["y"]), score_from_json(data["score"]), int(data["bits"]))
-
 
 def run_online(algorithm: OnlineAlgorithm, tape: AdviceTape, requests: Sequence, final=None) -> str:
     """Drive one algorithm over a request sequence; returns the answer string."""
@@ -410,20 +381,6 @@ def run_asg(variant: Variant, pair, x: str) -> RunResult:
     return RunResult(y, asg_score(variant.objective, x, y), tape.bits_read)
 
 
-@dataclass(frozen=True)
-class CompetitiveVerdict(JsonRecord):
-    ratio: Fraction
-    additive: int
-    strict: bool
-    holds: bool
-    checked: int
-    witness: object = None  # a failing instance, or None
-
-    def to_json(self) -> dict:
-        witness = None if self.witness is None else repr(self.witness)
-        return {**super().to_json(), "witness": witness}
-
-
 def competitive_ok(objective: str, alg_score: Score, opt_score: Score, c: Fraction, additive: int) -> bool:
     """The per-instance inequality: ALG <= c OPT + a (min), OPT <= c ALG + a (max)."""
     if objective == "min":
@@ -432,24 +389,3 @@ def competitive_ok(objective: str, alg_score: Score, opt_score: Score, c: Fracti
         return opt_score <= c * alg_score + additive
     raise ValueError(f"unknown objective: {objective!r}")
 
-
-def verify_competitive(
-    run_one: Callable[[object], tuple[Score, Score]],
-    objective: str,
-    c,
-    additive: int,
-    instances: Iterable,
-) -> CompetitiveVerdict:
-    """Check the competitive inequality over an instance enumeration.
-
-    run_one maps an instance to (algorithm score, optimal score).  Stops at
-    the first violation, which is reported as the witness.
-    """
-    ratio = as_ratio(c)
-    checked = 0
-    for instance in instances:
-        alg_score, opt_score = run_one(instance)
-        checked += 1
-        if not competitive_ok(objective, alg_score, opt_score, ratio, additive):
-            return CompetitiveVerdict(ratio, additive, additive == 0, False, checked, instance)
-    return CompetitiveVerdict(ratio, additive, additive == 0, True, checked)

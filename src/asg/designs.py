@@ -85,11 +85,6 @@ class CoveringDesign(JsonRecord):
     def size(self) -> int:
         return len(self.blocks)
 
-    @classmethod
-    def from_json(cls, data: dict) -> "CoveringDesign":
-        blocks = tuple(tuple(int(e) for e in b) for b in data["blocks"])
-        return cls(int(data["v"]), int(data["k"]), int(data["t"]), blocks)
-
 
 @dataclass(frozen=True)
 class DesignProvenance(JsonRecord):
@@ -325,19 +320,26 @@ def greedy_cover(v: int, k: int, t: int) -> CoveringDesign:
     return _greedy_cached(v, k, t)
 
 
+def greedy_picks(uncovered: int, masks: list[int], candidates) -> list[int]:
+    """The greedy cover of the bitmask `uncovered`: repeatedly the index in
+    `candidates` (ascending) whose mask covers the most still-uncovered
+    bits, ties to the lower index.  Assumes a cover exists."""
+    chosen = []
+    while uncovered:
+        best, best_gain = -1, -1
+        for j in candidates:
+            gain = (uncovered & masks[j]).bit_count()
+            if gain > best_gain:  # ties keep the lower index
+                best, best_gain = j, gain
+        chosen.append(best)
+        uncovered &= ~masks[best]
+    return chosen
+
+
 @lru_cache(maxsize=None)
 def _greedy_cached(v: int, k: int, t: int) -> CoveringDesign:
     blocks, masks, _ = _coverage_tables(v, k, t)
-    uncovered = (1 << math.comb(v, t)) - 1
-    chosen = []
-    while uncovered:
-        best_i, best_gain = -1, -1
-        for i, m in enumerate(masks):
-            gain = (uncovered & m).bit_count()
-            if gain > best_gain:  # ties keep the lex-smaller block
-                best_i, best_gain = i, gain
-        chosen.append(best_i)
-        uncovered &= ~masks[best_i]
+    chosen = greedy_picks((1 << math.comb(v, t)) - 1, masks, range(len(masks)))
     return CoveringDesign(v, k, t, tuple(blocks[i] for i in chosen))
 
 

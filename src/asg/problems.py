@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import combinations
 from typing import Callable
 
 from asg.core import (
@@ -39,7 +38,6 @@ __all__ = [
     "VertexArrivalGraph",
     "SetCoverInstance",
     "DisjointPathInstance",
-    "all_graphs",
     "is_vertex_cover",
     "induced_has_cycle",
     "is_dominating_set",
@@ -95,20 +93,6 @@ class VertexArrivalGraph(JsonRecord):
     def to_json(self) -> dict:
         return {"n": self.n, "arrivals": [list(self.neighbors_before(j)) for j in range(1, self.n + 1)]}
 
-    @classmethod
-    def from_json(cls, data: dict) -> "VertexArrivalGraph":
-        edges = set()
-        for j, back in enumerate(data["arrivals"], start=1):
-            edges.update((i, j) for i in back)
-        return cls(data["n"], frozenset(edges))
-
-
-def all_graphs(n: int):
-    """Every graph on n arrival-ordered vertices."""
-    pairs = list(combinations(range(1, n + 1), 2))
-    for keep in range(1 << len(pairs)):
-        yield VertexArrivalGraph(n, frozenset(p for b, p in enumerate(pairs) if keep >> b & 1))
-
 
 @dataclass(frozen=True)
 class SetCoverInstance(JsonRecord):
@@ -124,10 +108,6 @@ class SetCoverInstance(JsonRecord):
         if union != set(self.universe):
             raise ValueError("requests must union to the universe")
 
-    @classmethod
-    def from_json(cls, data: dict) -> "SetCoverInstance":
-        return cls(tuple(data["universe"]), tuple(tuple(r) for r in data["requests"]))
-
 
 @dataclass(frozen=True)
 class DisjointPathInstance(JsonRecord):
@@ -140,10 +120,6 @@ class DisjointPathInstance(JsonRecord):
         for u, v in self.requests:
             if not (0 <= u < v <= self.length):
                 raise ValueError(f"request ({u},{v}) leaves the path")
-
-    @classmethod
-    def from_json(cls, data: dict) -> "DisjointPathInstance":
-        return cls(data["length"], tuple(tuple(r) for r in data["requests"]))
 
 
 # --- feasibility predicates -------------------------------------------------

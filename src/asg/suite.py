@@ -434,7 +434,7 @@ def battery_counting(n_max: int = 8, ratios=None, quotient_n_max: int = 2000, qu
     quotient_ratios = _ratios(quotient_ratios, QUOTIENT_RATIOS)
     for c in ratios:
         for n in range(1, n_max + 1):
-            cover = exact_strategy_count(n, c, "min", limit=n)
+            cover = exact_strategy_count(n, c, "min")
             lo, hi = strategy_count_bounds(n, c, "min")
             yield None if (
                 lo <= cover.count <= hi and ceil_log2(lo) <= cover.bits <= ceil_log2(hi)

@@ -363,8 +363,6 @@ def test_exact_strategy_count_single_round():
 def test_exact_strategy_count_respects_limit():
     with pytest.raises(ValueError):
         exact_strategy_count(9, 2, "min")
-    with pytest.raises(ValueError):
-        exact_strategy_count(4, 2, "min", limit=3)
 
 
 def test_covers_is_domination_within_the_strict_budget():

@@ -164,6 +164,14 @@ def test_adversary_min_game_from_file(tmp_path, capsys):
     assert json.loads(out)["x"] in ("011", "101", "110")
 
 
+@pytest.mark.parametrize("entries, bad", [([1, 2], 1), (["01", 5], 5), ([{}], {})])
+def test_adversary_strings_file_must_hold_strings(tmp_path, capsys, entries, bad):
+    strings = tmp_path / "alive.json"
+    strings.write_text(json.dumps(entries))
+    code, out, err = run_cli(capsys, "adversary", "--game", "min", "--strings", str(strings))
+    assert (code, out, err) == (2, "", f"error: alive strings must be 0/1 strings, got {bad!r}\n")
+
+
 def test_adversary_max_game_defeats_everyone(capsys):
     code, out, _ = run_cli(capsys, "adversary", "--game", "max", "--n", "8", "--m", "4")
     assert code == 0
@@ -199,6 +207,22 @@ def test_adversary_missing_arguments(capsys):
 def test_bad_sizes_fail_fast_with_exit_2(capsys, argv, message):
     # no traceback, no exit 1 (a failed verification), no silent answer
     assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        (("brute", "--n", "3", "--c", "2", "--limit", "3"), "unrecognized arguments: --limit 3"),
+        (("brute", "--n", "3", "--c", "2", "--bogus", "1"), "unrecognized arguments: --bogus 1"),
+        (("simulate", "--protocol", "covering", "--c", "2", "--x", "01"), "argument --protocol"),
+        (("brute", "--n", "3"), "the following arguments are required: --c"),
+    ],
+)
+def test_usage_errors_are_one_line_with_exit_2(capsys, argv, fragment):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert fragment in err
 
 
 def test_brute_matches_the_library(capsys):

@@ -18,6 +18,7 @@ from asg.designs import (
     design_provenance,
     exact_cover_number,
     greedy_cover,
+    greedy_picks,
     is_covering_design,
 )
 
@@ -257,9 +258,12 @@ def test_design_for_checks_the_parameters_first():
             build(3, 2, -1)
 
 
-def test_json_round_trip():
-    d = exact_cover_number(5, 3, 2)
-    assert CoveringDesign.from_json(d.to_json()) == d
+def test_greedy_picks_takes_the_largest_gain_ties_to_the_lower_index():
+    masks = [0b0011, 0b0110, 0b1100, 0b1111, 0b0011]
+    assert greedy_picks(0b1111, masks, range(5)) == [3]
+    assert greedy_picks(0b1111, masks, [0, 1, 2, 4]) == [0, 2]
+    assert greedy_picks(0b0011, masks, [1, 4]) == [4]
+    assert greedy_picks(0, masks, range(5)) == []
 
 
 @settings(deadline=None, max_examples=40)

@@ -38,7 +38,7 @@ def test_no_unused_imports(module):
 def test_unused_imports_are_caught():
     source = (
         "from dataclasses import dataclass, field\n"
-        "from asg.core import JsonRecord, score_to_json\n"
+        "from asg.core import JsonRecord, to_plain\n"
         "import os.path\n"
         "__all__ = ['Record']\n"
         "def helper():\n"
@@ -48,4 +48,4 @@ def test_unused_imports_are_caught():
         "class Record(JsonRecord):\n"
         "    x: int\n"
     )
-    assert unused_imports(source) == ["field (line 1)", "os (line 3)", "score_to_json (line 2)"]
+    assert unused_imports(source) == ["field (line 1)", "os (line 3)", "to_plain (line 2)"]

@@ -21,12 +21,9 @@ from asg.core import (
 from asg.problems import (
     CONSTRUCTIONS,
     PROBLEMS,
-    DisjointPathInstance,
     Problem,
-    SetCoverInstance,
     VertexArrivalGraph,
     _score_table,
-    all_graphs,
     aoc_membership_check,
     halving_paths_instance,
     induced_has_cycle,
@@ -228,6 +225,13 @@ def test_matching_scoring():
     assert OM.opt(edges) == 2
 
 
+def all_graphs(n: int):
+    """Every graph on n arrival-ordered vertices."""
+    pairs = list(combinations(range(1, n + 1), 2))
+    for keep in range(1 << len(pairs)):
+        yield VertexArrivalGraph(n, frozenset(p for b, p in enumerate(pairs) if keep >> b & 1))
+
+
 def test_membership_on_all_small_graphs():
     for n in range(1, 5):
         graphs = list(all_graphs(n))
@@ -256,15 +260,6 @@ def test_membership_knapsack_and_matching():
 def test_all_graphs_enumeration():
     assert sum(1 for _ in all_graphs(3)) == 8
     assert sum(1 for _ in all_graphs(4)) == 64
-
-
-def test_instance_json_round_trips():
-    g = split_graph("01101")
-    assert VertexArrivalGraph.from_json(g.to_json()) == g
-    sc = singleton_cover_instance("0101")
-    assert SetCoverInstance.from_json(sc.to_json()) == sc
-    dpa = halving_paths_instance("0110")
-    assert DisjointPathInstance.from_json(dpa.to_json()) == dpa
 
 
 def test_constructions_registry():

@@ -13,7 +13,7 @@ import pytest
 
 from asg.adversary import MaxGameOutcome, StrategyCover, max_no_advice_game, min_game_against
 from asg.bounds import bound_report
-from asg.core import MINUS_INF, PLUS_INF, CompetitiveVerdict, RunResult
+from asg.core import MINUS_INF, PLUS_INF, RunResult
 from asg.designs import CoveringDesign, exact_cover_number
 from asg.problems import CONSTRUCTIONS
 from asg.suite import (
@@ -32,8 +32,6 @@ def _records():
         "run-finite": RunResult("0110", 2, 5),
         "run-plus-inf": RunResult("0010", PLUS_INF, 3),
         "run-minus-inf": RunResult("1101", MINUS_INF, 0),
-        "verdict-holds": CompetitiveVerdict(Fraction(3, 2), 0, True, True, 31),
-        "verdict-witness": CompetitiveVerdict(Fraction(7, 4), 2, False, False, 5, ("01", 2)),
         "design": exact_cover_number(5, 3, 2),
         "design-t0": CoveringDesign(3, 3, 0, ((1, 2, 3),)),
         "strategy-cover": StrategyCover(3, 2, ("011", "101", "110")),
@@ -111,14 +109,6 @@ PINNED = {
         '"punished": false}, {"index": 3, "alive": 1, "answer": 1, "revealed": 1, '
         '"forced": true, "punished": false}, {"index": 4, "alive": 1, "answer": 1, '
         '"revealed": 1, "forced": true, "punished": false}]}'
-    ),
-    "verdict-holds": (
-        '{"ratio": "3/2", "additive": 0, "strict": true, "holds": true, "checked": 31, '
-        '"witness": null}'
-    ),
-    "verdict-witness": (
-        '{"ratio": "7/4", "additive": 2, "strict": false, "holds": false, "checked": 5, '
-        '"witness": "(\'01\', 2)"}'
     ),
 }
 
