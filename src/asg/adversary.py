@@ -113,6 +113,8 @@ class GameTranscript(JsonRecord):
 
 
 def _validate_alive(strings: Sequence[str]) -> list[str]:
+    if not isinstance(strings, (list, tuple)):
+        raise ValueError(f"alive strings must be a list of 0/1 strings, got {strings!r}")
     for s in strings:
         if not isinstance(s, str):
             raise ValueError(f"alive strings must be 0/1 strings, got {s!r}")
@@ -490,26 +492,19 @@ def _min_set_cover(element_count: int, masks: list[int]) -> list[int]:
     dominance, then the bounded search (_bounded_cover, at most
     SEARCH_NODES nodes), and only then HiGHS (_milp_cover) on the residual
     the search did not settle."""
-    full = (1 << element_count) - 1
-
-    chosen: list[int] = []
-    uncovered = full
-    # forced picks: an element only one candidate covers pins that candidate
-    active = list(range(len(masks)))
-    while uncovered:
-        forced = None
-        for e in range(element_count):
-            if not uncovered >> e & 1:
-                continue
-            holders = [j for j in active if masks[j] >> e & 1]
-            if len(holders) == 1:
-                forced = holders[0]
-                break
-        if forced is None:
-            break
-        chosen.append(forced)
-        uncovered &= ~masks[forced]
-        active = [j for j in active if masks[j] & uncovered]
+    # forced picks: an element only one candidate covers pins that candidate.
+    # A pick drops only columns that cover nothing still uncovered, which never
+    # changes who holds an uncovered element: one pass finds every forced pick.
+    once = twice = 0
+    for m in masks:
+        twice |= once & m
+        once |= m
+    sole = once & ~twice
+    chosen = [j for j, m in enumerate(masks) if m & sole]
+    uncovered = (1 << element_count) - 1
+    for j in chosen:
+        uncovered &= ~masks[j]
+    active = [j for j, m in enumerate(masks) if m & uncovered]
 
     if uncovered:
         # drop candidates dominated by another surviving candidate

@@ -167,6 +167,13 @@ def trivial_max(c) -> AdvicePair:
 # --- covering design protocols --------------------------------------------
 
 
+def _class_design(objective: str, c: Fraction, n: int, w: int):
+    """(t, design) of weight class w at length n: design is None for a
+    boundary class, which needs none (see core.design_shapes)."""
+    k, t = design_shapes(objective, c, n)[w]
+    return t, design_for(n, k, t) if 0 < t and k < n else None
+
+
 class _CoveringAlg(OnlineAlgorithm):
     def __init__(self, c: Fraction, objective: str):
         self.c, self.objective = c, objective
@@ -176,10 +183,9 @@ class _CoveringAlg(OnlineAlgorithm):
         w = _read_fixed(tape, ceil_log2(n + 1))
         if w > n:
             raise MalformedAdviceError(f"weight field {w} exceeds the length {n}")
-        k, t = design_shapes(self.objective, self.c, n)[w]
+        t, design = _class_design(self.objective, self.c, n, w)
         self.in_block = range(1, n + 1) if t else ()  # a boundary class: all 1s or all 0s
-        if 0 < t and k < n:
-            design = design_for(n, k, t)
+        if design is not None:
             index = _read_fixed(tape, ceil_log2(design.size))
             if index >= design.size:
                 raise MalformedAdviceError(f"block index {index} outside {design.size} blocks")
@@ -208,9 +214,8 @@ def _covering(c, objective: str) -> AdvicePair:
         w = asg_opt(objective, x)
         bits = encode_int(n)
         bits.extend(_fixed_width(w, ceil_log2(n + 1)))
-        k, t = design_shapes(objective, c, n)[w]
-        if 0 < t and k < n:
-            design = design_for(n, k, t)
+        design = _class_design(objective, c, n, w)[1]
+        if design is not None:
             support = set(one_positions(x))
             index = next(
                 i for i, block in enumerate(design.blocks) if support <= set(block)
@@ -219,11 +224,8 @@ def _covering(c, objective: str) -> AdvicePair:
         return bits
 
     def budget(n: int) -> int:
-        widths = [
-            ceil_log2(design_for(n, k, t).size)
-            for k, t in design_shapes(objective, c, n)
-            if 0 < t and k < n
-        ]
+        designs = [_class_design(objective, c, n, w)[1] for w in range(n + 1)]
+        widths = [ceil_log2(d.size) for d in designs if d is not None]
         return encoded_length(n) + ceil_log2(n + 1) + max(widths, default=0)
 
     return AdvicePair(oracle, lambda: _CoveringAlg(c, objective), budget)

@@ -47,6 +47,7 @@ __all__ = [
 ]
 
 PRECISION = 128  # working precision in bits for every mpmath computation
+QUOTIENT_TOL = 1e-9  # absolute slack allowed on each side of a quotient window
 
 
 def _mpf(value) -> mpmath.mpf:
@@ -113,15 +114,11 @@ class BoundReport(JsonRecord):
 _SLACK_TERMS = ("min_form_lower", "min_form_upper", "max_form_lower", "max_form_upper")
 
 
-def _slacks(n: int, log2) -> tuple:
+def _slacks(n: int) -> tuple[float, ...]:
     """The additive slacks of the two quotient forms around B(n, c), in
-    _SLACK_TERMS order, with log2 either math.log2 or an mpmath log."""
-    lg = log2(n + 1)
-    return 2 * lg + 5, 3 * lg, 3 * log2(max(n, 1)) + 6, 4 * lg
-
-
-def _mp_log2(x) -> mpmath.mpf:
-    return mpmath.log(x, 2)
+    _SLACK_TERMS order."""
+    lg = math.log2(n + 1)
+    return 2 * lg + 5, 3 * lg, 3 * math.log2(max(n, 1)) + 6, 4 * lg
 
 
 def bound_report(n: int, c) -> BoundReport:
@@ -131,7 +128,7 @@ def bound_report(n: int, c) -> BoundReport:
     lo, hi = envelope(n, c)
     if not math.isfinite(float(hi)):  # hi = n/c is the largest of the three
         raise ValueError("n is too large: the bound overflows a float")
-    slacks = dict(zip(_SLACK_TERMS, _slacks(n, math.log2)))
+    slacks = dict(zip(_SLACK_TERMS, _slacks(n)))
     return BoundReport(n, c, float(advice_bound(n, c)), float(lo), float(hi), slacks)
 
 
@@ -228,7 +225,7 @@ class QuotientApproxReport:
         return self.lower_ok and self.upper_ok
 
 
-def _check_quotient_approx(n: int, c, quotient, slacks, tol: float) -> QuotientApproxReport:
+def _check_quotient_approx(n: int, c, quotient, slacks) -> QuotientApproxReport:
     """One quotient form's (value, argmax) against B(n,c), given the form's
     (lower, upper) additive slack pair."""
     value, argmax = quotient
@@ -236,27 +233,23 @@ def _check_quotient_approx(n: int, c, quotient, slacks, tol: float) -> QuotientA
     c = as_ratio(c)
     with mpmath.workprec(PRECISION):
         b = advice_bound(n, c)
-        lower_ok = bool(value >= b - slack_lo - tol)
-        upper_ok = bool(value <= b + slack_hi + tol)
+        lower_ok = bool(value >= b - slack_lo - QUOTIENT_TOL)
+        upper_ok = bool(value <= b + slack_hi + QUOTIENT_TOL)
     return QuotientApproxReport(
         n, c, float(value), argmax, float(b), float(slack_lo), float(slack_hi), lower_ok, upper_ok
     )
 
 
-def check_min_quotient_approx(n: int, c, tol: float = 1e-9) -> QuotientApproxReport:
+def check_min_quotient_approx(n: int, c) -> QuotientApproxReport:
     """The minimization-form quotient tracks B(n,c) within the stated slacks:
     B - 2 log(n+1) - 5 <= log max quotient <= B + 3 log(n+1)."""
-    with mpmath.workprec(PRECISION):
-        slacks = _slacks(n, _mp_log2)[:2]
-    return _check_quotient_approx(n, c, log_max_weight_quotient(n, c), slacks, tol)
+    return _check_quotient_approx(n, c, log_max_weight_quotient(n, c), _slacks(n)[:2])
 
 
-def check_max_quotient_approx(n: int, c, tol: float = 1e-9) -> QuotientApproxReport:
+def check_max_quotient_approx(n: int, c) -> QuotientApproxReport:
     """The maximization-form quotient tracks B(n,c) within
     B - 3 log n - 6 <= log max quotient <= B + 4 log(n+1)."""
-    with mpmath.workprec(PRECISION):
-        slacks = _slacks(n, _mp_log2)[2:]
-    return _check_quotient_approx(n, c, log_max_cozero_quotient(n, c), slacks, tol)
+    return _check_quotient_approx(n, c, log_max_cozero_quotient(n, c), _slacks(n)[2:])
 
 
 def exp_growth_floor_ok(n: int, c: int, tol: float = 1e-9) -> bool:

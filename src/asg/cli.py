@@ -20,8 +20,10 @@ from fractions import Fraction
 from asg.core import (
     Variant,
     all_bitstrings,
+    as_ratio,
     asg_opt,
     ceil_log2,
+    check_bits,
     competitive_ok,
     json_text,
     run_asg,
@@ -49,19 +51,19 @@ def _protocol(name: str):
 
 
 def rational(text: str) -> Fraction:
-    """P/Q or an integer; floating-point notation is refused outright."""
-    if "." in text or "e" in text or "E" in text:
-        raise argparse.ArgumentTypeError(f"{text!r} looks like a float; give P/Q or an integer")
+    """core.as_ratio's reading of text; its error is a usage error with the same text."""
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a rational")
+        return as_ratio(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def bitstring(text: str) -> str:
-    if any(ch not in "01" for ch in text):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a 0/1 string")
-    return text
+    """core.check_bits' reading of text; its error is a usage error with the same text."""
+    try:
+        return check_bits(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -142,7 +144,7 @@ def cmd_verify(args) -> int:
         for x in all_bitstrings(n):
             res = run_asg(variant, pair, x)
             checked += 1
-            ok = competitive_ok(objective, res.score, asg_opt(objective, x), target, 0)
+            ok = competitive_ok(objective, res.score, asg_opt(objective, x), target)
             if not ok or res.bits > budget:
                 witness = _run_report(args.protocol, args.c, variant, pair, x)
                 break
@@ -175,8 +177,6 @@ def cmd_adversary(args) -> int:
         if args.strings is not None:
             with open(args.strings) as handle:
                 alive = json.load(handle)
-            if not isinstance(alive, list):
-                raise ValueError("the strings file must hold a JSON list of 0/1 strings")
         else:
             if args.n is None or args.weight is None:
                 raise ValueError("--game min needs --strings or both --n and --weight")

@@ -122,7 +122,7 @@ class Variant(enum.Enum):
 
 def check_bits(x: str) -> str:
     if not isinstance(x, str) or x.strip("01"):
-        raise ValueError(f"not a bit string: {x!r}")
+        raise ValueError(f"{x!r} is not a 0/1 string")
     return x
 
 
@@ -181,15 +181,20 @@ def all_bitstrings(n: int) -> Iterator[str]:
 
 
 def as_ratio(c) -> Fraction:
-    """Coerce a competitive ratio to an exact rational; floats are rejected."""
-    if isinstance(c, float):
-        raise TypeError("competitive ratios must be exact rationals, not floats")
+    """Coerce a competitive ratio to an exact rational; float notation is refused."""
     if isinstance(c, Fraction):
         return c
     if isinstance(c, int):
         return Fraction(c)
     if isinstance(c, str):
-        return Fraction(c)  # accepts "3/2" and "2"
+        if "." in c or "e" in c or "E" in c:
+            raise ValueError(f"{c!r} looks like a float; give P/Q or an integer")
+        try:
+            return Fraction(c)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"{c!r} is not a rational") from None
+    if isinstance(c, float):
+        raise TypeError("competitive ratios must be exact rationals, not floats")
     raise TypeError(f"cannot interpret {c!r} as a rational ratio")
 
 
@@ -381,11 +386,11 @@ def run_asg(variant: Variant, pair, x: str) -> RunResult:
     return RunResult(y, asg_score(variant.objective, x, y), tape.bits_read)
 
 
-def competitive_ok(objective: str, alg_score: Score, opt_score: Score, c: Fraction, additive: int) -> bool:
-    """The per-instance inequality: ALG <= c OPT + a (min), OPT <= c ALG + a (max)."""
+def competitive_ok(objective: str, alg_score: Score, opt_score: Score, c: Fraction) -> bool:
+    """Strict c-competitiveness on one instance: ALG <= c OPT (min), OPT <= c ALG (max)."""
     if objective == "min":
-        return alg_score <= c * opt_score + additive
+        return alg_score <= c * opt_score
     if objective == "max":
-        return opt_score <= c * alg_score + additive
+        return opt_score <= c * alg_score
     raise ValueError(f"unknown objective: {objective!r}")
 

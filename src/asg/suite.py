@@ -374,7 +374,7 @@ def battery_trivial(n_max: int = 10, ratios=None):
                     res = run_asg(variant, pair, x)
                     opt = asg_opt(variant.objective, x)
                     yield None if (
-                        competitive_ok(variant.objective, res.score, opt, target, 0)
+                        competitive_ok(variant.objective, res.score, opt, target)
                         and res.bits <= budget
                     ) else (
                         f"{label} protocol failed",
@@ -400,7 +400,7 @@ def battery_covering(n_max: int = 8, ratios=None):
             for x in all_bitstrings(n):
                 t, u = ones(x), zeros(x)
                 res = run_asg(Variant.MIN_UNKNOWN, pair_min, x)
-                ok = competitive_ok("min", res.score, t, c, 0)
+                ok = competitive_ok("min", res.score, t, c)
                 k = math.floor(c * t)
                 if ok and 0 < k < n:
                     width = ceil_log2(exact_cover_number(n, k, t).size)
@@ -409,7 +409,7 @@ def battery_covering(n_max: int = 8, ratios=None):
                     "minimization protocol failed", f"c={c} x={x!r}: y={res.y!r} bits={res.bits}"
                 )
                 res = run_asg(Variant.MAX_UNKNOWN, pair_max, x)
-                ok = competitive_ok("max", res.score, u, c, 0)
+                ok = competitive_ok("max", res.score, u, c)
                 if ok and 0 < u < n:
                     goal = math.ceil(Fraction(u) / c)
                     width = ceil_log2(exact_cover_number(n, n - goal, n - u).size)
@@ -427,12 +427,13 @@ QUOTIENT_RATIOS = (Fraction(3, 2), Fraction(2), Fraction(3), Fraction(5))
 
 
 @_battery
-def battery_counting(n_max: int = 8, ratios=None, quotient_n_max: int = 2000, quotient_ratios=None):
+def battery_counting(n_max: int = 8, ratios=None, quotient_n_max: int = 2000):
     """Exact strategy-count bits inside the design sandwich, and the exact
-    log-max quotient within its additive slacks of the closed-form bound."""
-    ratios = _ratios(ratios, COUNTING_RATIOS)
-    quotient_ratios = _ratios(quotient_ratios, QUOTIENT_RATIOS)
-    for c in ratios:
+    log-max quotient within its additive slacks of the closed-form bound;
+    given ratios replace both grids."""
+    count_ratios = _ratios(ratios, COUNTING_RATIOS)
+    quotient_ratios = _ratios(ratios, QUOTIENT_RATIOS)
+    for c in count_ratios:
         for n in range(1, n_max + 1):
             cover = exact_strategy_count(n, c, "min")
             lo, hi = strategy_count_bounds(n, c, "min")
@@ -583,14 +584,14 @@ def battery_reductions(n_max: int = 8, ratios=None):
                         phi = AdviceTape(tape_bits)
                         y = run_online(pair.algorithm(), phi, problem.requests(instance))
                         score, opt = problem.score(instance, y), problem.opt(instance)
-                        yield None if competitive_ok(problem.objective, score, opt, c, 0) else (
+                        yield None if competitive_ok(problem.objective, score, opt, c) else (
                             f"{name} covering run broke strictness", f"c={c} x={x!r}: y={y!r}"
                         )
                         inner_len, inner_read = len(tape_bits), phi.bits_read
                     res = run_asg(variant, lifted, x)
                     opt = asg_opt(variant.objective, x)
                     yield None if (
-                        competitive_ok(variant.objective, res.score, opt, c, 0)
+                        competitive_ok(variant.objective, res.score, opt, c)
                         and res.bits - inner_read <= allowance
                         and len(lifted.oracle(x)) - inner_len <= allowance
                     ) else (
@@ -601,11 +602,6 @@ def battery_reductions(n_max: int = 8, ratios=None):
 
 
 # --- battery 8: knapsack and matching ----------------------------------------
-
-
-def _greedy_fill_count(weights) -> int:
-    """Largest number of items fitting in the unit knapsack: smallest first."""
-    return fill_count(*scaled_weights(weights))
 
 
 def _matching_tables(vertices: int):
@@ -651,8 +647,8 @@ def battery_packing(n_exhaustive: int = 5, n_max: int = 10, match_vertices: int 
         """One run against the reference count opt: None, or its failure."""
         tape = AdviceTape(pair.oracle(instance))
         y = run_online(pair.algorithm(), tape, problem.requests(instance))
-        score = problem.score(instance, y)  # -inf when infeasible, which fails opt > 2 score
-        if opt > 2 * score or tape.bits_read > encoded_length(len(instance)):
+        score = problem.score(instance, y)  # -inf when infeasible, which fails the check
+        if not competitive_ok("max", score, opt, 2) or tape.bits_read > encoded_length(len(instance)):
             return "knapsack run failed", f"weights={instance}: y={y!r} opt={opt}"
         if len(instance) <= 4 and problem.opt(instance) != opt:
             return "knapsack optimum disagrees with brute force", f"weights={instance}"
@@ -660,13 +656,13 @@ def battery_packing(n_exhaustive: int = 5, n_max: int = 10, match_vertices: int 
 
     for n in range(n_exhaustive + 1):
         for weights in product(values, repeat=n):
-            yield knapsack_run(weights, _greedy_fill_count(weights))
+            yield knapsack_run(weights, fill_count(*scaled_weights(weights)))
     rng = random.Random(seed)
     for n in range(n_exhaustive + 1, n_max + 1):
         for base in combinations_with_replacement(values, n):
             shuffled = list(base)
             rng.shuffle(shuffled)
-            opt = _greedy_fill_count(base)  # the same for every arrival order
+            opt = fill_count(*scaled_weights(base))  # the same for every arrival order
             for weights in (base, tuple(reversed(base)), tuple(shuffled)):
                 yield knapsack_run(weights, opt)
 
@@ -679,6 +675,7 @@ def battery_packing(n_exhaustive: int = 5, n_max: int = 10, match_vertices: int 
 
     edge_list, opt, fwd, rev = _matching_tables(match_vertices)
     total = 1 << len(edge_list)
+    # a bulk scan, not a competitive_ok call per mask: 2^21 edge masks at full range
     bad = next((m for m in range(total) if opt[m] > 2 * fwd[m] or opt[m] > 2 * rev[m]), None)
     yield _Weighted(total, None) if bad is None else _Weighted(bad + 1, (
         "greedy matching broke its factor",
@@ -749,9 +746,7 @@ _BATTERIES = {
     "trivial": (lambda config: battery_trivial(_cap(10, config.n_max), config.ratios), False),
     "covering": (lambda config: battery_covering(_cap(8, config.n_max), config.ratios), True),
     "counting": (
-        lambda config: battery_counting(
-            _cap(8, config.n_max), config.ratios, _cap(2000, config.grid_max), config.ratios
-        ),
+        lambda config: battery_counting(_cap(8, config.n_max), config.ratios, _cap(2000, config.grid_max)),
         True,
     ),
     "adversary": (

@@ -91,6 +91,12 @@ def test_canonical_game_weight_one_is_tight():
             assert min_game_against(alive).score == len(alive)
 
 
+@pytest.mark.parametrize("alive", ["0110", "1"])
+def test_game_refuses_a_bare_string(alive):
+    with pytest.raises(ValueError, match=f"^alive strings must be a list of 0/1 strings, got '{alive}'$"):
+        min_game_against(alive)
+
+
 def test_game_worked_example():
     game = min_game_against(["110", "101", "011"])
     assert game.score == 3

@@ -25,13 +25,14 @@ from asg.core import (
     dominates,
     encode_int,
     encoded_length,
+    fill_count,
     ones,
     run_asg,
     run_online,
+    scaled_weights,
     zeros,
 )
 from asg.problems import PROBLEMS
-from asg.suite import _greedy_fill_count
 
 RATIOS = [Fraction(3, 2), Fraction(2), Fraction(5, 2), Fraction(3)]
 
@@ -109,6 +110,11 @@ def test_covering_min_weight_two_cost_is_exact():
         assert out.score == 4  # floor(2 * 2), served by a C(6,4,2) design
         # encode(6) + weight on 3 bits + index into 3 blocks on 2 bits
         assert out.bits == encoded_length(6) + 3 + 2
+
+
+def test_covering_min_refuses_a_zero_denominator_in_one_line():
+    with pytest.raises(ValueError, match=r"^'1/0' is not a rational$"):
+        covering_min("1/0")
 
 
 def test_covering_min_boundary_cases():
@@ -299,14 +305,14 @@ def test_knapsack_loads_are_exact():
             assert ks.score(weights, y) == (len(taken) if _fits(taken) else MINUS_INF)
         m = _fill_count(weights)
         assert pair.oracle(weights) == encode_int(m)
-        assert _greedy_fill_count(weights) == m
+        assert fill_count(*scaled_weights(weights)) == m
     # a load of exactly 1 fits; the floats' exact sums sit just off 1
     assert ks.score((1,), "0") == 1
     assert ks.score((Fraction(1, 3), Fraction(1, 2), Fraction(1, 6)), "000") == 3
     assert ks.score((0.1, 0.9), "00") == MINUS_INF
     assert ks.score((0.3, 0.7), "00") == 2
-    assert _greedy_fill_count((0.1, 0.9)) == 1
-    assert _greedy_fill_count((0.3, 0.7)) == 2
+    assert fill_count(*scaled_weights((0.1, 0.9))) == 1
+    assert fill_count(*scaled_weights((0.3, 0.7))) == 2
 
 
 def _two_over_m_rule(weights, m) -> str:

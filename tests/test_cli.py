@@ -216,6 +216,9 @@ def test_bad_sizes_fail_fast_with_exit_2(capsys, argv, message):
         (("brute", "--n", "3", "--c", "2", "--bogus", "1"), "unrecognized arguments: --bogus 1"),
         (("simulate", "--protocol", "covering", "--c", "2", "--x", "01"), "argument --protocol"),
         (("brute", "--n", "3"), "the following arguments are required: --c"),
+        (("simulate", "--protocol", "trivial-min", "--c", "2", "--x", "012"),
+         "argument --x: '012' is not a 0/1 string"),
+        (("bounds", "--n", "10", "--c", "1/0"), "argument --c: '1/0' is not a rational"),
     ],
 )
 def test_usage_errors_are_one_line_with_exit_2(capsys, argv, fragment):

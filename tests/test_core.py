@@ -102,6 +102,16 @@ def test_as_ratio():
         as_ratio(1.5)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [("1/0", "'1/0' is not a rational"), ("1.5", "'1.5' looks like a float; give P/Q or an integer")],
+)
+def test_as_ratio_refuses_bad_text_in_one_line(text, message):
+    with pytest.raises(ValueError) as info:
+        as_ratio(text)
+    assert str(info.value) == message
+
+
 def test_tape_semantics():
     tape = AdviceTape([1, 0, 1])
     assert tape.read(2) == [1, 0]
@@ -216,11 +226,11 @@ class _AllOnes(OnlineAlgorithm):
 
 
 def test_infeasible_output_fails_any_finite_ratio():
-    assert not core.competitive_ok("min", PLUS_INF, 3, Fraction(100), 100)
-    assert not core.competitive_ok("max", MINUS_INF, 3, Fraction(100), 100)
-    assert core.competitive_ok("min", 4, 2, Fraction(2), 0)
-    assert not core.competitive_ok("min", 5, 2, Fraction(2), 0)
-    assert core.competitive_ok("max", 2, 4, Fraction(2), 0)
+    assert not core.competitive_ok("min", PLUS_INF, 3, Fraction(100))
+    assert not core.competitive_ok("max", MINUS_INF, 3, Fraction(100))
+    assert core.competitive_ok("min", 4, 2, Fraction(2))
+    assert not core.competitive_ok("min", 5, 2, Fraction(2))
+    assert core.competitive_ok("max", 2, 4, Fraction(2))
 
 
 def test_empty_input_has_no_rounds_in_either_history_model():

@@ -340,7 +340,7 @@ def test_a_problem_states_only_what_is_feasible(problem):
         assert opt == asg_opt(problem.objective, x)
         tape = AdviceTape(pair.oracle(instance))
         y = run_online(pair.algorithm(), tape, problem.requests(instance))
-        assert competitive_ok(problem.objective, problem.score(instance, y), opt, c, 0), (x, y)
+        assert competitive_ok(problem.objective, problem.score(instance, y), opt, c), (x, y)
 
 
 # --- pinned score tables --------------------------------------------------

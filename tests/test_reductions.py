@@ -90,7 +90,7 @@ def test_round_trip_is_strictly_competitive(name):
             for x in all_bitstrings(n):
                 res = run_asg(variant, lifted, x)
                 opt = asg_opt(variant.objective, x)
-                assert competitive_ok(variant.objective, res.score, opt, c, 0), (c, x)
+                assert competitive_ok(variant.objective, res.score, opt, c), (c, x)
                 assert res.bits <= budget
 
 

@@ -124,6 +124,11 @@ def test_battery_counting_small():
     assert battery_counting(n_max=3, quotient_n_max=20).passed
 
 
+def test_battery_counting_ratios_replace_both_grids():
+    # 2 exact counts (n = 1, 2) and 18 quotient points (n = 3..20), all at 3/2
+    assert battery_counting(n_max=2, quotient_n_max=20, ratios=("3/2",)).checked == 20
+
+
 def test_battery_adversary_small():
     result = battery_adversary(n_max=3, script_n_max=3, table_n_max=2)
     assert result.passed
