@@ -39,8 +39,10 @@ from asg.core import (
     asg_opt,
     ceil_log2,
     check_bits,
+    decode_fixed,
     decode_int,
     design_shapes,
+    encode_fixed,
     encode_int,
     encoded_length,
     fill_count,
@@ -69,19 +71,6 @@ class AdvicePair:
     oracle: Callable  # full input -> list of tape bits
     algorithm: Callable[[], OnlineAlgorithm]  # fresh state per run
     budget: Callable[[int], int]  # input length -> bit budget
-
-
-def _fixed_width(value: int, width: int) -> list[int]:
-    if value >= (1 << width) and width >= 0:
-        raise ValueError(f"{value} does not fit in {width} bits")
-    return [(value >> shift) & 1 for shift in range(width - 1, -1, -1)]
-
-
-def _read_fixed(tape, width: int) -> int:
-    value = 0
-    for _ in range(width):
-        value = (value << 1) | tape.read_bit()
-    return value
 
 
 # --- trivial protocols ----------------------------------------------------
@@ -180,13 +169,13 @@ class _CoveringAlg(OnlineAlgorithm):
 
     def begin(self, tape):
         n = decode_int(tape)
-        w = _read_fixed(tape, ceil_log2(n + 1))
+        w = decode_fixed(tape, ceil_log2(n + 1))
         if w > n:
             raise MalformedAdviceError(f"weight field {w} exceeds the length {n}")
         t, design = _class_design(self.objective, self.c, n, w)
         self.in_block = range(1, n + 1) if t else ()  # a boundary class: all 1s or all 0s
         if design is not None:
-            index = _read_fixed(tape, ceil_log2(design.size))
+            index = decode_fixed(tape, ceil_log2(design.size))
             if index >= design.size:
                 raise MalformedAdviceError(f"block index {index} outside {design.size} blocks")
             self.in_block = set(design.blocks[index])
@@ -213,14 +202,14 @@ def _covering(c, objective: str) -> AdvicePair:
         n = len(x)
         w = asg_opt(objective, x)
         bits = encode_int(n)
-        bits.extend(_fixed_width(w, ceil_log2(n + 1)))
+        bits.extend(encode_fixed(w, ceil_log2(n + 1)))
         design = _class_design(objective, c, n, w)[1]
         if design is not None:
             support = set(one_positions(x))
             index = next(
                 i for i, block in enumerate(design.blocks) if support <= set(block)
             )
-            bits.extend(_fixed_width(index, ceil_log2(design.size)))
+            bits.extend(encode_fixed(index, ceil_log2(design.size)))
         return bits
 
     def budget(n: int) -> int:
@@ -259,8 +248,10 @@ def aoc_generic(problem, c) -> AdvicePair:
     base = _covering(c, problem.objective)
 
     def oracle(instance) -> list[int]:
-        best = problem.optimal_strings(instance)[0]
-        return base.oracle(best)
+        best = problem.optimal_strings(instance)
+        if not best:
+            raise ValueError(f"{problem.name}: the instance has no feasible output")
+        return base.oracle(best[0])
 
     return AdvicePair(oracle, base.algorithm, base.budget)
 

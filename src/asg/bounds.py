@@ -1,4 +1,5 @@
-"""Closed-form advice bounds, the binary entropy, and approximation checks.
+"""Closed-form advice bounds, the binary entropy, approximation checks, and
+the sampled advice curve.
 
 The central quantity is the per-input advice bound
 
@@ -26,7 +27,7 @@ from functools import lru_cache
 
 import mpmath
 
-from asg.core import JsonRecord, as_ratio
+from asg.core import JsonRecord, as_ratio, render_text
 
 __all__ = [
     "PRECISION",
@@ -44,6 +45,12 @@ __all__ = [
     "exp_growth_floor_ok",
     "exp_growth_floor_sweep",
     "sg_comparison_value",
+    "CURVE_N",
+    "CURVE_COLUMNS",
+    "CurvePoint",
+    "curve_point",
+    "emit_curve",
+    "render_curve",
 ]
 
 PRECISION = 128  # working precision in bits for every mpmath computation
@@ -320,3 +327,63 @@ def sg_comparison_value(c) -> mpmath.mpf:
         cm = _mpf(c)
         val = mpmath.power(cm - 1, cm - 1) / mpmath.power(cm / 2, cm)
         return mpmath.log(val, 2) / cm
+
+
+# --- the advice curve ---------------------------------------------------------
+
+CURVE_N = 10**6  # the input length the curve is sampled at
+CURVE_COLUMNS = ("c", "asg_bits_per_request", "envelope_hi", "envelope_lo", "sg_bits_per_request")
+
+
+@dataclass(frozen=True)
+class CurvePoint(JsonRecord):
+    """One sampled ratio: per-request advice with its envelopes and, for
+    1 < c <= 2, the per-request advice of plain string guessing."""
+
+    c: Fraction
+    asg_bits_per_request: float
+    envelope_hi: float
+    envelope_lo: float
+    sg_bits_per_request: float | None
+
+
+def curve_point(c, n: int = CURVE_N) -> CurvePoint:
+    c = as_ratio(c)
+    if n < 1:
+        raise ValueError("the curve needs n >= 1")
+    bound = advice_bound(n, c)
+    lo, hi = envelope(n, c)
+    sg = float(sg_comparison_value(c)) if 1 < c <= 2 else None
+    return CurvePoint(c, float(bound / n), float(hi / n), float(lo / n), sg)
+
+
+def emit_curve(c_min, c_max, steps: int, n: int = CURVE_N) -> list[CurvePoint]:
+    """Sample the advice curve on an evenly spaced rational grid."""
+    c_min, c_max = as_ratio(c_min), as_ratio(c_max)
+    if c_min <= 1:
+        raise ValueError("the curve needs c > 1")
+    if c_max < c_min:
+        raise ValueError("needs c_max >= c_min")
+    if steps < 1 or (steps < 2 and c_max != c_min):
+        raise ValueError("needs at least two steps to span a ratio range")
+    if c_max == c_min:
+        grid = [c_min] * min(steps, 1)
+    else:
+        step = (c_max - c_min) / (steps - 1)
+        grid = [c_min + i * step for i in range(steps)]
+    return [curve_point(c, n) for c in grid]
+
+
+def render_curve(points, fmt: str = "csv") -> str:
+    """Serialize curve points; the column order is CURVE_COLUMNS in both
+    formats, with the comparison column empty/null for c > 2."""
+    return render_text(fmt, points, CURVE_COLUMNS, (
+        (
+            str(p.c),
+            format(p.asg_bits_per_request, ".12g"),
+            format(p.envelope_hi, ".12g"),
+            format(p.envelope_lo, ".12g"),
+            "" if p.sg_bits_per_request is None else format(p.sg_bits_per_request, ".12g"),
+        )
+        for p in points
+    ))

@@ -101,7 +101,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_curve(args) -> int:
-    from asg.suite import emit_curve, render_curve
+    from asg.bounds import emit_curve, render_curve
 
     points = emit_curve(args.c_min, args.c_max, args.steps, args.n)
     _emit(render_curve(points, args.format), args.out)

@@ -2,8 +2,8 @@
 
 The guessing game: an adversary fixes a bit string x = x_1 ... x_n.  In round
 i the algorithm answers a bit y_i.  Under known history it learns x_{i-1}
-before answering round i (and x_n arrives with a final dummy request that
-needs no answer); under unknown history it learns nothing until the end.
+before answering round i; x_n needs no request, because no answer follows
+it.  Under unknown history it learns nothing until the end.
 The oracle sees all of x in advance and writes an infinite advice tape that
 the algorithm may read at will; reading past the written prefix yields 0s.
 
@@ -21,6 +21,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import functools
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -52,14 +53,18 @@ __all__ = [
     "scaled_weights",
     "fill_count",
     "ceil_log2",
+    "encode_fixed",
+    "decode_fixed",
     "encode_int",
     "decode_int",
     "encoded_length",
     "run_asg",
     "run_online",
+    "competitive_ok",
     "JsonRecord",
     "to_plain",
     "json_text",
+    "render_text",
 ]
 
 # Scores are exact: a natural int when finite, one of these floats otherwise.
@@ -101,6 +106,22 @@ def json_text(value) -> str:
     """The text every JSON result is written as: to_plain(value), indented
     by two spaces, with a final newline."""
     return json.dumps(to_plain(value), indent=2) + "\n"
+
+
+def render_text(fmt: str, value, header, rows) -> str:
+    """A result in format fmt: "json" is json_text(value); "csv" is the
+    header row, then the rows, each line ending in a bare newline."""
+    if fmt == "json":
+        return json_text(value)
+    if fmt != "csv":
+        raise ValueError(f"unknown format {fmt!r}")
+    import csv  # only the curve and suite commands write CSV
+
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
 
 
 class Variant(enum.Enum):
@@ -264,14 +285,13 @@ class AdviceTape:
     """One-way read access to an oracle-written tape.
 
     The tape is conceptually infinite: positions past the written prefix
-    read as 0.  bits_read is the highest position ever reached and is the
-    advice cost of a run.
+    read as 0.  bits_read is the number of bits read, the advice cost of a
+    run; with no seek it is also the furthest position reached.
     """
 
     def __init__(self, written: Iterable[int] = ()):
         self._written = [self._checked(b) for b in written]
         self._cursor = 0
-        self._max_cursor = 0
 
     @staticmethod
     def _checked(b) -> int:
@@ -282,8 +302,6 @@ class AdviceTape:
     def read_bit(self) -> int:
         b = self._written[self._cursor] if self._cursor < len(self._written) else 0
         self._cursor += 1
-        if self._cursor > self._max_cursor:
-            self._max_cursor = self._cursor
         return b
 
     def read(self, k: int) -> list[int]:
@@ -291,7 +309,7 @@ class AdviceTape:
 
     @property
     def bits_read(self) -> int:
-        return self._max_cursor
+        return self._cursor
 
 
 def ceil_log2(m: int) -> int:
@@ -299,6 +317,21 @@ def ceil_log2(m: int) -> int:
     if m < 0:
         raise ValueError("ceil_log2 of a negative value")
     return (m - 1).bit_length() if m > 1 else 0
+
+
+def encode_fixed(value: int, width: int) -> list[int]:
+    """value on exactly width bits, most significant bit first."""
+    if not 0 <= value < 1 << width:
+        raise ValueError(f"{value} does not fit in {width} bits")
+    return [(value >> shift) & 1 for shift in range(width - 1, -1, -1)]
+
+
+def decode_fixed(source, width: int) -> int:
+    """Inverse of encode_fixed, reading width bits from an advice tape."""
+    value = 0
+    for _ in range(width):
+        value = (value << 1) | source.read_bit()
+    return value
 
 
 def encode_int(m: int) -> list[int]:
@@ -310,9 +343,7 @@ def encode_int(m: int) -> list[int]:
     if m < 0:
         raise ValueError("cannot encode a negative value")
     k = m.bit_length()  # equals ceil(log2(m+1))
-    out = [1] * k + [0]
-    out.extend((m >> shift) & 1 for shift in range(k - 1, -1, -1))
-    return out
+    return [1] * k + [0] + encode_fixed(m, k)
 
 
 def encoded_length(m: int) -> int:
@@ -324,10 +355,7 @@ def decode_int(source) -> int:
     k = 0
     while source.read_bit() == 1:
         k += 1
-    m = 0
-    for _ in range(k):
-        m = (m << 1) | source.read_bit()
-    return m
+    return decode_fixed(source, k)
 
 
 class OnlineAlgorithm:
@@ -335,9 +363,9 @@ class OnlineAlgorithm:
 
     begin() is called once with the advice tape before round 1; answer() is
     called once per round and must return 0 or 1.  Under known history the
-    request argument is the previous input bit (None in round 1) and
-    finish() receives the final dummy request carrying x_n; under unknown
-    history both are always None.
+    request argument is the previous input bit (None in round 1); x_n needs
+    no request, because no answer follows it.  Under unknown history the
+    request is always None.
     """
 
     def begin(self, tape: AdviceTape) -> None:
@@ -345,9 +373,6 @@ class OnlineAlgorithm:
 
     def answer(self, i: int, request) -> int:
         raise NotImplementedError
-
-    def finish(self, request) -> None:
-        pass
 
 
 @dataclass(frozen=True)
@@ -357,7 +382,7 @@ class RunResult(JsonRecord):
     bits: int
 
 
-def run_online(algorithm: OnlineAlgorithm, tape: AdviceTape, requests: Sequence, final=None) -> str:
+def run_online(algorithm: OnlineAlgorithm, tape: AdviceTape, requests: Sequence) -> str:
     """Drive one algorithm over a request sequence; returns the answer string."""
     algorithm.begin(tape)
     answers = []
@@ -366,7 +391,6 @@ def run_online(algorithm: OnlineAlgorithm, tape: AdviceTape, requests: Sequence,
         if a not in (0, 1):
             raise ValueError(f"round {i}: algorithm answered {a!r}, expected 0 or 1")
         answers.append("1" if a else "0")
-    algorithm.finish(final)
     return "".join(answers)
 
 
@@ -378,11 +402,9 @@ def run_asg(variant: Variant, pair, x: str) -> RunResult:
     algorithm = pair.algorithm()
     if variant.history == "known":
         requests = [None] + [bit_at(x, i) for i in range(1, n)] if n else []
-        final = bit_at(x, n) if n else None
     else:
         requests = [None] * n
-        final = None
-    y = run_online(algorithm, tape, requests, final)
+    y = run_online(algorithm, tape, requests)
     return RunResult(y, asg_score(variant.objective, x, y), tape.bits_read)
 
 

@@ -53,7 +53,6 @@ __all__ = [
     "IndependentSet",
     "DisjointPaths",
     "UnitKnapsack",
-    "scaled_weights",
     "EdgeMatching",
     "PROBLEMS",
     "split_graph",

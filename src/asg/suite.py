@@ -1,4 +1,4 @@
-"""Verification batteries, experiment configuration, and curve emission.
+"""Verification batteries and the experiment configuration.
 
 Each battery re-checks one headline guarantee of the package by exhaustive
 enumeration or a grid sweep and reports pass/fail with a witness for the
@@ -31,9 +31,7 @@ The batteries, in order:
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import math
 import random
 from dataclasses import dataclass
@@ -65,11 +63,12 @@ from asg.algorithms import (
     trivial_min,
 )
 from asg.bounds import (
+    CURVE_N,
     advice_bound,
     check_min_quotient_approx,
+    emit_curve,
     envelope,
     exp_growth_floor_sweep,
-    sg_comparison_value,
 )
 from asg.core import (
     AdviceTape,
@@ -82,8 +81,8 @@ from asg.core import (
     competitive_ok,
     encoded_length,
     fill_count,
-    json_text,
     ones,
+    render_text,
     run_asg,
     run_online,
     scaled_weights,
@@ -95,16 +94,11 @@ from asg.problems import CONSTRUCTIONS, PROBLEMS, aoc_membership_check
 from asg.reductions import REDUCTION_VARIANT, REDUCTIONS, lift_to_asg
 
 __all__ = [
-    "CurvePoint",
-    "CURVE_COLUMNS",
-    "emit_curve",
-    "render_curve",
     "ExperimentConfig",
     "BatteryResult",
     "SuiteReport",
     "BATTERY_ORDER",
     "run_suite",
-    "standard_max_behaviors",
     "battery_envelope",
     "battery_trivial",
     "battery_covering",
@@ -115,83 +109,6 @@ __all__ = [
     "battery_packing",
     "battery_curve",
 ]
-
-
-# --- bound curve ------------------------------------------------------------
-
-CURVE_COLUMNS = ("c", "asg_bits_per_request", "envelope_hi", "envelope_lo", "sg_bits_per_request")
-
-
-@dataclass(frozen=True)
-class CurvePoint(JsonRecord):
-    """One sampled ratio: per-request advice with its envelopes and, for
-    1 < c <= 2, the per-request advice of plain string guessing."""
-
-    c: Fraction
-    asg_bits_per_request: float
-    envelope_hi: float
-    envelope_lo: float
-    sg_bits_per_request: float | None
-
-
-def curve_point(c, n: int = 10**6) -> CurvePoint:
-    c = as_ratio(c)
-    if n < 1:
-        raise ValueError("the curve needs n >= 1")
-    bound = advice_bound(n, c)
-    lo, hi = envelope(n, c)
-    sg = float(sg_comparison_value(c)) if 1 < c <= 2 else None
-    return CurvePoint(c, float(bound / n), float(hi / n), float(lo / n), sg)
-
-
-def emit_curve(c_min, c_max, steps: int, n: int = 10**6) -> list[CurvePoint]:
-    """Sample the advice curve on an evenly spaced rational grid."""
-    c_min, c_max = as_ratio(c_min), as_ratio(c_max)
-    if c_min <= 1:
-        raise ValueError("the curve needs c > 1")
-    if c_max < c_min:
-        raise ValueError("needs c_max >= c_min")
-    if steps < 1 or (steps < 2 and c_max != c_min):
-        raise ValueError("needs at least two steps to span a ratio range")
-    if c_max == c_min:
-        grid = [c_min] * min(steps, 1)
-    else:
-        step = (c_max - c_min) / (steps - 1)
-        grid = [c_min + i * step for i in range(steps)]
-    return [curve_point(c, n) for c in grid]
-
-
-def _csv_text(fmt: str, header, rows) -> str:
-    """The text every CSV result is written as: a header row, then the
-    rows, each line ending in a bare newline."""
-    if fmt != "csv":
-        raise ValueError(f"unknown format {fmt!r}")
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return out.getvalue()
-
-
-def render_curve(points, fmt: str = "csv") -> str:
-    """Serialize curve points; the column order is CURVE_COLUMNS in both
-    formats, with the comparison column empty/null for c > 2."""
-    if fmt == "json":
-        return json_text(points)
-    return _csv_text(
-        fmt,
-        CURVE_COLUMNS,
-        (
-            (
-                str(p.c),
-                format(p.asg_bits_per_request, ".12g"),
-                format(p.envelope_hi, ".12g"),
-                format(p.envelope_lo, ".12g"),
-                "" if p.sg_bits_per_request is None else format(p.sg_bits_per_request, ".12g"),
-            )
-            for p in points
-        ),
-    )
 
 
 # --- configuration and results ----------------------------------------------
@@ -255,16 +172,10 @@ class SuiteReport(JsonRecord):
 
     def render(self, fmt: str | None = None) -> str:
         fmt = self.config.output_format if fmt is None else fmt
-        if fmt == "json":
-            return json_text(self)
-        return _csv_text(
-            fmt,
-            ("battery", "passed", "checked", "detail", "witness"),
-            (
-                (r.name, str(r.passed).lower(), r.checked, r.detail, r.witness or "")
-                for r in self.results
-            ),
-        )
+        return render_text(fmt, self, ("battery", "passed", "checked", "detail", "witness"), (
+            (r.name, str(r.passed).lower(), r.checked, r.detail, r.witness or "")
+            for r in self.results
+        ))
 
 
 def _cap(value: int, cap: int | None) -> int:
@@ -338,7 +249,7 @@ ENVELOPE_REL_TOL = 1e-9
 
 
 @_battery
-def battery_envelope(n: int = 10**6, ratios=None):
+def battery_envelope(n: int = CURVE_N, ratios=None):
     """n/(e ln2 c) <= B(n,c) <= n/c on the ratio grid."""
     ratios = _ratios(ratios, ENVELOPE_RATIOS)
     for c in ratios:
@@ -709,15 +620,12 @@ def battery_packing(n_exhaustive: int = 5, n_max: int = 10, match_vertices: int 
 # --- battery 9: curve reproduction --------------------------------------------
 
 
-CURVE_N = 10**6  # the input length the curve is sampled at
-
-
 @_battery
 def battery_curve(steps: int = 60):
     """The emitted curve hits log2(5/4) at c=2, decreases monotonically,
     stays inside its envelopes, and carries the comparison column exactly
     on (1, 2]."""
-    points = emit_curve(Fraction(21, 20), Fraction(4), steps, CURVE_N)
+    points = emit_curve(Fraction(21, 20), Fraction(4), steps)
     previous = None
     for p in points:
         inside = p.envelope_lo - 1e-12 <= p.asg_bits_per_request <= p.envelope_hi + 1e-12

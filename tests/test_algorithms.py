@@ -32,7 +32,7 @@ from asg.core import (
     scaled_weights,
     zeros,
 )
-from asg.problems import PROBLEMS
+from asg.problems import PROBLEMS, unique_cycle_graph
 
 RATIOS = [Fraction(3, 2), Fraction(2), Fraction(5, 2), Fraction(3)]
 
@@ -212,6 +212,15 @@ def test_aoc_generic_matches_covering_pair():
         variant = Variant.MIN_UNKNOWN if objective == "min" else Variant.MAX_UNKNOWN
         out = run_asg(variant, pair, "010010")
         assert dominates("010010", out.y)
+
+
+def test_aoc_generic_refuses_an_instance_with_no_feasible_output():
+    # with only two 1s the construction closes no cycle, so no answer to
+    # cycle finding is feasible
+    instance = unique_cycle_graph("0110")
+    assert PROBLEMS["cf"].optimal_strings(instance) == []
+    with pytest.raises(ValueError, match="^cf: the instance has no feasible output$"):
+        aoc_generic(PROBLEMS["cf"], 2).oracle(instance)
 
 
 def _knapsack_opt(weights):

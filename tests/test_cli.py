@@ -16,11 +16,12 @@ import asg
 import asg.cli
 from asg import algorithms
 from asg.adversary import exact_strategy_count
+from asg.bounds import CURVE_COLUMNS
 from asg.cli import main
 from asg.designs import SEARCH_NODES, CoveringDesign, is_covering_design
 from asg.problems import CONSTRUCTIONS
 from asg.reductions import REDUCTIONS
-from asg.suite import BATTERY_ORDER, CURVE_COLUMNS
+from asg.suite import BATTERY_ORDER
 
 SRC = str(Path(asg.__file__).resolve().parents[1])
 
@@ -387,6 +388,7 @@ IMPORT_GRAPH_COMMANDS = {
     "brute": ("brute", "--n", "5", "--c", "2"),
     "curve": ("curve", "--c-min", "3/2", "--c-max", "3", "--steps", "2", "--n", "100"),
     "suite": ("suite", "--only", "envelope", "--n-max", "2"),
+    "suite-csv": ("suite", "--only", "envelope", "--n-max", "2", "--format", "csv"),
 }
 
 
@@ -405,15 +407,31 @@ def _modules_after(argv) -> set[str]:
     return set(modules)
 
 
+# The asg.* modules each command loads beyond asg, asg.cli and asg.core.
+COMMAND_MODULES = {
+    "design": {"designs"},
+    "simulate": {"algorithms", "designs"},
+    "verify": {"algorithms", "designs"},
+    "reduce": {"problems"},
+    "lift": {"algorithms", "designs", "problems", "reductions"},
+    "adversary-min": {"adversary", "designs"},
+    "adversary-max": {"adversary", "designs"},
+    "bounds": {"bounds"},
+    "brute": {"adversary", "designs"},
+    "curve": {"bounds"},
+    "suite": {"adversary", "algorithms", "bounds", "designs", "problems", "reductions", "suite"},
+}
+COMMAND_MODULES["suite-csv"] = COMMAND_MODULES["suite"]
+
+
 @pytest.mark.parametrize("name", IMPORT_GRAPH_COMMANDS)
 def test_each_command_imports_only_what_it_runs(name):
     modules = _modules_after(IMPORT_GRAPH_COMMANDS[name])
-    assert ("mpmath" in modules) == (name in ("bounds", "curve", "suite"))
+    assert {m for m in modules if m.split(".")[0] == "asg"} == {
+        "asg", "asg.cli", "asg.core", *(f"asg.{m}" for m in COMMAND_MODULES[name])}
+    assert ("mpmath" in modules) == (name in ("bounds", "curve", "suite", "suite-csv"))
     # scipy loads only for a cover the bounded search leaves to HiGHS, which
     # `brute --n 5 --c 2` is not
     assert "scipy" not in modules
-    assert ("asg.suite" in modules) == (name in ("curve", "suite"))
-    assert ("asg.problems" in modules) == (name in ("reduce", "lift", "curve", "suite"))
-    if name == "design":
-        assert {m for m in modules if m.split(".")[0] == "asg"} == {
-            "asg", "asg.cli", "asg.core", "asg.designs"}
+    # csv loads only to write CSV, so only for curve and suite
+    assert ("csv" in modules) == (name in ("curve", "suite-csv"))

@@ -17,8 +17,10 @@ from asg.core import (
     as_ratio,
     bit_at,
     ceil_log2,
+    decode_fixed,
     decode_int,
     dominates,
+    encode_fixed,
     encode_int,
     encoded_length,
     run_asg,
@@ -131,6 +133,15 @@ def test_encode_examples():
     assert encode_int(1) == [1, 0, 1]
     assert encode_int(5) == [1, 1, 1, 0, 1, 0, 1]  # three 1s, 0, then 101
     assert encoded_length(5) == 7 == len(encode_int(5))
+
+
+def test_fixed_width_codec():
+    assert encode_fixed(5, 4) == [0, 1, 0, 1]
+    assert encode_fixed(0, 0) == []
+    assert decode_fixed(AdviceTape([0, 1, 0, 1, 1]), 4) == 5
+    for value, width in ((4, 2), (1, 0), (-1, 3)):
+        with pytest.raises(ValueError, match=f"^{value} does not fit in {width} bits$"):
+            encode_fixed(value, width)
 
 
 @given(st.integers(min_value=0, max_value=2**20))

@@ -11,20 +11,18 @@ from fractions import Fraction
 
 import pytest
 
-from asg.adversary import MaxGameOutcome, StrategyCover, max_no_advice_game, min_game_against
-from asg.bounds import bound_report
+from asg.adversary import (
+    MaxGameOutcome,
+    StrategyCover,
+    max_no_advice_game,
+    min_game_against,
+    standard_max_behaviors,
+)
+from asg.bounds import bound_report, curve_point, render_curve
 from asg.core import MINUS_INF, PLUS_INF, RunResult
 from asg.designs import CoveringDesign, exact_cover_number
 from asg.problems import CONSTRUCTIONS
-from asg.suite import (
-    BatteryResult,
-    ExperimentConfig,
-    SuiteReport,
-    curve_point,
-    render_curve,
-    run_suite,
-    standard_max_behaviors,
-)
+from asg.suite import BatteryResult, ExperimentConfig, SuiteReport, run_suite
 
 
 def _records():

@@ -8,15 +8,16 @@ from fractions import Fraction
 
 import pytest
 
+import asg.bounds
 import asg.cli
 import asg.suite
-from asg.adversary import max_no_advice_game
+from asg.adversary import max_no_advice_game, standard_max_behaviors
 from asg.algorithms import AdvicePair
+from asg.bounds import CURVE_COLUMNS, curve_point, emit_curve, render_curve
 from asg.core import MINUS_INF, PLUS_INF, OnlineAlgorithm, Variant, ones
 from asg.problems import EdgeMatching, UnitKnapsack
 from asg.suite import (
     BATTERY_ORDER,
-    CURVE_COLUMNS,
     BatteryResult,
     ExperimentConfig,
     battery_adversary,
@@ -28,11 +29,7 @@ from asg.suite import (
     battery_packing,
     battery_reductions,
     battery_trivial,
-    curve_point,
-    emit_curve,
-    render_curve,
     run_suite,
-    standard_max_behaviors,
 )
 
 # --- curve -------------------------------------------------------------------
@@ -159,10 +156,10 @@ def test_battery_adversary_catches_a_sabotaged_reveal_rule(monkeypatch, caps, ch
 # result: the count at the first failure, its detail and its witness.
 
 
-def _wrap(monkeypatch, name, sabotage):
-    """Replace asg.suite.<name> by sabotage(real, *args)."""
-    real = getattr(asg.suite, name)
-    monkeypatch.setattr(asg.suite, name, lambda *args, **kw: sabotage(real, *args, **kw))
+def _wrap(monkeypatch, name, sabotage, module=asg.suite):
+    """Replace module.<name> by sabotage(real, *args)."""
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args, **kw: sabotage(real, *args, **kw))
 
 
 def _wrap_opt(monkeypatch, cls, sabotage):
@@ -211,7 +208,9 @@ FAILURE_CASES = {
         ),
     ),
     "curve-envelope": (
-        lambda mp: _wrap(mp, "advice_bound", lambda real, n, c: real(n, c) * (10 if c == 2 else 1)),
+        lambda mp: _wrap(
+            mp, "advice_bound", lambda real, n, c: real(n, c) * (10 if c == 2 else 1), asg.bounds
+        ),
         lambda: battery_curve(),
         (
             20,
@@ -221,12 +220,16 @@ FAILURE_CASES = {
         ),
     ),
     "curve-decreasing": (
-        lambda mp: _wrap(mp, "advice_bound", lambda real, n, c: real(n, min(c, Fraction(3)))),
+        lambda mp: _wrap(
+            mp, "advice_bound", lambda real, n, c: real(n, min(c, Fraction(3))), asg.bounds
+        ),
         lambda: battery_curve(),
         (41, "curve is not strictly decreasing", "c=61/20"),
     ),
     "curve-at-two": (
-        lambda mp: _wrap(mp, "advice_bound", lambda real, n, c: real(n, c) * (1.001 if c == 2 else 1)),
+        lambda mp: _wrap(
+            mp, "advice_bound", lambda real, n, c: real(n, c) * (1.001 if c == 2 else 1), asg.bounds
+        ),
         lambda: battery_curve(),
         (
             61,
