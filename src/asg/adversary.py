@@ -8,11 +8,13 @@ fixed finite collection of advice-free strategies outright.
 
 For tiny n, exact_strategy_count computes the true minimum number of fixed
 outputs any strictly competitive oblivious algorithm needs, by exact set
-cover over all 2^n inputs; strategy_count_bounds sandwiches that number
-with covering-design sizes.  The cover is a ladder of steps, each bounded
-by a count: forced picks, then dominance, then a branch-and-bound search
-of at most SEARCH_NODES nodes, and only for a residual that search does
-not settle, HiGHS (scipy, imported then and only then).
+cover over all 2^n inputs (asg.cover); strategy_count_bounds sandwiches
+that number with covering-design sizes.  The cover is a ladder of steps,
+each bounded by a count: forced picks, strict dominance, an orbital
+branch-and-bound search over the permutations of the n positions of at
+most cover.SEARCH_NODES nodes, and only for a residual that search does
+not settle, HiGHS (scipy, imported then and only then).  No count at
+n <= 7 and c in {5/4, 3/2, 2, 3} needs HiGHS; five at n = 8 do.
 """
 
 from __future__ import annotations
@@ -38,7 +40,8 @@ from asg.core import (
     ones,
     to_plain,
 )
-from asg.designs import exact_cover_number, greedy_picks
+from asg.cover import _min_set_cover
+from asg.designs import exact_cover_number
 
 __all__ = [
     "forced_cost_bound",
@@ -57,7 +60,6 @@ __all__ = [
 ]
 
 DEFAULT_BRUTE_LIMIT = 8  # the largest n exact_strategy_count takes
-SEARCH_NODES = 1000  # _bounded_cover's node budget; past it HiGHS takes the residual
 
 
 @lru_cache(maxsize=None)
@@ -361,166 +363,6 @@ class StrategyCover(JsonRecord):
     count: int
     bits: int
     family: tuple[str, ...]
-
-
-def _milp_cover(uncovered: int, active: list[int], masks: list[int]) -> list[int]:
-    """Exact 0/1 set cover on the residual instance via HiGHS.
-
-    The program is tiny (at most 2^n columns) and HiGHS solves it to proven
-    optimality; repeated runs return the same family (tested)."""
-    from scipy import optimize, sparse  # deferred: only the residual search needs it
-
-    row_of: dict[int, int] = {}
-    m = uncovered
-    while m:
-        row_of[(m & -m).bit_length() - 1] = len(row_of)
-        m &= m - 1
-    rows, cols = [], []
-    for col, j in enumerate(active):
-        mm = masks[j] & uncovered
-        while mm:
-            rows.append(row_of[(mm & -mm).bit_length() - 1])
-            cols.append(col)
-            mm &= mm - 1
-    matrix = sparse.csr_matrix(
-        ([1.0] * len(rows), (rows, cols)), shape=(len(row_of), len(active))
-    )
-    result = optimize.milp(
-        c=[1.0] * len(active),
-        constraints=optimize.LinearConstraint(matrix, lb=1.0, ub=math.inf),
-        integrality=[1] * len(active),
-        bounds=optimize.Bounds(0.0, 1.0),
-    )
-    if not result.success:
-        raise RuntimeError(f"set-cover program failed: {result.message}")
-    return [active[col] for col, v in enumerate(result.x) if v > 0.5]
-
-
-class _OutOfNodes(Exception):
-    pass
-
-
-def _cover_lower_bound(todo: int, gains: list[tuple[int, int]], cols: list[int]) -> int | None:
-    """ceil(sum over e in todo of 1 / the largest gain of a column holding
-    e), in exact integers, or None when some element has no column.  gains
-    holds (gain, position) with gain = |cols[position] & todo|, largest
-    first; every element is charged to the first column that holds it.
-    The charges are a feasible dual of the cover LP (Lovasz 1975), so any
-    cover of todo by these columns has at least this many of them."""
-    share: dict[int, int] = {}
-    left = todo
-    for g, i in gains:
-        new = cols[i] & left
-        if new:
-            share[g] = share.get(g, 0) + new.bit_count()
-            left ^= new
-    if left:
-        return None
-    den = math.lcm(*share)
-    return -(-sum(count * (den // g) for g, count in share.items()) // den)
-
-
-def _bounded_cover(uncovered: int, active: list[int], masks: list[int], seed: list[int]):
-    """An exact minimum cover of the residual by depth-first branch and
-    bound over bitmasks, or None when SEARCH_NODES nodes do not settle it.
-
-    The incumbent starts as the greedy family seed.  A node prunes when
-    its picks plus _cover_lower_bound reach the incumbent's size; at the
-    root that settles every seed that meets the bound.  Otherwise it
-    branches on the uncovered element with the fewest allowed holders
-    (ties to the lower element) and tries those holders by residual gain,
-    ties to the lower index; each tried holder is banned for its later
-    siblings.  The effort limit is the node count alone, so repeated calls
-    return the identical family."""
-    cols = [masks[j] & uncovered for j in active]  # position i stands for active[i]
-    holders: dict[int, int] = {}  # element -> mask over positions
-    for i, col in enumerate(cols):
-        while col:
-            low = col & -col
-            e = low.bit_length() - 1
-            holders[e] = holders.get(e, 0) | 1 << i
-            col ^= low
-    best = list(seed)
-    nodes = 0
-
-    def search(todo: int, allowed: int, picked: list[int]) -> None:
-        nonlocal best, nodes
-        nodes += 1
-        if nodes > SEARCH_NODES:
-            raise _OutOfNodes
-        if not todo:
-            best = picked
-            return
-        gains = []
-        rest = allowed
-        while rest:
-            low = rest & -rest
-            i = low.bit_length() - 1
-            gains.append(((cols[i] & todo).bit_count(), i))
-            rest ^= low
-        gains.sort(key=lambda gi: (-gi[0], gi[1]))
-        bound = _cover_lower_bound(todo, gains, cols)
-        if bound is None or len(picked) + bound >= len(best):
-            return
-        branch, fewest = 0, len(cols) + 1
-        rest = todo
-        while rest:
-            low = rest & -rest
-            e = low.bit_length() - 1
-            count = (holders[e] & allowed).bit_count()
-            if count < fewest:
-                branch, fewest = holders[e] & allowed, count
-            rest ^= low
-        for _, i in gains:  # by gain, ties to the lower index
-            if branch >> i & 1:
-                search(todo & ~cols[i], allowed, picked + [active[i]])
-                allowed &= ~(1 << i)
-
-    try:
-        search(uncovered, (1 << len(cols)) - 1, [])
-    except _OutOfNodes:
-        return None
-    return best
-
-
-def _min_set_cover(element_count: int, masks: list[int]) -> list[int]:
-    """Indices of a minimum subfamily of masks whose union covers all
-    element_count elements.  Exact; assumes a cover exists.  Deterministic:
-    repeated calls return the identical family.
-
-    A ladder of steps, each bounded by a count: forced picks, then
-    dominance, then the bounded search (_bounded_cover, at most
-    SEARCH_NODES nodes), and only then HiGHS (_milp_cover) on the residual
-    the search did not settle."""
-    # forced picks: an element only one candidate covers pins that candidate.
-    # A pick drops only columns that cover nothing still uncovered, which never
-    # changes who holds an uncovered element: one pass finds every forced pick.
-    once = twice = 0
-    for m in masks:
-        twice |= once & m
-        once |= m
-    sole = once & ~twice
-    chosen = [j for j, m in enumerate(masks) if m & sole]
-    uncovered = (1 << element_count) - 1
-    for j in chosen:
-        uncovered &= ~masks[j]
-    active = [j for j, m in enumerate(masks) if m & uncovered]
-
-    if uncovered:
-        # drop candidates dominated by another surviving candidate
-        kept: list[int] = []
-        for j in sorted(active, key=lambda j: -(masks[j] & uncovered).bit_count()):
-            mj = masks[j] & uncovered
-            if not any(mj & ~(masks[k] & uncovered) == 0 for k in kept):
-                kept.append(j)
-        active = sorted(kept)
-
-        # the greedy family is the search's first incumbent
-        seed = greedy_picks(uncovered, masks, active)
-        found = _bounded_cover(uncovered, active, masks, seed)
-        chosen.extend(_milp_cover(uncovered, active, masks) if found is None else found)
-
-    return sorted(chosen)
 
 
 def exact_strategy_count(n: int, c, objective: str = "min") -> StrategyCover:

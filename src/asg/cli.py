@@ -354,6 +354,9 @@ def main(argv=None) -> int:
     except (ValueError, TypeError, KeyError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:  # exit 1 stays reserved for a failed verification
+        print("error: out of memory", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

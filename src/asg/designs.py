@@ -44,6 +44,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from asg.core import JsonRecord
+from asg.cover import greedy_picks
 
 __all__ = [
     "CoveringDesign",
@@ -207,8 +208,10 @@ def _ladder(v: int, k: int, t: int, budget: int) -> tuple[CoveringDesign, Design
     method = "sandwich" if lower == upper else "search"
     spent = 0
 
-    # per t-subset, its coverers as (block bit, what the block leaves uncovered)
-    options = [[(1 << bi, ~masks[bi]) for bi in row] for row in coverers]
+    # per t-subset, its coverers as (block bit, what the block leaves uncovered);
+    # one pair per block, shared by the lists of all its t-subsets
+    pairs = [(1 << bi, ~mask) for bi, mask in enumerate(masks)]
+    options = [[pairs[bi] for bi in row] for row in coverers]
 
     def search(uncovered: int, slots: int, banned: int) -> list[int] | None:
         """At most `slots` blocks outside `banned`, as block bits, that cover
@@ -318,22 +321,6 @@ def greedy_cover(v: int, k: int, t: int) -> CoveringDesign:
     The guard is checked on every call, before the cache."""
     _guard(v, k, t)
     return _greedy_cached(v, k, t)
-
-
-def greedy_picks(uncovered: int, masks: list[int], candidates) -> list[int]:
-    """The greedy cover of the bitmask `uncovered`: repeatedly the index in
-    `candidates` (ascending) whose mask covers the most still-uncovered
-    bits, ties to the lower index.  Assumes a cover exists."""
-    chosen = []
-    while uncovered:
-        best, best_gain = -1, -1
-        for j in candidates:
-            gain = (uncovered & masks[j]).bit_count()
-            if gain > best_gain:  # ties keep the lower index
-                best, best_gain = j, gain
-        chosen.append(best)
-        uncovered &= ~masks[best]
-    return chosen
 
 
 @lru_cache(maxsize=None)

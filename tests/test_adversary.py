@@ -9,12 +9,10 @@ from itertools import combinations, product
 import pytest
 import scipy.optimize
 
-from asg import adversary
+from asg import cover
 from asg.adversary import (
-    _bounded_cover,
     _columns,
     _coverage_masks,
-    _milp_cover,
     _script_scores,
     covers,
     exact_strategy_count,
@@ -25,6 +23,7 @@ from asg.adversary import (
     weight_class,
 )
 from asg.core import MINUS_INF, PLUS_INF, all_bitstrings, dominates, ones, zeros
+from asg.cover import _bounded_cover, _milp_cover
 
 
 def test_forced_cost_bound_closed_forms():
@@ -300,15 +299,15 @@ def _residuals(monkeypatch, shapes):
         return seed  # a cover, so nothing reaches HiGHS here
 
     with monkeypatch.context() as mp:
-        mp.setattr(adversary, "_bounded_cover", record)
+        mp.setattr(cover, "_bounded_cover", record)
         for shape in shapes:
             exact_strategy_count(*shape)
     return found
 
 
 def test_bounded_cover_agrees_with_highs_on_every_residual(monkeypatch):
-    shapes = [(n, c, objective) for n in range(1, 8) for c in (Fraction(3, 2), 2, 3)
-              for objective in ("min", "max")]
+    shapes = [(n, c, objective) for n in range(1, 8)
+              for c in (Fraction(5, 4), Fraction(3, 2), 2, 3) for objective in ("min", "max")]
     past_budget = set()
     for shape, (uncovered, active, masks, seed) in _residuals(monkeypatch, shapes).items():
         got = _bounded_cover(uncovered, active, masks, seed)
@@ -321,10 +320,7 @@ def test_bounded_cover_agrees_with_highs_on_every_residual(monkeypatch):
         for j in got:
             covered |= masks[j]
         assert covered & uncovered == uncovered, shape
-    assert past_budget == {
-        (6, Fraction(3, 2), "min"), (7, Fraction(3, 2), "max"), (7, 2, "min"), (7, 2, "max"),
-        (7, 3, "max"),
-    }
+    assert past_budget == set()
 
 
 def test_a_cover_past_the_node_budget_goes_to_highs_once(monkeypatch):
@@ -336,8 +332,20 @@ def test_a_cover_past_the_node_budget_goes_to_highs_once(monkeypatch):
         return milp(*args, **kwargs)
 
     monkeypatch.setattr(scipy.optimize, "milp", counted)
+    monkeypatch.setattr(cover, "SEARCH_NODES", 100)  # (7, 2, min) needs 670
     assert exact_strategy_count(7, 2, "min").count == 12
     assert len(calls) == 1
+
+
+def test_the_search_settles_three_n_8_counts_without_highs(monkeypatch):
+    def no_highs(*args):
+        raise AssertionError("the residual went to HiGHS")
+
+    monkeypatch.setattr(cover, "_milp_cover", no_highs)
+    # the counts HiGHS finds for these shapes
+    assert exact_strategy_count(8, Fraction(5, 4), "max").count == 176
+    assert exact_strategy_count(8, 3, "min").count == 8
+    assert exact_strategy_count(8, 3, "max").count == 18
 
 
 def test_coverage_masks_are_covers_on_ints():

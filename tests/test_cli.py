@@ -302,11 +302,22 @@ def test_solver_failure_is_a_one_line_error_with_exit_2(capsys, monkeypatch):
         return types.SimpleNamespace(success=False, message="forced failure", x=None)
 
     monkeypatch.setattr(scipy.optimize, "milp", failing_milp)
-    # n = 7, c = 2 leaves a residual past the bounded search's node budget
-    code, out, err = run_cli(capsys, "brute", "--n", "7", "--c", "2")
+    # n = 8 residuals go to HiGHS
+    code, out, err = run_cli(capsys, "brute", "--n", "8", "--c", "2")
     assert code == 2
     assert out == ""
     assert err == "error: set-cover program failed: forced failure\n"
+
+
+def test_out_of_memory_is_a_one_line_error_with_exit_2(capsys, monkeypatch):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(asg.cli, "cmd_design", exhausted)
+    code, out, err = run_cli(capsys, "design", "--v", "6", "--k", "3", "--t", "2")
+    assert code == 2
+    assert out == ""
+    assert err == "error: out of memory\n"
 
 
 def test_reduce_round_trips_the_instance(capsys):
@@ -386,6 +397,9 @@ IMPORT_GRAPH_COMMANDS = {
     "adversary-max": ("adversary", "--game", "max", "--n", "10", "--m", "2"),
     "bounds": ("bounds", "--n", "100", "--c", "2"),
     "brute": ("brute", "--n", "5", "--c", "2"),
+    # two n <= 7 counts that the search settles only with orbital branching
+    "brute-n7-c2": ("brute", "--n", "7", "--c", "2", "--variant", "min"),
+    "brute-n6-c3_2": ("brute", "--n", "6", "--c", "3/2", "--variant", "min"),
     "curve": ("curve", "--c-min", "3/2", "--c-max", "3", "--steps", "2", "--n", "100"),
     "suite": ("suite", "--only", "envelope", "--n-max", "2"),
     "suite-csv": ("suite", "--only", "envelope", "--n-max", "2", "--format", "csv"),
@@ -409,19 +423,21 @@ def _modules_after(argv) -> set[str]:
 
 # The asg.* modules each command loads beyond asg, asg.cli and asg.core.
 COMMAND_MODULES = {
-    "design": {"designs"},
-    "simulate": {"algorithms", "designs"},
-    "verify": {"algorithms", "designs"},
+    "design": {"cover", "designs"},
+    "simulate": {"algorithms", "cover", "designs"},
+    "verify": {"algorithms", "cover", "designs"},
     "reduce": {"problems"},
-    "lift": {"algorithms", "designs", "problems", "reductions"},
-    "adversary-min": {"adversary", "designs"},
-    "adversary-max": {"adversary", "designs"},
+    "lift": {"algorithms", "cover", "designs", "problems", "reductions"},
+    "adversary-min": {"adversary", "cover", "designs"},
+    "adversary-max": {"adversary", "cover", "designs"},
     "bounds": {"bounds"},
-    "brute": {"adversary", "designs"},
+    "brute": {"adversary", "cover", "designs"},
     "curve": {"bounds"},
-    "suite": {"adversary", "algorithms", "bounds", "designs", "problems", "reductions", "suite"},
+    "suite": {"adversary", "algorithms", "bounds", "cover", "designs", "problems", "reductions",
+              "suite"},
 }
 COMMAND_MODULES["suite-csv"] = COMMAND_MODULES["suite"]
+COMMAND_MODULES["brute-n7-c2"] = COMMAND_MODULES["brute-n6-c3_2"] = COMMAND_MODULES["brute"]
 
 
 @pytest.mark.parametrize("name", IMPORT_GRAPH_COMMANDS)
@@ -430,8 +446,8 @@ def test_each_command_imports_only_what_it_runs(name):
     assert {m for m in modules if m.split(".")[0] == "asg"} == {
         "asg", "asg.cli", "asg.core", *(f"asg.{m}" for m in COMMAND_MODULES[name])}
     assert ("mpmath" in modules) == (name in ("bounds", "curve", "suite", "suite-csv"))
-    # scipy loads only for a cover the bounded search leaves to HiGHS, which
-    # `brute --n 5 --c 2` is not
+    # scipy loads only for a cover the orbital search leaves to HiGHS, which
+    # no n <= 7 count at c in {5/4, 3/2, 2, 3} is
     assert "scipy" not in modules
     # csv loads only to write CSV, so only for curve and suite
     assert ("csv" in modules) == (name in ("curve", "suite-csv"))

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asg import designs
+from asg.cover import greedy_picks
 from asg.designs import (
     CoveringDesign,
     DesignProvenance,
@@ -18,7 +19,6 @@ from asg.designs import (
     design_provenance,
     exact_cover_number,
     greedy_cover,
-    greedy_picks,
     is_covering_design,
 )
 
