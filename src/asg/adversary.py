@@ -287,19 +287,18 @@ def max_no_advice_game(
     """
     if n < 0:
         raise ValueError("needs n >= 0 rounds")
-    revealed: list[str] = []
+    revealed = ""  # extended each round: a list re-joined per round costs O(n) a round
     outputs = [[] for _ in behaviors]
     pure = [True] * len(behaviors)
     for i in range(1, n + 1):
-        prefix = "".join(revealed)
-        answers = [b(i, prefix) for b in behaviors]
+        answers = [b(i, revealed) for b in behaviors]
         trip = any(p and a == 0 for p, a in zip(pure, answers))
         for j, a in enumerate(answers):
             outputs[j].append(str(a))
             if a == 0:
                 pure[j] = False
-        revealed.append("1" if trip else "0")
-    return MaxGameOutcome("".join(revealed), tuple("".join(o) for o in outputs))
+        revealed += "1" if trip else "0"
+    return MaxGameOutcome(revealed, tuple("".join(o) for o in outputs))
 
 
 def standard_max_behaviors(m: int):

@@ -98,8 +98,9 @@ def trivial_min(c) -> AdvicePair:
         p = math.ceil(n / c)
         bits = encode_int(p)
         for j in range(p):
-            # OR over the class {x_i : i = j (mod p)}, 1-based i
-            bits.append(int(any(x[i - 1] == "1" for i in range(1, n + 1) if i % p == j)))
+            # OR over the class {x_i : i = j (mod p)}, 1-based i: the 0-based
+            # positions j - 1 (mod p)
+            bits.append(int("1" in x[(j - 1) % p::p]))
         return bits
 
     def budget(n: int) -> int:

@@ -2,11 +2,10 @@
 construction, bounds.
 
 A (v, k, t) covering design is a family of k-element blocks of {1..v} such
-that every t-element subset lies inside some block.  Block order and family
-order are pinned so that two independent parties (an advice oracle and an
-algorithm) construct the identical family: blocks are sorted element tuples
-ordered lexicographically, and the exact design is the lexicographically
-first family among those of minimum size.
+that every t-element subset lies inside some block.  Two independent
+parties (an advice oracle and an algorithm) must construct the identical
+family, and every step below is deterministic, so the same (v, k, t) gives
+the same blocks in the same order; each block is a sorted element tuple.
 
 The exact design comes from one ladder of steps, cheapest first:
 
@@ -15,22 +14,19 @@ The exact design comes from one ladder of steps, cheapest first:
   the proven lower end of (v-1, k-1, t-1) from the same ladder; when the
   two meet, the size is proven without a search;
 * one depth-first search over bitmasks with the first block fixed to
-  (1..k), which any minimum family can be permuted to contain (so the
-  lex-first one starts with it): it branches on the lowest uncovered
-  t-subset, bans failed siblings and grows the size from the lower bound
-  until a cover exists;
-* the witness: the family found (or the greedy one) is turned into the
-  lex-first one position by position, keeping at each the smallest block
-  that still leaves a completion.
+  (1..k), which any minimum family can be permuted to contain: it
+  branches on the lowest uncovered t-subset, bans failed siblings and
+  grows the size from the lower bound until a cover exists.
 
-The search and the witness share one budget of SEARCH_NODES nodes, one
-per coverer tried, per (v, k, t).  If it runs out after the size is
-proven, the witness is the greedy family when that has the proven size,
-else the searched family, sorted.  If it runs out before, the size stays
-unproven: `design_for` takes the greedy family and `exact_cover_number`
-raises SearchLimitError naming the [lower, upper] bracket.  Every limit is a count, never time,
-so the oracle and the algorithm build the same design.  Results are
-cached once per (v, k, t) and budget beside a `DesignProvenance` record
+The witness is the greedy family, in pick order, when the search found
+nothing smaller (the sandwich met, or every smaller size was refuted), and
+otherwise the family the search found, its blocks sorted.  The search
+spends at most SEARCH_NODES nodes, one per coverer tried, per (v, k, t).
+If it runs out, the size stays unproven: `design_for` takes the greedy
+family and `exact_cover_number` raises SearchLimitError naming the
+[lower, upper] bracket.  Every limit is a count, never time, so the oracle
+and the algorithm build the same design.  Results are cached once per
+(v, k, t) and budget beside a `DesignProvenance` record
 (`design_provenance`); the binom(v, t) and binom(v, k) guard is a module
 constant, checked on every call, before the cache.
 """
@@ -63,7 +59,7 @@ __all__ = [
 ]
 
 DEFAULT_TSUBSET_LIMIT = 100000  # the search guard on binom(v, t) and binom(v, k)
-SEARCH_NODES = 1_000_000  # search nodes per (v, k, t), size proof and witness together
+SEARCH_NODES = 1_000_000  # search nodes per (v, k, t) for the size proof
 
 
 class SearchLimitError(RuntimeError):
@@ -92,8 +88,7 @@ class DesignProvenance(JsonRecord):
     """How the ladder settled one (v, k, t).  `method` is "trivial",
     "sandwich" or "search" when the size is proven (lower == upper), and
     "greedy" when the budget ran out first and [lower, upper] brackets it.
-    `nodes` counts the search nodes spent on this (v, k, t) alone;
-    `lex_first` says whether the design is the lex-first minimum family."""
+    `nodes` counts the search nodes spent on this (v, k, t) alone."""
 
     v: int
     k: int
@@ -102,7 +97,6 @@ class DesignProvenance(JsonRecord):
     nodes: int
     lower: int
     upper: int
-    lex_first: bool
 
     @property
     def proven(self) -> bool:
@@ -196,7 +190,7 @@ def _ladder(v: int, k: int, t: int, budget: int) -> tuple[CoveringDesign, Design
         family = tuple(blocks[:1] if t == 0 or k == v else blocks)
         size = len(family)
         return CoveringDesign(v, k, t, family), DesignProvenance(
-            v, k, t, "trivial", 0, size, size, True)
+            v, k, t, "trivial", 0, size, size)
     greedy = _greedy_cached(v, k, t)
     per_block = math.comb(k, t)
     # Each element joined with any (t-1)-subset of the rest forms a t-subset,
@@ -242,57 +236,28 @@ def _ladder(v: int, k: int, t: int, budget: int) -> tuple[CoveringDesign, Design
             banned |= bit
         return None
 
-    def completes(uncovered: int, slots: int, start: int) -> list[int] | None:
-        """At most `slots` blocks of index >= start that cover `uncovered`."""
-        if not uncovered:
-            return []
-        if uncovered.bit_count() > slots * per_block:
-            return None
-        found = search(uncovered, slots, (1 << start) - 1)
-        return None if found is None else [bit.bit_length() - 1 for bit in found]
-
-    uncovered = (1 << math.comb(v, t)) - 1
+    # block 0 = (1..k) is fixed; each size without a cover raises `lower`.
+    # The counting bound keeps what block 0 leaves within lower - 1 blocks.
+    rest = ((1 << math.comb(v, t)) - 1) & ~masks[0]
     found = None
     try:
-        # block 0 = (1..k) is fixed; each size without a cover raises `lower`
         while lower < upper:
-            rest = completes(uncovered & ~masks[0], lower - 1, 1)
-            if rest is None:
+            found = search(rest, lower - 1, 1)
+            if found is None:
                 lower += 1
             else:
-                found, upper = [0, *rest], lower
+                upper = lower
     except _BudgetSpent:
-        return greedy, DesignProvenance(v, k, t, "greedy", spent, lower, upper, False)
-    size = upper
-    if found is None:
-        index = {block: i for i, block in enumerate(blocks)}
-        family = sorted(index[block] for block in greedy.blocks)
-        fallback = greedy
-    else:
-        family = sorted(found)
-        fallback = CoveringDesign(v, k, t, tuple(blocks[i] for i in family))
-    try:
-        # Turn the minimum family into the lex-first one, position by
-        # position: before keeping family[p], try every earlier block after
-        # family[p-1] that covers something new (in a minimum family every
-        # block does) and still leaves a completion with the slots left.
-        for p in range(size):
-            for bi in range(family[p - 1] + 1 if p else 0, family[p]):
-                if uncovered & masks[bi]:
-                    rest = completes(uncovered & ~masks[bi], size - p - 1, bi + 1)
-                    if rest is not None:
-                        family[p:] = [bi, *sorted(rest)]
-                        break
-            uncovered &= ~masks[family[p]]
-    except _BudgetSpent:
-        return fallback, DesignProvenance(v, k, t, method, spent, size, size, False)
-    design = CoveringDesign(v, k, t, tuple(blocks[i] for i in family))
-    return design, DesignProvenance(v, k, t, method, spent, size, size, True)
+        return greedy, DesignProvenance(v, k, t, "greedy", spent, lower, upper)
+    # block 0's bit is 1; bits are powers of two, so sorting them sorts the blocks
+    design = greedy if found is None else CoveringDesign(
+        v, k, t, tuple(blocks[bit.bit_length() - 1] for bit in sorted([1, *found])))
+    return design, DesignProvenance(v, k, t, method, spent, upper, upper)
 
 
 def exact_cover_number(v: int, k: int, t: int) -> CoveringDesign:
-    """Minimum-size covering design, lexicographically first witness unless
-    the node budget ran out while fixing it (see the module docstring).
+    """Minimum-size covering design: the greedy family when it has the
+    proven size, else the searched one, sorted (see the module docstring).
 
     Deterministic: repeated calls return the identical family.  Raises
     SearchLimitError when binom(v, t) or binom(v, k) exceeds the guard, or
@@ -332,8 +297,9 @@ def _greedy_cached(v: int, k: int, t: int) -> CoveringDesign:
 
 def design_for(v: int, k: int, t: int) -> CoveringDesign:
     """The design both the oracle and the algorithm agree on: the exact
-    minimum when its size is proven within SEARCH_NODES search nodes, the
-    greedy construction otherwise.  Both read the same module constants and
-    every limit is a count, so they stay in sync by construction."""
+    minimum (`exact_cover_number`'s witness) when its size is proven
+    within SEARCH_NODES search nodes, the greedy construction otherwise.
+    Both read the same module constants and every limit is a count, so
+    they stay in sync by construction."""
     _guard(v, k, t)
     return _ladder(v, k, t, SEARCH_NODES)[0]

@@ -270,6 +270,9 @@ def test_exact_9_4_3_design_answers():
     blocks = tuple(tuple(b) for b in json.loads(done.stdout)["blocks"])
     assert len(blocks) == 25
     assert is_covering_design(CoveringDesign(9, 4, 3, blocks))
+    # the greedy family, which the size proof needs no node to keep
+    assert hashlib.sha256(done.stdout.encode()).hexdigest() == (
+        "347b6e00dca9d980540f2bf5eb079f5296530abbe08acb2c04b76f989c86e0a7")
 
 
 def test_covering_min_at_n_10_answers():

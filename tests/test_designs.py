@@ -24,7 +24,8 @@ from asg.designs import (
 
 
 def naive_lex_first_minimum(v, k, t):
-    """Independent oracle: scan families by size, then lex, return first cover."""
+    """Independent oracle for the minimum size: scan families by size, then
+    lex, return the first cover."""
     blocks = list(combinations(range(1, v + 1), k))
     tsubsets = [set(ts) for ts in combinations(range(1, v + 1), t)]
 
@@ -78,7 +79,8 @@ def test_exact_matches_naive_scan():
     for v, k, t in [(4, 2, 1), (4, 3, 2), (5, 3, 2), (5, 4, 2), (6, 3, 2), (5, 3, 3), (6, 4, 3)]:
         got = exact_cover_number(v, k, t)
         want = naive_lex_first_minimum(v, k, t)
-        assert got.blocks == want.blocks, (v, k, t)
+        assert got.size == want.size, (v, k, t)
+        assert is_covering_design(got), (v, k, t)
 
 
 def test_exact_determinism():
@@ -176,16 +178,16 @@ def test_exact_8_5_4_golden_blocks():
     assert d.size == 20
     assert d.blocks == (
         (1, 2, 3, 4, 5), (1, 2, 3, 4, 6), (1, 2, 3, 4, 7), (1, 2, 3, 4, 8),
-        (1, 2, 3, 5, 6), (1, 2, 3, 5, 7), (1, 2, 3, 5, 8), (1, 2, 4, 5, 6),
-        (1, 2, 4, 5, 7), (1, 2, 4, 5, 8), (1, 2, 6, 7, 8), (1, 3, 6, 7, 8),
-        (1, 4, 6, 7, 8), (1, 5, 6, 7, 8), (2, 3, 6, 7, 8), (2, 4, 6, 7, 8),
-        (2, 5, 6, 7, 8), (3, 4, 5, 6, 7), (3, 4, 5, 6, 8), (3, 4, 5, 7, 8),
+        (1, 2, 3, 5, 6), (1, 2, 3, 5, 7), (1, 2, 3, 5, 8), (1, 2, 4, 6, 7),
+        (1, 2, 5, 6, 7), (1, 2, 6, 7, 8), (1, 3, 4, 5, 8), (1, 3, 6, 7, 8),
+        (1, 4, 5, 6, 8), (1, 4, 5, 7, 8), (2, 3, 6, 7, 8), (2, 4, 5, 6, 8),
+        (2, 4, 5, 7, 8), (3, 4, 5, 6, 7), (3, 4, 6, 7, 8), (3, 5, 6, 7, 8),
     )
 
 
 def test_blocks_for_every_v_up_to_8_are_pinned():
-    # recorded before the node budget replaced the unbounded search: all 164
-    # (v, k, t) with v <= 8 keep their lex-first blocks byte for byte
+    # all 164 (v, k, t) with v <= 8 keep their witness blocks byte for byte:
+    # the greedy family when it has the proven size, else the searched one
     digest = hashlib.sha256()
     count = 0
     for v in range(1, 9):
@@ -194,7 +196,7 @@ def test_blocks_for_every_v_up_to_8_are_pinned():
                 digest.update(repr((v, k, t, exact_cover_number(v, k, t).blocks)).encode())
                 count += 1
     assert count == 164
-    assert digest.hexdigest() == "d78a1c1468442d24680d8f0a1330e4b65a5cf12273cac1c11467bbb11f2f11eb"
+    assert digest.hexdigest() == "18e2465b0f91948f0a10d07ffd50b49359af33d307d0b827582a7e8aa1e82cf9"
 
 
 def test_exact_9_3_2_golden_blocks():
@@ -215,7 +217,7 @@ def test_design_for_modes(monkeypatch):
     assert forced_greedy.blocks == greedy_cover(7, 4, 3).blocks
     assert forced_greedy.size == 14
     assert is_covering_design(forced_greedy)
-    assert design_provenance(7, 4, 3) == DesignProvenance(7, 4, 3, "greedy", 100, 11, 14, False)
+    assert design_provenance(7, 4, 3) == DesignProvenance(7, 4, 3, "greedy", 100, 11, 14)
     with pytest.raises(SearchLimitError, match=r"^the \(7,4,3\) cover number lies in \[11, 14\]: "
                                                r"not proven within 100 search nodes$"):
         exact_cover_number(7, 4, 3)
@@ -224,14 +226,17 @@ def test_design_for_modes(monkeypatch):
 
 
 def test_provenance_names_the_step_that_settled_the_size():
-    # greedy meets the degree bound ceil(9 * C(8,3,2) / 4) = ceil(99 / 4): no search
-    # needed, and the lex-first fix-up from the greedy family spends the budget
-    assert design_provenance(9, 4, 3) == DesignProvenance(
-        9, 4, 3, "sandwich", designs.SEARCH_NODES, 25, 25, False)
+    # greedy meets the degree bound ceil(9 * C(8,3,2) / 4) = ceil(99 / 4): no
+    # search needed, so no node is spent and the witness is the greedy family
+    assert design_provenance(9, 4, 3) == DesignProvenance(9, 4, 3, "sandwich", 0, 25, 25)
     assert exact_cover_number(9, 4, 3) is greedy_cover(9, 4, 3)
-    record = design_provenance(8, 5, 4)
-    assert (record.method, record.lower, record.upper, record.lex_first) == ("search", 20, 20, True)
-    assert 800_000 < record.nodes < designs.SEARCH_NODES
+    assert design_provenance(8, 5, 4) == DesignProvenance(8, 5, 4, "search", 361_052, 20, 20)
+    # a proven size spends nodes only on its proof: (10,4,2) refutes size 8
+    # and keeps the greedy 9 blocks well inside the budget
+    record = design_provenance(10, 4, 2)
+    assert (record.method, record.lower, record.upper) == ("search", 9, 9)
+    assert record.nodes < designs.SEARCH_NODES
+    assert design_for(10, 4, 2) is greedy_cover(10, 4, 2)
     record = design_provenance(10, 6, 3)
     assert (record.method, record.lower, record.upper) == ("greedy", 9, 10)
     assert record.nodes == designs.SEARCH_NODES and not record.proven
@@ -240,15 +245,24 @@ def test_provenance_names_the_step_that_settled_the_size():
     assert design_provenance(10, 8, 4).method == "sandwich"
 
 
-def test_every_design_up_to_v_8_is_proven_and_lex_first():
-    # the digest test pins these blocks; the records must agree with them
+def test_every_design_up_to_v_8_is_proven_and_follows_the_witness_rule():
+    # the digest test pins these blocks; here they must follow the rule that
+    # made them: greedy's family when it has the proven size, else the
+    # searched one with strictly increasing blocks
     for v in range(1, 9):
         for k in range(v + 1):
             for t in range(k + 1):
                 record = design_provenance(v, k, t)
-                assert record.proven and record.lex_first, (v, k, t)
+                assert record.proven, (v, k, t)
                 assert record.nodes <= designs.SEARCH_NODES
-                assert design_for(v, k, t).size == record.upper
+                design, greedy = design_for(v, k, t), greedy_cover(v, k, t)
+                assert design.size == record.upper, (v, k, t)
+                if greedy.size == record.upper:
+                    assert design.blocks == greedy.blocks, (v, k, t)
+                else:
+                    assert all(a < b for a, b in zip(design.blocks, design.blocks[1:])), (v, k, t)
+                assert is_covering_design(design), (v, k, t)
+
 
 
 def test_design_for_checks_the_parameters_first():

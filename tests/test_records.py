@@ -88,7 +88,7 @@ PINNED = {
         '"envelope_hi": 0.6666666666666666, "envelope_lo": 0.35382523028202867, '
         '"sg_bits_per_request": 0.08170416594551048}'
     ),
-    "design": '{"v": 5, "k": 3, "t": 2, "blocks": [[1, 2, 3], [1, 2, 4], [1, 2, 5], [3, 4, 5]]}',
+    "design": '{"v": 5, "k": 3, "t": 2, "blocks": [[1, 2, 3], [1, 4, 5], [2, 3, 4], [2, 3, 5]]}',
     "design-t0": '{"v": 3, "k": 3, "t": 0, "blocks": [[1, 2, 3]]}',
     "disjoint-paths": '{"length": 8, "requests": [[0, 4], [4, 6], [4, 5]]}',
     "graph": '{"n": 4, "arrivals": [[], [], [2], [2, 3]]}',

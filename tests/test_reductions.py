@@ -296,5 +296,5 @@ def test_lift_runs_are_pinned():
                 tape = "".join(map(str, lifted.oracle(x)))
                 digest.update(f"{name} {c} {x} {tape} {res.y} {res.bits}\n".encode())
     assert digest.hexdigest() == (
-        "f80513bde280aef2deaa859f62019c01f6425390bcab5fdc5355cd026de934f2"
+        "fa771eef57396b510c091578bfdd495bfefaa634a05682290ed618f327557990"
     )
