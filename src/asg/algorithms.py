@@ -47,7 +47,6 @@ from asg.core import (
     encoded_length,
     fill_count,
     one_positions,
-    scaled_weights,
     weight_ratio,
 )
 from asg.designs import design_for
@@ -266,7 +265,11 @@ class _KnapsackAlg(OnlineAlgorithm):
         self.load, self.scale = 0, 1  # the accepted weight is load / scale
 
     def answer(self, i, request):
-        num, den = weight_ratio(request)
+        # this weight alone, read as a `problems.KnapsackInstance` reads it:
+        # the common scale of all weights is future information
+        num, den = request.as_integer_ratio() if type(request) in (Fraction, int) else weight_ratio(request)
+        if not 0 <= num <= den:
+            raise ValueError(f"knapsack weight {request} is outside [0, 1]")
         if self.m == 0 or num * self.m > 2 * den:  # heavier than 2/m
             return 1
         scale = math.lcm(self.scale, den)
@@ -285,8 +288,11 @@ def knapsack_two_competitive() -> AdvicePair:
     score is the count of 0s; an overweight selection is infeasible.
     """
 
+    from asg.problems import knapsack_instance  # here, so other protocols never load problems
+
     def oracle(instance) -> list[int]:
-        return encode_int(fill_count(*scaled_weights(instance)))
+        instance = knapsack_instance(instance)
+        return encode_int(fill_count(instance.loads, instance.scale))
 
     return AdvicePair(oracle, _KnapsackAlg, lambda n: encoded_length(n))
 

@@ -40,6 +40,8 @@ BATTERY_ORDER = (
     "envelope", "trivial", "covering", "counting", "adversary", "growth", "reductions", "packing",
     "curve",
 )
+# runs one `verify` may make; it makes sum(2^n for n <= n_max) = 2^(n_max+1) - 1
+VERIFY_RUNS = 2**16 - 1
 
 
 def _protocol(name: str):
@@ -131,12 +133,14 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify(args) -> int:
     """Exhaustively re-check one protocol up to a length; exit 1 on failure."""
+    if args.n_max < 0:
+        raise ValueError("--n-max must be at least 0")
+    if args.n_max + 1 > VERIFY_RUNS.bit_length():  # 2^(n_max+1) - 1 > VERIFY_RUNS
+        raise ValueError(f"--n-max {args.n_max} makes 2^{args.n_max + 1} - 1 runs, over the limit {VERIFY_RUNS}")
     objective, factory = _protocol(args.protocol)
     variant = Variant((objective, "unknown"))
     pair = factory(args.c)
     target = args.c if args.protocol.startswith("covering") else Fraction(math.ceil(args.c))
-    if args.n_max < 0:
-        raise ValueError("--n-max must be at least 0")
     checked = 0
     witness = None
     for n in range(args.n_max + 1):

@@ -50,7 +50,6 @@ __all__ = [
     "as_ratio",
     "design_shapes",
     "weight_ratio",
-    "scaled_weights",
     "fill_count",
     "ceil_log2",
     "encode_fixed",
@@ -174,7 +173,7 @@ def dominates(x: str, y: str) -> bool:
     """True iff every 1 of x is also a 1 of y (x and y of equal length)."""
     if len(x) != len(y):
         raise ValueError("length mismatch")
-    return all(a != "1" or b == "1" for a, b in zip(x, y))
+    return not x or int(x, 2) & ~int(y, 2) == 0
 
 
 def asg_score(objective: str, x: str, y: str) -> Score:
@@ -249,20 +248,6 @@ def weight_ratio(w) -> tuple[int, int]:
     if not 0 <= num <= den:
         raise ValueError(f"knapsack weight {w} is outside [0, 1]")
     return num, den
-
-
-def scaled_weights(weights) -> tuple[list[int], int]:
-    """The weights, each read as `weight_ratio` reads it, as integer
-    numerators over the lcm of their denominators, and that lcm: a load
-    fits the unit knapsack exactly when its scaled sum is at most the lcm."""
-    # exact ints and Fractions are read inline, which saves a call per
-    # weight on the packing battery's hot path, and range-checked here
-    ratios = [w.as_integer_ratio() if type(w) in (Fraction, int) else weight_ratio(w) for w in weights]
-    for num, den in ratios:
-        if not 0 <= num <= den:
-            raise ValueError(f"knapsack weight {Fraction(num, den)} is outside [0, 1]")
-    scale = math.lcm(*[d for _, d in ratios])
-    return [n * (scale // d) for n, d in ratios], scale
 
 
 def fill_count(loads, scale: int) -> int:

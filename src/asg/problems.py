@@ -17,9 +17,10 @@ family of subpaths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache, partial
-from typing import Callable
+import math
+from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import lru_cache
 
 from asg.core import (
     MINUS_INF,
@@ -29,15 +30,15 @@ from asg.core import (
     all_bitstrings,
     check_bits,
     one_positions,
-    ones,
-    scaled_weights,
-    zeros,
+    weight_ratio,
 )
 
 __all__ = [
     "VertexArrivalGraph",
     "SetCoverInstance",
     "DisjointPathInstance",
+    "KnapsackInstance",
+    "knapsack_instance",
     "is_vertex_cover",
     "induced_has_cycle",
     "is_dominating_set",
@@ -119,6 +120,39 @@ class DisjointPathInstance(JsonRecord):
         for u, v in self.requests:
             if not (0 <= u < v <= self.length):
                 raise ValueError(f"request ({u},{v}) leaves the path")
+
+
+@dataclass(frozen=True)
+class KnapsackInstance:
+    """Unit-knapsack items in arrival order, scaled and checked once: the
+    weights as given, each read as `weight_ratio` reads it, and `loads`,
+    their integer numerators over `scale`, the lcm of their denominators.
+    Items fit exactly when their loads sum to at most the scale.  Records
+    with equal weights are equal."""
+
+    weights: tuple
+    loads: tuple = field(init=False, repr=False, compare=False)
+    scale: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # exact ints and Fractions are read inline, which saves a call per
+        # weight on the packing battery's hot path, and range-checked here
+        ratios = [w.as_integer_ratio() if type(w) in (Fraction, int) else weight_ratio(w) for w in self.weights]
+        for num, den in ratios:
+            if not 0 <= num <= den:
+                raise ValueError(f"knapsack weight {Fraction(num, den)} is outside [0, 1]")
+        scale = math.lcm(*[d for _, d in ratios])
+        object.__setattr__(self, "loads", tuple([n * (scale // d) for n, d in ratios]))
+        object.__setattr__(self, "scale", scale)
+
+    def __len__(self) -> int:
+        return len(self.weights)
+
+
+def knapsack_instance(weights) -> KnapsackInstance:
+    """The one reader of knapsack instances: a record as it is, a tuple or
+    list of weights as a new record."""
+    return weights if type(weights) is KnapsackInstance else KnapsackInstance(tuple(weights))
 
 
 # --- feasibility predicates -------------------------------------------------
@@ -213,12 +247,15 @@ class Problem:
         raise NotImplementedError
 
     def score(self, instance, y: str) -> Score:
-        return self._judge(y, self._length(instance), self.feasible, instance)
+        feasible, prepared = self._prepared(instance)
+        return self._judge(y, self._length(prepared), feasible, prepared)
 
     def _judge(self, y: str, n: int, feasible, instance) -> Score:
         """The class rule for answer y to n requests, feasibility read by
         `feasible(instance, accepted)`."""
-        _check_len(y, n)
+        check_bits(y)
+        if len(y) != n:
+            raise ValueError(f"answer length {len(y)} != {n} requests")
         accept = "1" if self.objective == "min" else "0"
         accepted = {i for i, b in enumerate(y, 1) if b == accept}
         if feasible(instance, accepted):
@@ -228,10 +265,10 @@ class Problem:
     def _length(self, instance) -> int:
         return len(self.requests(instance))
 
-    def _scorer(self, instance) -> Callable[[str], Score]:
-        """`score` on one instance; a problem overrides it to prepare the
-        instance once for all 2^n outputs of a table."""
-        return partial(self.score, instance)
+    def _prepared(self, instance):
+        """(feasible, prepared instance): a problem overrides it to prepare
+        the instance once for a score call or all 2^n outputs of a table."""
+        return self.feasible, instance
 
     def opt(self, instance) -> Score:
         return self._best(_score_table(self, instance))
@@ -243,7 +280,7 @@ class Problem:
         best = self._best(scores)
         if best in (PLUS_INF, MINUS_INF):
             return []
-        n = self._length(instance)
+        n = len(scores).bit_length() - 1
         return [y for y, s in zip(all_bitstrings(n), scores) if s == best]
 
     def _best(self, scores) -> Score:
@@ -265,17 +302,19 @@ def _score_table(problem: Problem, instance) -> tuple[Score, ...]:
 
 @lru_cache(maxsize=SCORE_TABLES)
 def _scores(problem: Problem, instance) -> tuple[Score, ...]:
-    n = problem._length(instance)
+    feasible, prepared = problem._prepared(instance)
+    n = problem._length(prepared)
     if n > BRUTE_GUARD:
         raise ValueError(f"brute force capped at {BRUTE_GUARD} requests")
-    score = problem._scorer(instance)
-    return tuple(score(y) for y in all_bitstrings(n))
-
-
-def _check_len(y: str, n: int) -> None:
-    check_bits(y)
-    if len(y) != n:
-        raise ValueError(f"answer length {len(y)} != {n} requests")
+    # output y is the mask y reads in binary, so round i is bit n - i;
+    # chosen[mask] holds the rounds of the mask's 1 bits
+    chosen = [frozenset()]
+    for i in range(n, 0, -1):
+        chosen += [s | {i} for s in chosen]
+    # accepting is answering 1 (min) or 0 (max); a mask's 0 bits are its
+    # complement's 1 bits, and the complements of masks 0, 1, ... run in reverse
+    accepted, fail = (chosen, PLUS_INF) if problem.objective == "min" else (reversed(chosen), MINUS_INF)
+    return tuple(len(s) if feasible(prepared, s) else fail for s in accepted)
 
 
 class _GraphProblem(Problem):
@@ -336,24 +375,25 @@ class DisjointPaths(Problem):
         return paths_edge_disjoint(instance.requests, accepted)
 
 
-def _fits(prepared, accepted) -> bool:
-    loads, scale = prepared
-    return sum(loads[i - 1] for i in accepted) <= scale
+def _fits(instance: KnapsackInstance, accepted) -> bool:
+    return sum(instance.loads[i - 1] for i in accepted) <= instance.scale
 
 
 class UnitKnapsack(Problem):
+    """Instances are `KnapsackInstance` records, or tuples or lists of
+    weights, which `knapsack_instance` turns into one."""
+
     name = "ks"
     objective = "max"
 
     def requests(self, instance) -> list:
-        return list(instance)
+        return list(knapsack_instance(instance).weights)
 
     def feasible(self, instance, accepted) -> bool:
-        return _fits(scaled_weights(instance), accepted)
+        return _fits(knapsack_instance(instance), accepted)
 
-    def _scorer(self, instance):
-        prepared = scaled_weights(instance)  # integer loads over one scale
-        return lambda y: self._judge(y, len(prepared[0]), _fits, prepared)
+    def _prepared(self, instance):
+        return _fits, knapsack_instance(instance)
 
 
 class EdgeMatching(Problem):
@@ -485,22 +525,22 @@ def aoc_membership_check(problem: Problem, instances) -> list[dict]:
     on this family."""
     bad = []
     for instance in instances:
-        n = problem._length(instance)
         scores = _score_table(problem, instance)
+        n = len(scores).bit_length() - 1
         best = problem._best(scores)
         if best in (PLUS_INF, MINUS_INF):
             bad.append({"instance": instance, "reason": "no feasible output"})
             continue
         # outputs as bit masks: output y is the mask at y's position
         optima = [mask for mask, s in enumerate(scores) if s == best]
-        for mask, (y, s) in enumerate(zip(all_bitstrings(n), scores)):
-            finite = s not in (PLUS_INF, MINUS_INF)
-            if finite:
-                want = ones(y) if problem.objective == "min" else zeros(y)
-                if s != want:
-                    bad.append({"instance": instance, "y": y, "reason": "score is not the bit count"})
-            # y dominates an optimum when it answers 1 wherever that one does
-            expected_feasible = any(opt & ~mask == 0 for opt in optima)
-            if expected_feasible and not finite:
-                bad.append({"instance": instance, "y": y, "reason": "dominates an optimum but infeasible"})
+        for mask, s in enumerate(scores):
+            if s in (PLUS_INF, MINUS_INF):
+                # y dominates an optimum when it answers 1 wherever that one does
+                wrong = any(opt & ~mask == 0 for opt in optima) and "dominates an optimum but infeasible"
+            else:
+                count = mask.bit_count() if problem.objective == "min" else n - mask.bit_count()
+                wrong = s != count and "score is not the bit count"
+            if wrong:
+                y = format(mask, f"0{n}b") if n else ""
+                bad.append({"instance": instance, "y": y, "reason": wrong})
     return bad

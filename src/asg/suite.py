@@ -34,7 +34,7 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 from typing import NamedTuple
@@ -85,12 +85,11 @@ from asg.core import (
     render_text,
     run_asg,
     run_online,
-    scaled_weights,
     to_plain,
     zeros,
 )
 from asg.designs import exact_cover_number
-from asg.problems import CONSTRUCTIONS, PROBLEMS, aoc_membership_check
+from asg.problems import CONSTRUCTIONS, PROBLEMS, KnapsackInstance, aoc_membership_check
 from asg.reductions import REDUCTION_VARIANT, REDUCTIONS, lift_to_asg
 
 __all__ = [
@@ -499,12 +498,13 @@ def battery_reductions(n_max: int = 8, ratios=None):
                             f"{name} covering run broke strictness", f"c={c} x={x!r}: y={y!r}"
                         )
                         inner_len, inner_read = len(tape_bits), phi.bits_read
-                    res = run_asg(variant, lifted, x)
+                    tape = lifted.oracle(x)  # the run and the length check share it
+                    res = run_asg(variant, replace(lifted, oracle=lambda _: tape), x)
                     opt = asg_opt(variant.objective, x)
                     yield None if (
                         competitive_ok(variant.objective, res.score, opt, c)
                         and res.bits - inner_read <= allowance
-                        and len(lifted.oracle(x)) - inner_len <= allowance
+                        and len(tape) - inner_len <= allowance
                     ) else (
                         f"{name} lift round trip failed",
                         f"c={c} x={x!r}: y={res.y!r} bits={res.bits} inner={inner_read}",
@@ -560,22 +560,25 @@ def battery_packing(n_exhaustive: int = 5, n_max: int = 10, match_vertices: int 
         y = run_online(pair.algorithm(), tape, problem.requests(instance))
         score = problem.score(instance, y)  # -inf when infeasible, which fails the check
         if not competitive_ok("max", score, opt, 2) or tape.bits_read > encoded_length(len(instance)):
-            return "knapsack run failed", f"weights={instance}: y={y!r} opt={opt}"
+            return "knapsack run failed", f"weights={instance.weights}: y={y!r} opt={opt}"
         if len(instance) <= 4 and problem.opt(instance) != opt:
-            return "knapsack optimum disagrees with brute force", f"weights={instance}"
+            return "knapsack optimum disagrees with brute force", f"weights={instance.weights}"
         return None
 
+    # each arrival order is scaled once, for the oracle, the score and the table
     for n in range(n_exhaustive + 1):
         for weights in product(values, repeat=n):
-            yield knapsack_run(weights, fill_count(*scaled_weights(weights)))
+            instance = KnapsackInstance(weights)
+            yield knapsack_run(instance, fill_count(instance.loads, instance.scale))
     rng = random.Random(seed)
     for n in range(n_exhaustive + 1, n_max + 1):
         for base in combinations_with_replacement(values, n):
             shuffled = list(base)
             rng.shuffle(shuffled)
-            opt = fill_count(*scaled_weights(base))  # the same for every arrival order
-            for weights in (base, tuple(reversed(base)), tuple(shuffled)):
-                yield knapsack_run(weights, opt)
+            orders = [KnapsackInstance(w) for w in (base, tuple(reversed(base)), tuple(shuffled))]
+            opt = fill_count(orders[0].loads, orders[0].scale)  # the same for every arrival order
+            for instance in orders:
+                yield knapsack_run(instance, opt)
 
     matching = PROBLEMS["om"]
     match_pair = greedy_matching()

@@ -29,10 +29,9 @@ from asg.core import (
     ones,
     run_asg,
     run_online,
-    scaled_weights,
     zeros,
 )
-from asg.problems import PROBLEMS, unique_cycle_graph
+from asg.problems import PROBLEMS, knapsack_instance, unique_cycle_graph
 
 RATIOS = [Fraction(3, 2), Fraction(2), Fraction(5, 2), Fraction(3)]
 
@@ -311,6 +310,11 @@ def _fits(weights) -> bool:
     return sum((Fraction(w) for w in weights), Fraction(0)) <= 1
 
 
+def _loads(weights):
+    instance = knapsack_instance(weights)
+    return instance.loads, instance.scale
+
+
 def _fill_count(weights) -> int:
     return max(r for r in range(len(weights) + 1) if any(_fits(s) for s in combinations(weights, r)))
 
@@ -326,14 +330,14 @@ def test_knapsack_loads_are_exact():
             assert ks.score(weights, y) == (len(taken) if _fits(taken) else MINUS_INF)
         m = _fill_count(weights)
         assert pair.oracle(weights) == encode_int(m)
-        assert fill_count(*scaled_weights(weights)) == m
+        assert fill_count(*_loads(weights)) == m
     # a load of exactly 1 fits; the floats' exact sums sit just off 1
     assert ks.score((1,), "0") == 1
     assert ks.score((Fraction(1, 3), Fraction(1, 2), Fraction(1, 6)), "000") == 3
     assert ks.score((0.1, 0.9), "00") == MINUS_INF
     assert ks.score((0.3, 0.7), "00") == 2
-    assert fill_count(*scaled_weights((0.1, 0.9))) == 1
-    assert fill_count(*scaled_weights((0.3, 0.7))) == 2
+    assert fill_count(*_loads((0.1, 0.9))) == 1
+    assert fill_count(*_loads((0.3, 0.7))) == 2
 
 
 def _two_over_m_rule(weights, m) -> str:

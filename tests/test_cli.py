@@ -1,6 +1,7 @@
 """Command-line harness: argument validation, output shapes, determinism."""
 
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -203,6 +204,8 @@ def test_adversary_missing_arguments(capsys):
         (("bounds", "--n", "-5", "--c", "2"), "the bound needs n >= 0"),
         # n/c past the largest float would print `Infinity`, which is not JSON
         (("bounds", "--n", "1" + "0" * 320, "--c", "2"), "n is too large: the bound overflows a float"),
+        (("verify", "--protocol", "covering-min", "--c", "2", "--n-max", "16"),
+         "--n-max 16 makes 2^17 - 1 runs, over the limit 65535"),
     ],
 )
 def test_bad_sizes_fail_fast_with_exit_2(capsys, argv, message):
@@ -251,6 +254,27 @@ def test_search_guard_is_a_one_line_error_with_exit_2():
     assert done.stdout == ""
     assert done.stderr.startswith("error: ") and len(done.stderr.splitlines()) == 1
     assert "Traceback" not in done.stderr
+
+
+def test_verify_bounds_its_runs_before_it_starts():
+    # 2^31 - 1 runs would take hours; the guard answers before the first
+    done = _run_module("verify", "--protocol", "trivial-min", "--c", "2", "--n-max", "30",
+                       timeout=30)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == "error: --n-max 30 makes 2^31 - 1 runs, over the limit 65535\n"
+
+
+def test_every_benchmark_verify_is_within_the_run_limit(monkeypatch):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    n_maxes = [int(c.args[c.args.index("--n-max") + 1])
+               for c in workloads.cli_commands(0) if c.kind == "verify"]
+    assert n_maxes and max(n_maxes) == 12
+    assert 2 ** (max(n_maxes) + 1) - 1 <= asg.cli.VERIFY_RUNS == 2**16 - 1
 
 
 def test_exact_design_with_too_many_blocks_fails_before_building_them():

@@ -48,6 +48,15 @@ def test_dominates_examples():
         dominates("01", "011")
 
 
+def test_dominates_agrees_with_the_per_bit_rule():
+    # the integer test against the rule it replaced, on every pair n <= 8
+    for n in range(9):
+        strings = list(all_bitstrings(n))
+        for x in strings:
+            for y in strings:
+                assert dominates(x, y) == all(a != "1" or b == "1" for a, b in zip(x, y)), (x, y)
+
+
 def test_scores():
     assert asg_score("min", "011010", "011011") == 4
     assert asg_score("min", "011010", "001111") == PLUS_INF

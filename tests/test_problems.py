@@ -14,6 +14,7 @@ from asg.core import (
     all_bitstrings,
     asg_opt,
     competitive_ok,
+    dominates,
     ones,
     run_online,
     zeros,
@@ -27,6 +28,7 @@ from asg.problems import (
     aoc_membership_check,
     halving_paths_instance,
     induced_has_cycle,
+    knapsack_instance,
     is_dominating_set,
     singleton_cover_instance,
     split_graph,
@@ -283,12 +285,13 @@ class _CountingVertexCover(type(VC)):
     def __init__(self):
         self.calls = 0
 
-    def score(self, instance, y):
+    def feasible(self, instance, accepted):
         self.calls += 1
-        return super().score(instance, y)
+        return super().feasible(instance, accepted)
 
 
 def test_one_score_table_per_instance():
+    # the table asks the feasibility predicate once per output
     vc = _CountingVertexCover()
     graph = split_graph("0110")
     assert vc.optimal_strings(graph) == VC.optimal_strings(graph)
@@ -375,3 +378,78 @@ def test_score_tables_are_pinned():
     assert digest.hexdigest() == (
         "7e50e84ce4a47341c7ef819bea76e943f0f3c6d0baef9e365e5a3c4e8e07f8b9"
     )
+
+
+def test_mask_tables_follow_the_class_rule():
+    # every entry of a table read off output masks equals the class rule's
+    # score of that output string, on every pinned instance, on list
+    # instances and on knapsack records
+    tables = list(_pinned_instances())
+    tables += [(KS, list(w)) for p, w in tables if p is KS]
+    tables += [(KS, knapsack_instance(w)) for p, w in tables if p is KS and type(w) is tuple]
+    tables += [(OM, [list(e) for e in edges]) for p, edges in tables if p is OM]
+    tables += [(p, flags) for p in (_MustTake(), _MustAvoid()) for flags in product((0, 1), repeat=4)]
+    for problem, instance in tables:
+        table = _score_table(problem, instance)
+        n = len(problem.requests(instance))
+        assert len(table) == 2**n
+        for mask, y in enumerate(all_bitstrings(n)):
+            assert table[mask] == problem.score(instance, y), (problem.name, instance, y)
+
+
+def _membership_on_strings(problem, instances):
+    """aoc_membership_check as it read every output string before the
+    table was read off masks: the reference for the violation lists."""
+    bad = []
+    for instance in instances:
+        n = len(problem.requests(instance))
+        scores = {y: problem.score(instance, y) for y in all_bitstrings(n)}
+        best = problem._best(scores.values())
+        if best in (PLUS_INF, MINUS_INF):
+            bad.append({"instance": instance, "reason": "no feasible output"})
+            continue
+        optima = [y for y, s in scores.items() if s == best]
+        for y, s in scores.items():
+            if s not in (PLUS_INF, MINUS_INF):
+                if s != (ones(y) if problem.objective == "min" else zeros(y)):
+                    bad.append({"instance": instance, "y": y, "reason": "score is not the bit count"})
+            elif any(dominates(opt, y) for opt in optima):
+                bad.append({"instance": instance, "y": y, "reason": "dominates an optimum but infeasible"})
+    return bad
+
+
+class _ExactlyTheFlags(_MustTake):
+    """Broken: accepting more than the flagged rounds is infeasible, so
+    feasibility is not closed upward."""
+
+    name = "exactly-the-flags"
+
+    def feasible(self, instance, accepted):
+        return accepted == {i for i, flag in enumerate(instance, 1) if flag}
+
+
+class _EvenlyMany(_MustAvoid):
+    """Broken: only an even number of accepted rounds is feasible, so
+    feasibility is not closed downward."""
+
+    name = "evenly-many"
+
+    def feasible(self, instance, accepted):
+        return len(accepted) % 2 == 0
+
+
+class _Never(_MustTake):
+    """Broken: no output is feasible."""
+
+    name = "never"
+
+    def feasible(self, instance, accepted):
+        return False
+
+
+@pytest.mark.parametrize("problem", [_ExactlyTheFlags(), _EvenlyMany(), _Never()], ids=lambda p: p.name)
+def test_membership_violations_match_the_string_reference(problem):
+    flags = [tuple(map(int, x)) for n in range(5) for x in all_bitstrings(n)]
+    violations = aoc_membership_check(problem, flags)
+    assert violations  # the problem is broken
+    assert violations == _membership_on_strings(problem, flags)
