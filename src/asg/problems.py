@@ -25,11 +25,13 @@ from functools import lru_cache
 from asg.core import (
     MINUS_INF,
     PLUS_INF,
+    AdviceTape,
     JsonRecord,
+    RunResult,
     Score,
-    all_bitstrings,
     check_bits,
     one_positions,
+    run_online,
     weight_ratio,
 )
 
@@ -232,7 +234,8 @@ class Problem:
     Instances are immutable values: two equal instances are the same
     instance.  `opt`, `optimal_strings` and `aoc_membership_check` all read
     one table of the scores of every output, built once per (problem,
-    instance) by `_score_table`.
+    instance) by `_score_table`.  `run` is the one place an oracle/algorithm
+    pair runs on an instance.
     """
 
     name: str = ""
@@ -270,6 +273,15 @@ class Problem:
         the instance once for a score call or all 2^n outputs of a table."""
         return self.feasible, instance
 
+    def run(self, pair, instance) -> tuple[list[int], RunResult]:
+        """Run an oracle/algorithm pair on the instance, the problem
+        counterpart of `core.run_asg`: the advice the oracle wrote, and the
+        answer, its score and the bits the algorithm read."""
+        advice = list(pair.oracle(instance))
+        tape = AdviceTape(advice)
+        y = run_online(pair.algorithm(), tape, self.requests(instance))
+        return advice, RunResult(y, self.score(instance, y), tape.bits_read)
+
     def opt(self, instance) -> Score:
         return self._best(_score_table(self, instance))
 
@@ -281,10 +293,16 @@ class Problem:
         if best in (PLUS_INF, MINUS_INF):
             return []
         n = len(scores).bit_length() - 1
-        return [y for y, s in zip(all_bitstrings(n), scores) if s == best]
+        return [_answer(mask, n) for mask, s in enumerate(scores) if s == best]
 
     def _best(self, scores) -> Score:
         return min(scores) if self.objective == "min" else max(scores)
+
+
+def _answer(mask: int, n: int) -> str:
+    """Output mask as its n-bit answer string ("" for n = 0): bit n, set and
+    then cut off, keeps the mask's leading zeros."""
+    return format(mask | 1 << n, "b")[1:]
 
 
 SCORE_TABLES = 1024  # tables kept, least recently used dropped first; each holds 2^n scores
@@ -518,11 +536,12 @@ CONSTRUCTIONS = {
 
 
 def aoc_membership_check(problem: Problem, instances) -> list[dict]:
-    """Verify the two class conditions on every given instance and every
-    output: a feasible output scores its 1s (min) or 0s (max), and any
-    output dominating some optimal output is feasible.  Returns the list
-    of violations, empty when the problem behaves like the guessing game
-    on this family."""
+    """Verify the class condition on every given instance and every
+    output: any output dominating some optimal output is feasible.  The
+    other condition, that a feasible output scores its 1s (min) or 0s
+    (max), holds by construction: the score table writes every finite
+    score as that bit count.  Returns the list of violations, empty when
+    the problem behaves like the guessing game on this family."""
     bad = []
     for instance in instances:
         scores = _score_table(problem, instance)
@@ -531,16 +550,11 @@ def aoc_membership_check(problem: Problem, instances) -> list[dict]:
         if best in (PLUS_INF, MINUS_INF):
             bad.append({"instance": instance, "reason": "no feasible output"})
             continue
-        # outputs as bit masks: output y is the mask at y's position
+        # outputs as bit masks: output y is the mask at y's position, and
+        # y dominates an optimum when it answers 1 wherever that one does
         optima = [mask for mask, s in enumerate(scores) if s == best]
         for mask, s in enumerate(scores):
-            if s in (PLUS_INF, MINUS_INF):
-                # y dominates an optimum when it answers 1 wherever that one does
-                wrong = any(opt & ~mask == 0 for opt in optima) and "dominates an optimum but infeasible"
-            else:
-                count = mask.bit_count() if problem.objective == "min" else n - mask.bit_count()
-                wrong = s != count and "score is not the bit count"
-            if wrong:
-                y = format(mask, f"0{n}b") if n else ""
-                bad.append({"instance": instance, "y": y, "reason": wrong})
+            if s in (PLUS_INF, MINUS_INF) and any(opt & ~mask == 0 for opt in optima):
+                y = _answer(mask, n)
+                bad.append({"instance": instance, "y": y, "reason": "dominates an optimum but infeasible"})
     return bad

@@ -1,17 +1,19 @@
 """Lifting problem pairs back into the guessing game.
 
 Each lift takes an oracle/algorithm pair for one of the six target
-problems and produces a pair for the matching guessing variant.  The
-lifted oracle builds the hard instance for the input string, runs the
-problem pair on it, and classifies the outcome: either every required
-round was accepted, or the run strayed in the one way a feasible output
-allows (rejecting a single required round, possibly compensated by an
-extra acceptance).  A short header - flag or case bits plus self-delimited
-round indices - records the classification ahead of the problem pair's
-own advice.  The lifted algorithm replays the problem algorithm against
-the reconstructed request sequence and patches the rounds named in the
-header, so the output dominates the input whenever the problem run was
-feasible, at the same score.
+problems and produces a pair for the matching guessing variant.  Its
+oracle has two halves: `lift_instance` builds the hard instance for the
+input string from `problems.CONSTRUCTIONS` (none when the string has
+too few 1s), and `lift_tape` classifies the problem pair's one
+`Problem.run` on it: either every required round was accepted, or the
+run strayed in the one way a feasible output allows (rejecting a single
+required round, possibly compensated by an extra acceptance).  A short
+header - flag or case bits plus self-delimited round indices - records
+the classification ahead of the problem pair's own advice, or stands
+alone for an input without an instance.  The lifted algorithm replays
+the problem algorithm against the reconstructed request sequence and
+patches the rounds named in the header, so the output dominates the
+input whenever the problem run was feasible, at the same score.
 
 Vertex cover, cycle finding, independent set, and path allocation lift
 into the known-history games: the revealed prefix is exactly what is
@@ -24,13 +26,12 @@ which the header pins down, and nothing after it matters.
 
 from __future__ import annotations
 
-from functools import partial
+from typing import Callable, NamedTuple
 
 from asg.algorithms import AdvicePair
 from asg.core import (
     MINUS_INF,
     PLUS_INF,
-    AdviceTape,
     MalformedAdviceError,
     OnlineAlgorithm,
     Variant,
@@ -40,19 +41,11 @@ from asg.core import (
     encoded_length,
     one_positions,
     ones,
-    run_online,
     zero_positions,
 )
-from asg.problems import (
-    PROBLEMS,
-    halving_paths_instance,
-    singleton_cover_instance,
-    split_graph,
-    star_domination_graph,
-    unique_cycle_graph,
-)
+from asg.problems import CONSTRUCTIONS, PROBLEMS
 
-__all__ = ["ReductionError", "REDUCTIONS", "REDUCTION_VARIANT", "lift_to_asg"]
+__all__ = ["ReductionError", "REDUCTIONS", "REDUCTION_VARIANT", "lift_instance", "lift_tape", "lift_to_asg"]
 
 
 class ReductionError(RuntimeError):
@@ -74,20 +67,13 @@ REDUCTIONS = tuple(REDUCTION_VARIANT)
 # --- oracle side -------------------------------------------------------------
 
 
-def _feasible_run(pair: AdvicePair, problem, instance):
-    """Run the problem pair on the instance; the advice it read and its
-    answer string.  An infeasible answer breaks the lift's contract."""
-    phi = list(pair.oracle(instance))
-    y = run_online(pair.algorithm(), AdviceTape(phi), problem.requests(instance))
-    if problem.score(instance, y) in (PLUS_INF, MINUS_INF):
-        raise ReductionError(f"{problem.name} pair produced an infeasible output {y!r}")
-    return phi, y
-
-
-def _case_header(to_one: list[int], to_zero: list[int]) -> list[int]:
+def _case_header(x: str, y: str) -> list[int]:
     """Case bits and indices for the lifts that patch at most one round in
-    each direction: 00 nothing to patch, 01 one round forced to 1 and one
-    to 0, 10 only the forced 1.  Code 11 stays unused."""
+    each direction, the first 1-round y rejected and the first 0-round it
+    accepted: 00 nothing to patch, 01 one round forced to 1 and one to 0,
+    10 only the forced 1.  Code 11 stays unused."""
+    to_one = [i for i in one_positions(x) if y[i - 1] == "0"]
+    to_zero = [i for i in zero_positions(x) if y[i - 1] == "1"]
     if not to_one:
         return [0, 0]
     if to_zero:
@@ -95,59 +81,32 @@ def _case_header(to_one: list[int], to_zero: list[int]) -> list[int]:
     return [1, 0] + encode_int(to_one[0])
 
 
-def _patch_tape(name: str, build, pair: AdvicePair, x: str) -> list[int]:
-    """The tape of the lifts that patch at most one round each way: run the
-    pair on build(x), then name the first 1-round it rejected and the first
-    0-round it accepted."""
-    check_bits(x)
-    phi, y = _feasible_run(pair, PROBLEMS[name], build(x))
-    to_one = [i for i in one_positions(x) if y[i - 1] == "0"]
-    to_zero = [i for i in zero_positions(x) if y[i - 1] == "1"]
-    return _case_header(to_one, to_zero) + phi
+def _top_header(x: str, y: str) -> list[int]:
+    # a cycle exists only through all of the 1-rounds, and every element
+    # outside the sweep-up set is covered only by its own request, so the
+    # cycle and singleton lifts patch nothing: they name the last 1-round
+    return [0] + encode_int(one_positions(x)[-1])
 
 
-def _cf_tape(pair: AdvicePair, x: str) -> list[int]:
-    check_bits(x)
+def _few_cycle_ones(x: str) -> list[int]:
+    # too few 1s for the cycle instance: name them outright
     support = one_positions(x)
-    if len(support) <= 2:
-        # too few 1s for the cycle instance: name them outright
-        bits = [1] + encode_int(len(support))
-        for i in support:
-            bits.extend(encode_int(i))
-        return bits
-    phi, _ = _feasible_run(pair, PROBLEMS["cf"], unique_cycle_graph(x))
-    # a cycle exists only through all of the 1-rounds, so no patching
-    return [0] + encode_int(support[-1]) + phi
+    return [1] + encode_int(len(support)) + [b for i in support for b in encode_int(i)]
 
 
-def _ds_tape(pair: AdvicePair, x: str) -> list[int]:
-    check_bits(x)
-    if ones(x) == 0:
-        return [1]
+def _star_header(x: str, y: str) -> list[int]:
     top = one_positions(x)[-1]
-    phi, y = _feasible_run(pair, PROBLEMS["ds"], star_domination_graph(x))
     if y[top - 1] == "1":
-        return [0, 0] + encode_int(top) + phi
+        return [0, 0] + encode_int(top)
     # the hub was rejected, so everything else was taken; one of the
     # taken 0-rounds pays for answering 1 at the hub
     stand_in = next(i for i in zero_positions(x) if y[i - 1] == "1")
-    return [0, 1] + encode_int(top) + encode_int(stand_in) + phi
+    return [0, 1] + encode_int(top) + encode_int(stand_in)
 
 
-def _sc_tape(pair: AdvicePair, x: str) -> list[int]:
-    check_bits(x)
-    if ones(x) == 0:
-        return [1]
-    top = one_positions(x)[-1]
-    phi, _ = _feasible_run(pair, PROBLEMS["sc"], singleton_cover_instance(x))
-    # every element outside the sweep-up set is covered only by its own
-    # request, so all 1-rounds were accepted and nothing needs patching
-    return [0] + encode_int(top) + phi
-
-
-def _dpa_tape(pair: AdvicePair, x: str) -> list[int]:
+def _halving_header(x: str, y: str) -> list[int]:
     # the replay sizes its spans by the input length, sent first
-    return encode_int(len(check_bits(x))) + _patch_tape("dpa", halving_paths_instance, pair, x)
+    return encode_int(len(x)) + _case_header(x, y)
 
 
 # --- algorithm side ----------------------------------------------------------
@@ -295,24 +254,64 @@ class _HalvingLift(_SplitLift):
 
 # --- assembly ----------------------------------------------------------------
 
+
+class _Lift(NamedTuple):
+    min_ones: int  # the fewest 1s the construction needs
+    header: Callable[[str, str], list[int]]  # from the input x and the problem answer y
+    few_ones: Callable[[str], list[int]] | None  # the whole tape below min_ones
+    replay: type  # the lifted algorithm, built around the problem algorithm
+    allowance: Callable[[int], int]  # tape bits beyond the problem advice, by input length
+
+
 _LIFTS = {
-    "vc": (partial(_patch_tape, "vc", split_graph), _SplitLift, lambda n: 2 + 2 * encoded_length(n)),
-    "cf": (
-        _cf_tape,
+    "vc": _Lift(0, _case_header, None, _SplitLift, lambda n: 2 + 2 * encoded_length(n)),
+    "cf": _Lift(
+        3,
+        _top_header,
+        _few_cycle_ones,
         _CycleLift,
         lambda n: 1 + encoded_length(min(n, 2)) + min(n, 2) * encoded_length(n),
     ),
-    "ds": (_ds_tape, _StarLift, lambda n: 2 + 2 * encoded_length(n)),
-    "sc": (_sc_tape, _SingletonLift, lambda n: 1 + encoded_length(n)),
-    "is": (partial(_patch_tape, "is", split_graph), _SplitLift, lambda n: 2 + 2 * encoded_length(n)),
-    "dpa": (_dpa_tape, _HalvingLift, lambda n: 2 + 3 * encoded_length(n)),
+    "ds": _Lift(1, _star_header, lambda x: [1], _StarLift, lambda n: 2 + 2 * encoded_length(n)),
+    "sc": _Lift(1, _top_header, lambda x: [1], _SingletonLift, lambda n: 1 + encoded_length(n)),
+    "is": _Lift(0, _case_header, None, _SplitLift, lambda n: 2 + 2 * encoded_length(n)),
+    "dpa": _Lift(0, _halving_header, None, _HalvingLift, lambda n: 2 + 3 * encoded_length(n)),
 }
+
+
+def _lift(reduction: str) -> _Lift:
+    if reduction not in _LIFTS:
+        raise ValueError(f"unknown reduction {reduction!r}")
+    return _LIFTS[reduction]
+
+
+def lift_instance(reduction: str, x: str):
+    """The hard instance the named lift runs its problem pair on for input
+    x, or None when x has fewer 1s than the construction needs."""
+    check_bits(x)
+    return CONSTRUCTIONS[reduction](x) if ones(x) >= _lift(reduction).min_ones else None
+
+
+def lift_tape(reduction: str, x: str, run) -> list[int]:
+    """The lifted tape for input x: the lift's header from x and the
+    problem answer, then the problem advice.  `run` is the `Problem.run`
+    result (advice, RunResult) on lift_instance(reduction, x), or None when
+    that is None; an infeasible answer breaks the lift's contract."""
+    lift = _lift(reduction)
+    if run is None:
+        return lift.few_ones(x)
+    advice, result = run
+    if result.score in (PLUS_INF, MINUS_INF):
+        raise ReductionError(f"{reduction} pair produced an infeasible output {result.y!r}")
+    return lift.header(x, result.y) + advice
 
 
 def lift_to_asg(problem_pair: AdvicePair, reduction: str) -> AdvicePair:
     """Turn a pair for the named problem into a pair for the matching
     guessing variant (REDUCTION_VARIANT[reduction]).
 
+    The lifted oracle builds lift_instance(reduction, x), runs the problem
+    pair on it once with `Problem.run`, and writes lift_tape from that run.
     The lifted pair inherits the problem pair's competitive quality on
     the hard-instance family and reads at most a header more: two case
     bits and up to three self-delimited values bounded by the input
@@ -320,11 +319,15 @@ def lift_to_asg(problem_pair: AdvicePair, reduction: str) -> AdvicePair:
     its own advice, and produce feasible outputs on the family;
     violations surface as ReductionError.
     """
-    if reduction not in _LIFTS:
-        raise ValueError(f"unknown reduction {reduction!r}")
-    make_tape, lift_cls, overhead = _LIFTS[reduction]
+    lift = _lift(reduction)
+    problem = PROBLEMS[reduction]
+
+    def oracle(x: str) -> list[int]:
+        instance = lift_instance(reduction, x)
+        return lift_tape(reduction, x, None if instance is None else problem.run(problem_pair, instance))
+
     return AdvicePair(
-        oracle=lambda x: make_tape(problem_pair, x),
-        algorithm=lambda: lift_cls(problem_pair.algorithm),
-        budget=lambda n: problem_pair.budget(n) + overhead(n),
+        oracle=oracle,
+        algorithm=lambda: lift.replay(problem_pair.algorithm),
+        budget=lambda n: problem_pair.budget(n) + lift.allowance(n),
     )

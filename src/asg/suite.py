@@ -71,7 +71,6 @@ from asg.bounds import (
     exp_growth_floor_sweep,
 )
 from asg.core import (
-    AdviceTape,
     JsonRecord,
     Variant,
     all_bitstrings,
@@ -84,13 +83,12 @@ from asg.core import (
     ones,
     render_text,
     run_asg,
-    run_online,
     to_plain,
     zeros,
 )
 from asg.designs import exact_cover_number
-from asg.problems import CONSTRUCTIONS, PROBLEMS, KnapsackInstance, aoc_membership_check
-from asg.reductions import REDUCTION_VARIANT, REDUCTIONS, lift_to_asg
+from asg.problems import PROBLEMS, KnapsackInstance, aoc_membership_check
+from asg.reductions import REDUCTION_VARIANT, REDUCTIONS, lift_instance, lift_tape, lift_to_asg
 
 __all__ = [
     "ExperimentConfig",
@@ -452,33 +450,21 @@ def battery_growth(n: int = 16, sweep_n_max: int = 10**4):
 REDUCTION_RATIOS = (Fraction(5, 4), Fraction(3, 2), Fraction(2))
 
 
-def _constructible(name: str, x: str) -> bool:
-    """Inputs the hard-instance construction accepts; the lift handles the
-    rest through its reserved case codes with an empty inner tape."""
-    if name in ("ds", "sc"):
-        return ones(x) >= 1
-    if name == "cf":
-        return ones(x) >= 3
-    return True
-
-
 @_battery
 def battery_reductions(n_max: int = 8, ratios=None):
     """Class membership on the constructed instances, strict competitiveness
     of the generic covering protocol, and lifted round trips within the
-    header allowance, for each of the six problem reductions."""
+    header allowance, for each of the six problem reductions.  Each pair
+    runs once per (ratio, constructed input): that one run is checked for
+    strictness and then written into the lifted tape."""
     ratios = _ratios(ratios, REDUCTION_RATIOS)
     for name in REDUCTIONS:
         problem = PROBLEMS[name]
-        build = CONSTRUCTIONS[name]
         variant = REDUCTION_VARIANT[name]
-        instances = {}
-        for n in range(1, n_max + 1):
-            for x in all_bitstrings(n):
-                if _constructible(name, x):
-                    instances[x] = build(x)
-        violations = aoc_membership_check(problem, instances.values())
-        yield _Weighted(len(instances), None if not violations else (
+        instances = {x: lift_instance(name, x) for n in range(1, n_max + 1) for x in all_bitstrings(n)}
+        built = [instance for instance in instances.values() if instance is not None]
+        violations = aoc_membership_check(problem, built)
+        yield _Weighted(len(built), None if not violations else (
             f"{name} left the covering class", str(violations[0])
         ))
         for c in ratios:
@@ -488,17 +474,15 @@ def battery_reductions(n_max: int = 8, ratios=None):
                 allowance = 2 + 3 * encoded_length(n)
                 for x in all_bitstrings(n):
                     instance = instances.get(x)
-                    inner_len = inner_read = 0
+                    run, inner_len, inner_read = None, 0, 0
                     if instance is not None:
-                        tape_bits = pair.oracle(instance)
-                        phi = AdviceTape(tape_bits)
-                        y = run_online(pair.algorithm(), phi, problem.requests(instance))
-                        score, opt = problem.score(instance, y), problem.opt(instance)
-                        yield None if competitive_ok(problem.objective, score, opt, c) else (
-                            f"{name} covering run broke strictness", f"c={c} x={x!r}: y={y!r}"
+                        run = problem.run(pair, instance)
+                        advice, inner = run
+                        yield None if competitive_ok(problem.objective, inner.score, problem.opt(instance), c) else (
+                            f"{name} covering run broke strictness", f"c={c} x={x!r}: y={inner.y!r}"
                         )
-                        inner_len, inner_read = len(tape_bits), phi.bits_read
-                    tape = lifted.oracle(x)  # the run and the length check share it
+                        inner_len, inner_read = len(advice), inner.bits
+                    tape = lift_tape(name, x, run)  # the lifted run and the length check share it
                     res = run_asg(variant, replace(lifted, oracle=lambda _: tape), x)
                     opt = asg_opt(variant.objective, x)
                     yield None if (
@@ -556,11 +540,9 @@ def battery_packing(n_exhaustive: int = 5, n_max: int = 10, match_vertices: int 
 
     def knapsack_run(instance, opt):
         """One run against the reference count opt: None, or its failure."""
-        tape = AdviceTape(pair.oracle(instance))
-        y = run_online(pair.algorithm(), tape, problem.requests(instance))
-        score = problem.score(instance, y)  # -inf when infeasible, which fails the check
-        if not competitive_ok("max", score, opt, 2) or tape.bits_read > encoded_length(len(instance)):
-            return "knapsack run failed", f"weights={instance.weights}: y={y!r} opt={opt}"
+        res = problem.run(pair, instance)[1]  # score -inf when infeasible, which fails the check
+        if not competitive_ok("max", res.score, opt, 2) or res.bits > encoded_length(len(instance)):
+            return "knapsack run failed", f"weights={instance.weights}: y={res.y!r} opt={opt}"
         if len(instance) <= 4 and problem.opt(instance) != opt:
             return "knapsack optimum disagrees with brute force", f"weights={instance.weights}"
         return None
@@ -584,8 +566,7 @@ def battery_packing(n_exhaustive: int = 5, n_max: int = 10, match_vertices: int 
     match_pair = greedy_matching()
 
     def greedy_run(instance):
-        y = run_online(match_pair.algorithm(), AdviceTape([]), matching.requests(instance))
-        return matching.score(instance, y)
+        return matching.run(match_pair, instance)[1].score
 
     edge_list, opt, fwd, rev = _matching_tables(match_vertices)
     total = 1 << len(edge_list)

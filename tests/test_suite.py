@@ -334,7 +334,7 @@ FAILURE_CASES = {
         (599, "greedy matching broke its factor", "edges=((1, 4), (2, 3))"),
     ),
     "packing-greedy-table": (
-        lambda mp: mp.setattr(asg.suite, "greedy_matching", lambda: AdvicePair(list, _Refuse, len)),
+        lambda mp: mp.setattr(asg.suite, "greedy_matching", lambda: AdvicePair(lambda _: [], _Refuse, len)),
         lambda: battery_packing(n_exhaustive=2, n_max=3, match_vertices=4),
         (652, "greedy table disagrees with the implementation", "edges=((1, 2),)"),
     ),
@@ -363,7 +363,7 @@ def test_battery_failure_paths_are_pinned(monkeypatch, case):
 
 def test_battery_packing_reports_an_infeasible_greedy_answer(monkeypatch):
     # a "greedy" that accepts every edge is infeasible on two incident edges
-    monkeypatch.setattr(asg.suite, "greedy_matching", lambda: AdvicePair(list, _Accept, len))
+    monkeypatch.setattr(asg.suite, "greedy_matching", lambda: AdvicePair(lambda _: [], _Accept, len))
     result = battery_packing(n_exhaustive=2, n_max=3, match_vertices=4)
     assert (result.passed, result.checked, result.detail, result.witness) == (
         False, 654, "greedy table disagrees with the implementation", "edges=((1, 2), (1, 3))"
@@ -377,6 +377,20 @@ def test_battery_growth_small():
 
 def test_battery_reductions_small():
     assert battery_reductions(n_max=3).passed
+
+
+def test_battery_reductions_runs_each_pair_once_per_input(monkeypatch):
+    # one covering-oracle call per (ratio, constructed input): the strictness
+    # check and the lifted tape share one run of the problem pair
+    calls = []
+
+    def counted(real, problem, c):
+        pair = real(problem, c)
+        return dataclasses.replace(pair, oracle=lambda instance: calls.append(instance) or pair.oracle(instance))
+
+    _wrap(monkeypatch, "aoc_generic", counted)
+    result = battery_reductions(n_max=3)
+    assert (result.passed, result.checked, len(calls)) == (True, 512, 195)
 
 
 def test_battery_packing_small():
