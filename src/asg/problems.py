@@ -92,6 +92,9 @@ class VertexArrivalGraph(JsonRecord):
     def adjacent(self, a: int, b: int) -> bool:
         return (min(a, b), max(a, b)) in self.edges
 
+    def __len__(self) -> int:
+        return self.n
+
     def to_json(self) -> dict:
         return {"n": self.n, "arrivals": [list(self.neighbors_before(j)) for j in range(1, self.n + 1)]}
 
@@ -110,6 +113,9 @@ class SetCoverInstance(JsonRecord):
         if union != set(self.universe):
             raise ValueError("requests must union to the universe")
 
+    def __len__(self) -> int:
+        return len(self.requests)
+
 
 @dataclass(frozen=True)
 class DisjointPathInstance(JsonRecord):
@@ -122,6 +128,9 @@ class DisjointPathInstance(JsonRecord):
         for u, v in self.requests:
             if not (0 <= u < v <= self.length):
                 raise ValueError(f"request ({u},{v}) leaves the path")
+
+    def __len__(self) -> int:
+        return len(self.requests)
 
 
 @dataclass(frozen=True)
@@ -231,11 +240,12 @@ class Problem:
     (min) or -inf (max).  Feasibility must be closed upward (min) or
     downward (max); `aoc_membership_check` verifies that on a family.
 
-    Instances are immutable values: two equal instances are the same
-    instance.  `opt`, `optimal_strings` and `aoc_membership_check` all read
-    one table of the scores of every output, built once per (problem,
-    instance) by `_score_table`.  `run` is the one place an oracle/algorithm
-    pair runs on an instance.
+    `_prepared` gives the instance as `feasible`, `score` and the score
+    table read it: hashable, and its `len()` is its number of requests.
+    Equal prepared instances share one table of the scores of every
+    output, built by `_score_table` and read by `opt`, `optimal_strings`
+    and `aoc_membership_check`.  `run` is the one place an
+    oracle/algorithm pair runs on an instance.
     """
 
     name: str = ""
@@ -246,32 +256,24 @@ class Problem:
 
     def feasible(self, instance, accepted: set[int]) -> bool:
         """Whether accepting exactly the 1-based rounds in `accepted` is a
-        feasible answer on the instance."""
+        feasible answer on the prepared instance."""
         raise NotImplementedError
 
     def score(self, instance, y: str) -> Score:
-        feasible, prepared = self._prepared(instance)
-        return self._judge(y, self._length(prepared), feasible, prepared)
-
-    def _judge(self, y: str, n: int, feasible, instance) -> Score:
-        """The class rule for answer y to n requests, feasibility read by
-        `feasible(instance, accepted)`."""
+        instance = self._prepared(instance)
         check_bits(y)
-        if len(y) != n:
-            raise ValueError(f"answer length {len(y)} != {n} requests")
+        if len(y) != len(instance):
+            raise ValueError(f"answer length {len(y)} != {len(instance)} requests")
         accept = "1" if self.objective == "min" else "0"
         accepted = {i for i, b in enumerate(y, 1) if b == accept}
-        if feasible(instance, accepted):
+        if self.feasible(instance, accepted):
             return len(accepted)
         return PLUS_INF if self.objective == "min" else MINUS_INF
 
-    def _length(self, instance) -> int:
-        return len(self.requests(instance))
-
     def _prepared(self, instance):
-        """(feasible, prepared instance): a problem overrides it to prepare
-        the instance once for a score call or all 2^n outputs of a table."""
-        return self.feasible, instance
+        """The instance as `feasible` reads it, once per score call or table;
+        a problem overrides it to make a list hashable or to scale once."""
+        return instance
 
     def run(self, pair, instance) -> tuple[list[int], RunResult]:
         """Run an oracle/algorithm pair on the instance, the problem
@@ -310,18 +312,14 @@ SCORE_TABLES = 1024  # tables kept, least recently used dropped first; each hold
 
 def _score_table(problem: Problem, instance) -> tuple[Score, ...]:
     """The scores of all 2^n outputs of the instance, in `all_bitstrings`
-    order, memoised per (problem, instance)."""
-    try:
-        hash(instance)
-    except TypeError:  # a list of weights or edges cannot key the cache
-        return _scores.__wrapped__(problem, instance)
-    return _scores(problem, instance)
+    order, memoised per (problem, prepared instance): equal instances, and
+    a list and its tuple twin, share one table."""
+    return _scores(problem, problem._prepared(instance))
 
 
 @lru_cache(maxsize=SCORE_TABLES)
 def _scores(problem: Problem, instance) -> tuple[Score, ...]:
-    feasible, prepared = problem._prepared(instance)
-    n = problem._length(prepared)
+    n = len(instance)
     if n > BRUTE_GUARD:
         raise ValueError(f"brute force capped at {BRUTE_GUARD} requests")
     # output y is the mask y reads in binary, so round i is bit n - i;
@@ -332,15 +330,13 @@ def _scores(problem: Problem, instance) -> tuple[Score, ...]:
     # accepting is answering 1 (min) or 0 (max); a mask's 0 bits are its
     # complement's 1 bits, and the complements of masks 0, 1, ... run in reverse
     accepted, fail = (chosen, PLUS_INF) if problem.objective == "min" else (reversed(chosen), MINUS_INF)
-    return tuple(len(s) if feasible(prepared, s) else fail for s in accepted)
+    feasible = problem.feasible
+    return tuple(len(s) if feasible(instance, s) else fail for s in accepted)
 
 
 class _GraphProblem(Problem):
     def requests(self, instance: VertexArrivalGraph) -> list:
         return [instance.neighbors_before(j) for j in range(1, instance.n + 1)]
-
-    def _length(self, instance: VertexArrivalGraph) -> int:
-        return instance.n
 
 
 class VertexCover(_GraphProblem):
@@ -372,9 +368,6 @@ class SetCover(Problem):
     def requests(self, instance: SetCoverInstance) -> list:
         return [tuple(sorted(r)) for r in instance.requests]
 
-    def _length(self, instance: SetCoverInstance) -> int:
-        return len(instance.requests)
-
 
 class IndependentSet(_GraphProblem):
     name = "is"
@@ -393,25 +386,19 @@ class DisjointPaths(Problem):
         return paths_edge_disjoint(instance.requests, accepted)
 
 
-def _fits(instance: KnapsackInstance, accepted) -> bool:
-    return sum(instance.loads[i - 1] for i in accepted) <= instance.scale
-
-
 class UnitKnapsack(Problem):
     """Instances are `KnapsackInstance` records, or tuples or lists of
     weights, which `knapsack_instance` turns into one."""
 
     name = "ks"
     objective = "max"
+    _prepared = staticmethod(knapsack_instance)
 
     def requests(self, instance) -> list:
         return list(knapsack_instance(instance).weights)
 
-    def feasible(self, instance, accepted) -> bool:
-        return _fits(knapsack_instance(instance), accepted)
-
-    def _prepared(self, instance):
-        return _fits, knapsack_instance(instance)
+    def feasible(self, instance: KnapsackInstance, accepted) -> bool:
+        return sum(instance.loads[i - 1] for i in accepted) <= instance.scale
 
 
 class EdgeMatching(Problem):
@@ -421,6 +408,9 @@ class EdgeMatching(Problem):
 
     def requests(self, instance) -> list:
         return [tuple(e) for e in instance]
+
+    def _prepared(self, instance) -> tuple:
+        return tuple(map(tuple, instance))
 
 
 PROBLEMS = {

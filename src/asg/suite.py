@@ -78,13 +78,13 @@ from asg.core import (
     asg_opt,
     ceil_log2,
     competitive_ok,
+    design_shapes,
     encoded_length,
     fill_count,
     ones,
     render_text,
     run_asg,
     to_plain,
-    zeros,
 )
 from asg.designs import exact_cover_number
 from asg.problems import PROBLEMS, KnapsackInstance, aoc_membership_check
@@ -302,29 +302,28 @@ def battery_covering(n_max: int = 8, ratios=None):
     c-competitiveness, index width within the exact design's ceil-log."""
     ratios = _ratios(ratios, COVERING_RATIOS)
     for c in ratios:
-        pair_min, pair_max = covering_min(c), covering_max(c)
+        pairs = (
+            ("minimization", Variant.MIN_UNKNOWN, covering_min(c)),
+            ("maximization", Variant.MAX_UNKNOWN, covering_max(c)),
+        )
         for n in range(n_max + 1):
             header = encoded_length(n) + ceil_log2(n + 1)
+            # the (k, t) design serving each optimum w; the protocol scores
+            # k (min) or n - k (max) on an interior class
+            protocols = [(label, variant, pair, design_shapes(variant.objective, c, n)) for label, variant, pair in pairs]
             for x in all_bitstrings(n):
-                t, u = ones(x), zeros(x)
-                res = run_asg(Variant.MIN_UNKNOWN, pair_min, x)
-                ok = competitive_ok("min", res.score, t, c)
-                k = math.floor(c * t)
-                if ok and 0 < k < n:
-                    width = ceil_log2(exact_cover_number(n, k, t).size)
-                    ok = res.score == k and res.bits - header <= width
-                yield None if ok else (
-                    "minimization protocol failed", f"c={c} x={x!r}: y={res.y!r} bits={res.bits}"
-                )
-                res = run_asg(Variant.MAX_UNKNOWN, pair_max, x)
-                ok = competitive_ok("max", res.score, u, c)
-                if ok and 0 < u < n:
-                    goal = math.ceil(Fraction(u) / c)
-                    width = ceil_log2(exact_cover_number(n, n - goal, n - u).size)
-                    ok = res.score == goal and res.bits - header <= width
-                yield None if ok else (
-                    "maximization protocol failed", f"c={c} x={x!r}: y={res.y!r} bits={res.bits}"
-                )
+                for label, variant, pair, shapes in protocols:
+                    res = run_asg(variant, pair, x)
+                    w = asg_opt(variant.objective, x)
+                    ok = competitive_ok(variant.objective, res.score, w, c)
+                    k, t = shapes[w]
+                    if ok and 0 < t and k < n:
+                        width = ceil_log2(exact_cover_number(n, k, t).size)
+                        target = k if variant.objective == "min" else n - k
+                        ok = res.score == target and res.bits - header <= width
+                    yield None if ok else (
+                        f"{label} protocol failed", f"c={c} x={x!r}: y={res.y!r} bits={res.bits}"
+                    )
     return f"{{checked}} runs over n <= {n_max}, ratios {_ratio_list(ratios)}"
 
 
@@ -453,10 +452,10 @@ REDUCTION_RATIOS = (Fraction(5, 4), Fraction(3, 2), Fraction(2))
 @_battery
 def battery_reductions(n_max: int = 8, ratios=None):
     """Class membership on the constructed instances, strict competitiveness
-    of the generic covering protocol, and lifted round trips within the
-    header allowance, for each of the six problem reductions.  Each pair
-    runs once per (ratio, constructed input): that one run is checked for
-    strictness and then written into the lifted tape."""
+    of the generic covering protocol, and lifted round trips within each
+    lift's own header allowance, for each of the six problem reductions.
+    Each pair runs once per (ratio, constructed input): that one run is
+    checked for strictness and then written into the lifted tape."""
     ratios = _ratios(ratios, REDUCTION_RATIOS)
     for name in REDUCTIONS:
         problem = PROBLEMS[name]
@@ -471,7 +470,7 @@ def battery_reductions(n_max: int = 8, ratios=None):
             pair = aoc_generic(problem, c)
             lifted = lift_to_asg(pair, name)
             for n in range(1, n_max + 1):
-                allowance = 2 + 3 * encoded_length(n)
+                allowance = lifted.budget(n) - pair.budget(n)  # the lift's own header allowance
                 for x in all_bitstrings(n):
                     instance = instances.get(x)
                     run, inner_len, inner_read = None, 0, 0

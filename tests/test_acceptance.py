@@ -64,7 +64,7 @@ def test_no_advice_maximizers_are_defeated_and_growth_floor_holds():
 def test_reductions_lift_round_trips_within_the_header_allowance():
     # all six reductions on every input of length <= 8: class membership,
     # strict generic-protocol runs, and lifted round trips adding at most
-    # 2 + 3 encoded_length(n) bits
+    # each lift's own header allowance, never over 2 + 3 encoded_length(n) bits
     result = battery_reductions()
     assert result.passed, result.line()
 

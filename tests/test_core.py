@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from asg.core import (
     ceil_log2,
     decode_fixed,
     decode_int,
+    design_shapes,
     dominates,
     encode_fixed,
     encode_int,
@@ -111,6 +113,20 @@ def test_as_ratio():
     assert as_ratio(Fraction(7, 3)) == Fraction(7, 3)
     with pytest.raises(TypeError):
         as_ratio(1.5)
+
+
+SHAPE_RATIOS = [Fraction(1), Fraction(21, 20), Fraction(5, 4), Fraction(3, 2), Fraction(2), Fraction(5, 2), 3, 7, 100]
+
+
+@pytest.mark.parametrize("c", SHAPE_RATIOS, ids=str)
+def test_design_shapes_follow_the_closed_forms(c):
+    # entry w is the (k, t) design of the inputs with optimum w: k = min(floor(c w), n)
+    # and t = w for min, k = n - ceil(w / c) and t = n - w for max
+    for n in range(13):
+        assert design_shapes("min", c, n) == tuple((min(math.floor(c * w), n), w) for w in range(n + 1))
+        assert design_shapes("max", c, n) == tuple((n - math.ceil(Fraction(w) / c), n - w) for w in range(n + 1))
+    with pytest.raises(ValueError, match="unknown objective"):
+        design_shapes("mid", c, 3)
 
 
 @pytest.mark.parametrize(

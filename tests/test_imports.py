@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used there or exported."""
+"""Every name a module of the package imports is used there or exported,
+and every private module-level definition is read somewhere in it."""
 
 import ast
 from pathlib import Path
@@ -49,3 +50,62 @@ def test_unused_imports_are_caught():
         "    x: int\n"
     )
     assert unused_imports(source) == ["field (line 1)", "os (line 3)", "to_plain (line 2)"]
+
+
+def private_definitions(source: str) -> set[str]:
+    """Module-level _names a module defines: functions, classes and
+    constants assigned to a plain name."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def names_read(source: str) -> set[str]:
+    """Every name a module loads, reads as an attribute or imports."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def unread_private_definitions(sources: dict[str, str]) -> list[str]:
+    """Private module-level definitions that no module of `sources` reads."""
+    read = set().union(*map(names_read, sources.values()))
+    return sorted(
+        f"{module}: {name}" for module, source in sources.items() for name in private_definitions(source) - read
+    )
+
+
+def test_every_private_definition_is_read():
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert unread_private_definitions(sources) == []
+
+
+def test_unread_private_definitions_are_caught():
+    sources = {
+        "a.py": (
+            "_LIMIT = 3\n"
+            "_UNUSED: int = 4\n"
+            "_ATTR = 5\n"
+            "__all__ = ['public']\n"
+            "def _helper():\n"
+            "    return _LIMIT\n"
+            "class _Gone:\n"
+            "    _field = 1\n"
+            "def public():\n"
+            "    _local = 2\n"
+            "    return _local\n"
+        ),
+        "b.py": "import a\nfrom a import _helper\nx = a._ATTR\n",
+    }
+    assert unread_private_definitions(sources) == ["a.py: _Gone", "a.py: _UNUSED"]

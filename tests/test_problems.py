@@ -270,7 +270,7 @@ def test_constructions_registry():
 
 
 def test_list_instances_keep_working():
-    # lists cannot key the score-table cache; they are scored afresh
+    # lists key the score-table cache in their prepared (hashable) form
     weights = [Fraction(1, 2), Fraction(1, 2), Fraction(3, 4)]
     assert KS.opt(weights) == 2
     assert KS.optimal_strings(weights) == ["001"]
@@ -281,13 +281,18 @@ def test_list_instances_keep_working():
     assert aoc_membership_check(OM, [edges, [[1, 2]]]) == []
 
 
-class _CountingVertexCover(type(VC)):
-    def __init__(self):
-        self.calls = 0
+class _CountingFeasible:
+    """Mixed into a problem class: counts its feasibility calls."""
+
+    calls = 0
 
     def feasible(self, instance, accepted):
         self.calls += 1
         return super().feasible(instance, accepted)
+
+
+class _CountingVertexCover(_CountingFeasible, type(VC)):
+    pass
 
 
 def test_one_score_table_per_instance():
@@ -301,6 +306,33 @@ def test_one_score_table_per_instance():
     # an equal instance built anew reads the same table
     assert vc.opt(split_graph("0110")) == 2
     assert vc.calls == 2**4
+
+
+class _CountingMatching(_CountingFeasible, type(OM)):
+    pass
+
+
+class _CountingKnapsack(_CountingFeasible, type(KS)):
+    pass
+
+
+HALVES = (Fraction(1, 2), Fraction(1, 2), Fraction(3, 4))
+
+
+@pytest.mark.parametrize("problem, twins", [
+    (_CountingMatching(), [((1, 2), (2, 3), (3, 4)), [[1, 2], [2, 3], [3, 4]], [(1, 2), (2, 3), (3, 4)]]),
+    (_CountingKnapsack(), [HALVES, list(HALVES), knapsack_instance(HALVES)]),
+], ids=["om", "ks"])
+def test_a_list_instance_reads_its_tuple_twins_table(problem, twins):
+    # a list is cached under its prepared form, so it shares the table of
+    # the equal tuple instead of asking the predicate 2^n times again
+    best = problem.optimal_strings(twins[0])
+    assert problem.calls == 2**3
+    for twin in twins[1:]:
+        assert problem.optimal_strings(twin) == best
+        assert problem.opt(twin) == 2
+        assert aoc_membership_check(problem, [twin]) == []
+    assert problem.calls == 2**3
 
 
 class _MustTake(Problem):

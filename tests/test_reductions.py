@@ -101,7 +101,8 @@ def test_header_stays_within_the_logarithmic_allowance(name):
     pair = aoc_generic(problem, Fraction(3, 2))
     lifted = lift_to_asg(pair, name)
     for n in range(0, 7):
-        allowance = 2 + 3 * encoded_length(n)
+        allowance = lifted.budget(n) - pair.budget(n)  # this lift's own header allowance
+        assert allowance <= 2 + 3 * encoded_length(n)  # two case bits and three indices at most
         for x in all_bitstrings(n):
             written = lifted.oracle(x)
             degenerate = (name in ("ds", "sc") and ones(x) == 0) or (

@@ -14,7 +14,7 @@ import asg.suite
 from asg.adversary import max_no_advice_game, standard_max_behaviors
 from asg.algorithms import AdvicePair
 from asg.bounds import CURVE_COLUMNS, curve_point, emit_curve, render_curve
-from asg.core import MINUS_INF, PLUS_INF, OnlineAlgorithm, Variant, ones
+from asg.core import MINUS_INF, PLUS_INF, OnlineAlgorithm, Variant, encoded_length, ones
 from asg.problems import EdgeMatching, UnitKnapsack
 from asg.suite import (
     BATTERY_ORDER,
@@ -305,6 +305,14 @@ FAILURE_CASES = {
         lambda mp: _wrap(mp, "competitive_ok", _nth_call_fails(8)),
         lambda: battery_reductions(n_max=3),
         (22, "vc lift round trip failed", "c=5/4 x='01': y='01' bits=14 inner=7"),
+    ),
+    "reductions-allowance": (
+        # an sc tape one encoded length too long stays within dpa's allowance
+        lambda mp: _wrap(mp, "lift_tape", lambda real, name, x, run: (
+            real(name, x, run) + [0] * encoded_length(len(x)) * (name == "sc")
+        )),
+        lambda: battery_reductions(n_max=3),
+        (244, "sc lift round trip failed", "c=5/4 x='1': y='1' bits=8 inner=4"),
     ),
     "packing-knapsack": (
         lambda mp: _wrap(mp, "fill_count", lambda real, loads, scale: (
