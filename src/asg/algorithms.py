@@ -90,11 +90,12 @@ def trivial_min(c) -> AdvicePair:
     c = as_ratio(c)
     if c < 1:
         raise ValueError("needs c >= 1")
+    num, den = c.numerator, c.denominator  # ceil(n / c) is -(-n den // num)
 
     def oracle(x: str) -> list[int]:
         check_bits(x)
         n = len(x)
-        p = math.ceil(n / c)
+        p = -(-n * den // num)
         bits = encode_int(p)
         for j in range(p):
             # OR over the class {x_i : i = j (mod p)}, 1-based i: the 0-based
@@ -103,7 +104,7 @@ def trivial_min(c) -> AdvicePair:
         return bits
 
     def budget(n: int) -> int:
-        p = math.ceil(n / c)
+        p = -(-n * den // num)
         return p + encoded_length(p)
 
     return AdvicePair(oracle, _ResidueClassAlg, budget)
@@ -128,11 +129,12 @@ def trivial_max(c) -> AdvicePair:
     c = as_ratio(c)
     if c < 1:
         raise ValueError("needs c >= 1")
+    num, den = c.numerator, c.denominator  # ceil(n / c) is -(-n den // num)
 
     def blocks_of(n: int) -> list[tuple[int, int]]:
         if n == 0:
             return []
-        width = math.ceil(n / c)
+        width = -(-n * den // num)
         return [(lo, min(lo + width - 1, n)) for lo in range(1, n + 1, width)]
 
     def oracle(x: str) -> list[int]:
@@ -148,7 +150,7 @@ def trivial_max(c) -> AdvicePair:
         return bits
 
     def budget(n: int) -> int:
-        return math.ceil(n / c) + 2 * encoded_length(n) if n else 2 * encoded_length(1)
+        return -(-n * den // num) + 2 * encoded_length(n) if n else 2 * encoded_length(1)
 
     return AdvicePair(oracle, _BlockCopyAlg, budget)
 

@@ -131,13 +131,9 @@ class Variant(enum.Enum):
     MAX_UNKNOWN = ("max", "unknown")
     MAX_KNOWN = ("max", "known")
 
-    @property
-    def objective(self) -> str:
-        return self.value[0]
-
-    @property
-    def history(self) -> str:
-        return self.value[1]
+    def __init__(self, objective: str, history: str):
+        self.objective = objective
+        self.history = history
 
 
 def check_bits(x: str) -> str:
@@ -271,26 +267,32 @@ class AdviceTape:
 
     The tape is conceptually infinite: positions past the written prefix
     read as 0.  bits_read is the number of bits read, the advice cost of a
-    run; with no seek it is also the furthest position reached.
+    run; with no seek it is also the furthest position reached.  The bits
+    are held as bytes, so a block or a field is read with one slice.
     """
 
     def __init__(self, written: Iterable[int] = ()):
-        self._written = [self._checked(b) for b in written]
+        written = list(written)
+        try:
+            bad = not set(written) <= {0, 1}
+        except TypeError:  # an unhashable element is no bit either
+            bad = True
+        if bad:
+            b = next(b for b in written if b not in (0, 1))
+            raise ValueError(f"tape bits must be 0 or 1, got {b!r}")
+        self._written = bytes(map(int, written))
         self._cursor = 0
 
-    @staticmethod
-    def _checked(b) -> int:
-        if b not in (0, 1):
-            raise ValueError(f"tape bits must be 0 or 1, got {b!r}")
-        return int(b)
-
     def read_bit(self) -> int:
-        b = self._written[self._cursor] if self._cursor < len(self._written) else 0
-        self._cursor += 1
-        return b
+        i = self._cursor
+        self._cursor = i + 1
+        return self._written[i] if i < len(self._written) else 0
 
     def read(self, k: int) -> list[int]:
-        return [self.read_bit() for _ in range(k)]
+        i = self._cursor
+        self._cursor = i + max(k, 0)
+        block = list(self._written[i : i + k])
+        return block + [0] * (k - len(block))
 
     @property
     def bits_read(self) -> int:
@@ -311,12 +313,16 @@ def encode_fixed(value: int, width: int) -> list[int]:
     return [(value >> shift) & 1 for shift in range(width - 1, -1, -1)]
 
 
-def decode_fixed(source, width: int) -> int:
-    """Inverse of encode_fixed, reading width bits from an advice tape."""
-    value = 0
-    for _ in range(width):
-        value = (value << 1) | source.read_bit()
-    return value
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def decode_fixed(tape: AdviceTape, width: int) -> int:
+    """Inverse of encode_fixed, reading width >= 0 bits from an advice tape:
+    one slice, and the bits past the written end as 0s."""
+    i = tape._cursor
+    tape._cursor = i + width
+    field = tape._written[i : i + width]
+    return int(field.translate(_DIGITS) or b"0", 2) << (width - len(field))
 
 
 def encode_int(m: int) -> list[int]:
@@ -335,12 +341,14 @@ def encoded_length(m: int) -> int:
     return 2 * m.bit_length() + 1
 
 
-def decode_int(source) -> int:
+def decode_int(tape: AdviceTape) -> int:
     """Inverse of encode_int, reading from an advice tape."""
-    k = 0
-    while source.read_bit() == 1:
-        k += 1
-    return decode_fixed(source, k)
+    i = tape._cursor
+    stop = tape._written.find(0, i)
+    if stop < 0:  # no 0 written from i on: the zero extension ends the run
+        stop = max(i, len(tape._written))
+    tape._cursor = stop + 1
+    return decode_fixed(tape, stop - i)
 
 
 class OnlineAlgorithm:
@@ -393,11 +401,13 @@ def run_asg(variant: Variant, pair, x: str) -> RunResult:
     return RunResult(y, asg_score(variant.objective, x, y), tape.bits_read)
 
 
-def competitive_ok(objective: str, alg_score: Score, opt_score: Score, c: Fraction) -> bool:
-    """Strict c-competitiveness on one instance: ALG <= c OPT (min), OPT <= c ALG (max)."""
+def competitive_ok(objective: str, alg_score: Score, opt_score: Score, c: Fraction | int) -> bool:
+    """Strict c-competitiveness on one instance: ALG <= c OPT (min), OPT <= c ALG
+    (max), in integers with c = p/q: ALG q <= p OPT, OPT q <= p ALG."""
+    p, q = c.numerator, c.denominator
     if objective == "min":
-        return alg_score <= c * opt_score
+        return alg_score * q <= p * opt_score
     if objective == "max":
-        return opt_score <= c * alg_score
+        return opt_score * q <= p * alg_score
     raise ValueError(f"unknown objective: {objective!r}")
 

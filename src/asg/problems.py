@@ -493,6 +493,9 @@ def singleton_cover_instance(x: str) -> SetCoverInstance:
     return SetCoverInstance(tuple(range(1, n + 1)), tuple(requests))
 
 
+HALVING_PATHS_LIMIT = 30  # longest x built: the path has 2^n edges
+
+
 def halving_paths_instance(x: str) -> DisjointPathInstance:
     """Subpaths of halving lengths on a path with 2^n edges: request i has
     length 2^(n-i) and starts where request i-1 started (x_{i-1} = 1) or
@@ -500,8 +503,8 @@ def halving_paths_instance(x: str) -> DisjointPathInstance:
     request; one at a 0-position overlaps none of them."""
     check_bits(x)
     n = len(x)
-    if n > 30:  # the path has 2^n edges
-        raise ValueError(f"length {n} exceeds the construction guard 30")
+    if n > HALVING_PATHS_LIMIT:
+        raise ValueError(f"length {n} exceeds the construction guard {HALVING_PATHS_LIMIT}")
     if n == 0:
         return DisjointPathInstance(1, ())
     u, requests = 0, []

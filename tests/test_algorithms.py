@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import random
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -45,6 +46,24 @@ def test_trivial_min_worked_example():
     assert out.y == "011011"
     assert out.score == 4
     assert out.bits == 8 == pair.budget(6)
+
+
+@pytest.mark.parametrize("c", [Fraction(1), Fraction(5, 4), Fraction(3, 2), Fraction(2), Fraction(7, 3), Fraction(3)], ids=str)
+def test_trivial_protocols_keep_the_ceiling_of_n_over_c(c):
+    # the integer ceiling against the Fraction one it replaced: budgets and
+    # oracle bits of both trivial protocols, one random x per n
+    rng = random.Random(str(c))
+    tmin, tmax = trivial_min(c), trivial_max(c)
+    for n in range(301):
+        p = math.ceil(n / c)
+        x = "".join(rng.choice("01") for _ in range(n))
+        assert tmin.budget(n) == p + encoded_length(p)
+        assert tmin.oracle(x) == encode_int(p) + [int("1" in x[(j - 1) % p :: p]) for j in range(p)]
+        assert tmax.budget(n) == (p + 2 * encoded_length(n) if n else 2 * encoded_length(1))
+        if n:
+            blocks = [(lo, min(lo + p - 1, n)) for lo in range(1, n + 1, p)]
+            lo, hi = max(blocks, key=lambda b: x.count("0", b[0] - 1, b[1]))
+            assert tmax.oracle(x) == encode_int(lo) + encode_int(hi) + [int(ch) for ch in x[lo - 1 : hi]]
 
 
 def test_trivial_min_exhaustive():

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asg import core
@@ -145,8 +145,70 @@ def test_tape_semantics():
     assert tape.bits_read == 2
     assert tape.read(3) == [1, 0, 0]  # past the written prefix: zeros
     assert tape.bits_read == 5
-    with pytest.raises(ValueError):
-        AdviceTape([2])
+    assert AdviceTape([True, False]).read(2) == [1, 0]
+    for written, bad in (([2], 2), (["1"], "1"), ([None], None), ([[1]], [1]), ([0, 1, 0.5], 0.5)):
+        with pytest.raises(ValueError) as info:
+            AdviceTape(written)
+        assert str(info.value) == f"tape bits must be 0 or 1, got {bad!r}"  # the first bad bit
+
+
+class _PerBitTape:
+    """The reference tape: one bit per read, zeros past the written end."""
+
+    def __init__(self, written):
+        self.written = list(written)
+        self.bits_read = 0
+
+    def read_bit(self):
+        b = self.written[self.bits_read] if self.bits_read < len(self.written) else 0
+        self.bits_read += 1
+        return b
+
+    def read(self, k):
+        return [self.read_bit() for _ in range(k)]
+
+    def decode_fixed(self, width):
+        value = 0
+        for _ in range(width):
+            value = value << 1 | self.read_bit()
+        return value
+
+    def decode_int(self):
+        k = 0
+        while self.read_bit():
+            k += 1
+        return self.decode_fixed(k)
+
+
+_TAPE_OPS = st.one_of(
+    st.tuples(st.just("read_bit"), st.just(0)),
+    st.tuples(st.just("read"), st.integers(0, 70)),
+    st.tuples(st.just("decode_fixed"), st.integers(0, 70)),
+    st.tuples(st.just("decode_int"), st.just(0)),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 1), max_size=40), st.lists(_TAPE_OPS, max_size=24))
+def test_byte_tape_reads_as_the_per_bit_tape(written, ops):
+    # every read, including codewords cut by the written end and reads far
+    # past it, gives the per-bit values and the per-bit bits_read
+    tape, ref = AdviceTape(written), _PerBitTape(written)
+    real_ops = {
+        "read_bit": lambda _: tape.read_bit(),
+        "read": tape.read,
+        "decode_fixed": lambda w: decode_fixed(tape, w),
+        "decode_int": lambda _: decode_int(tape),
+    }
+    ref_ops = {
+        "read_bit": lambda _: ref.read_bit(),
+        "read": ref.read,
+        "decode_fixed": ref.decode_fixed,
+        "decode_int": lambda _: ref.decode_int(),
+    }
+    for op, arg in ops:
+        assert real_ops[op](arg) == ref_ops[op](arg), (op, arg)
+        assert tape.bits_read == ref.bits_read, (op, arg)
 
 
 def test_ceil_log2():
@@ -267,6 +329,26 @@ def test_infeasible_output_fails_any_finite_ratio():
     assert core.competitive_ok("min", 4, 2, Fraction(2))
     assert not core.competitive_ok("min", 5, 2, Fraction(2))
     assert core.competitive_ok("max", 2, 4, Fraction(2))
+
+
+SCORES = [MINUS_INF, *range(13), PLUS_INF]
+
+
+@pytest.mark.parametrize("c", [Fraction(1), Fraction(5, 4), Fraction(3, 2), Fraction(2), Fraction(7, 3), Fraction(3), 2], ids=repr)
+def test_competitive_ok_in_integers_agrees_with_the_fraction_form(c):
+    for alg in SCORES:
+        for opt in SCORES:
+            assert core.competitive_ok("min", alg, opt, c) == (alg <= c * opt), (alg, opt)
+            assert core.competitive_ok("max", alg, opt, c) == (opt <= c * alg), (alg, opt)
+
+
+def test_variant_fields_and_lookup():
+    v = Variant(("max", "known"))
+    assert v is Variant.MAX_KNOWN
+    assert (v.objective, v.history) == ("max", "known") == v.value
+    for member in Variant:
+        assert Variant(member.value) is member
+        assert member.value == (member.objective, member.history)
 
 
 def test_empty_input_has_no_rounds_in_either_history_model():

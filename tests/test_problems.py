@@ -21,6 +21,7 @@ from asg.core import (
 )
 from asg.problems import (
     CONSTRUCTIONS,
+    HALVING_PATHS_LIMIT,
     PROBLEMS,
     Problem,
     VertexArrivalGraph,
@@ -143,8 +144,11 @@ def test_halving_paths_worked_examples():
     assert halving_paths_instance("010").requests == ((0, 4), (4, 6), (4, 5))
     assert halving_paths_instance("010").length == 8
     assert halving_paths_instance("00").requests == ((0, 2), (2, 3))
-    with pytest.raises(ValueError):
-        halving_paths_instance("0" * 31)
+    # only the refusing side: x at the limit itself builds a path of 2^30 edges
+    n = HALVING_PATHS_LIMIT + 1
+    with pytest.raises(ValueError) as info:
+        halving_paths_instance("0" * n)
+    assert str(info.value) == f"length {n} exceeds the construction guard {HALVING_PATHS_LIMIT}"
 
 
 def test_halving_paths_overlap_structure():
