@@ -13,9 +13,10 @@ binom(n,t)/binom(floor(c t), t) over weights t (minimization form) and by
 binom(n,u)/binom(n - ceil(u/c), n - u) over zero counts u (maximization
 form).
 
-All binomials are exact big integers; logs are applied last at PRECISION
-bits (>= 64 fractional bits for every magnitude used here).  Ratios are
-exact rationals; floats are rejected at the API boundary.
+Sweeps decide in floats from one log-factorial table and take exact
+big-integer binomials, with logs at PRECISION bits, only where a value
+sits within the table's proven error (_float_margin) of its threshold.
+Ratios are exact rationals; floats are rejected at the API boundary.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ __all__ = [
 
 PRECISION = 128  # working precision in bits for every mpmath computation
 QUOTIENT_TOL = 1e-9  # absolute slack allowed on each side of a quotient window
+_LN2 = math.log(2)
 
 
 def _mpf(value) -> mpmath.mpf:
@@ -158,15 +160,20 @@ def _log_factorials(n: int) -> list[float]:
     return lg
 
 
-def _log_max_quotient(objective: str, n: int, c: Fraction) -> tuple[mpmath.mpf, int]:
-    """max over the weights w with k < n of log2(binom(n,w)/binom(k,t)), for
-    the (k, t) that core.design_shapes assigns to w, and its first maximizer.
+def _float_margin(n: int) -> float:
+    """Bits by which a float log2 quotient of up to six table entries <= n, or a
+    window edge below ln(n!), may miss its exact value.  Entry i is i - 1
+    rounded logs and additions, so within 2 i ulp(entry i) nats of ln(i!);
+    six are 17.3 n ulp(ln n!) bits, the last roundings stay under 20 n ulp."""
+    return max(1e-6, 20 * n * math.ulp(_log_factorials(n)[n]))
 
-    A float sweep (log-factorials) locates candidate maximizers; among the
-    candidates within a safety margin, exact integer cross-products pick the
-    largest quotient, ties to the smallest w, and only its log is taken at
-    working precision.
-    """
+
+def _quotient_peak(objective: str, n: int, c: Fraction) -> tuple[float, int, int, int]:
+    """(peak, w, k, t): the float maximum over the weights w with k < n of
+    log2(binom(n,w)/binom(k,t)), for the (k, t) that core.design_shapes
+    assigns to w, and the first w with the largest exact quotient.  Every
+    exact maximizer is within 2 _float_margin(n) bits of the peak in floats,
+    and exact integer cross-products pick among those candidates."""
     if c <= 1:
         raise ValueError("needs c > 1")
     # design_shapes' (k, t) for each weight w, inline, over the w with k < n
@@ -176,27 +183,32 @@ def _log_max_quotient(objective: str, n: int, c: Fraction) -> tuple[mpmath.mpf, 
         ks = [p * w // q for w in ws]
         ts = ws
     else:
+        if n < 2:
+            raise ValueError("needs n >= 2")
         ws = range(1, n + 1)  # n - ceil(w / c) < n
         ks = [n + (-w * q) // p for w in ws]
         ts = [n - w for w in ws]
     lg = _log_factorials(n)
-    ln2 = math.log(2)
-    approx = [
-        (lg[n] - lg[w] - lg[n - w]) / ln2 - (lg[k] - lg[t] - lg[k - t]) / ln2
-        for w, k, t in zip(ws, ks, ts)
-    ]
+    # t is w or n - w, so binom(n,w)/binom(k,t) = n! (k-t)! / ((n-t)! k!); in nats, less ln n!
+    approx = [lg[k - t] - lg[k] - lg[n - t] for k, t in zip(ks, ts)]
     if not approx:
         raise ValueError(f"no weight t has floor(c t) < n for n={n}, c={c}")
     peak = max(approx)
+    floor = peak - 2 * _LN2 * _float_margin(n)
     best = None
     for i, a in enumerate(approx):  # ascending w, so only a strictly larger quotient moves best
-        if a >= peak - 1e-6 and (
+        if a >= floor and (
             best is None
             or math.comb(n, ws[i]) * math.comb(ks[best], ts[best])
             > math.comb(n, ws[best]) * math.comb(ks[i], ts[i])
         ):
             best = i
-    w, k, t = ws[best], ks[best], ts[best]
+    return (lg[n] + peak) / _LN2, ws[best], ks[best], ts[best]
+
+
+def _log_max_quotient(objective: str, n: int, c: Fraction) -> tuple[mpmath.mpf, int]:
+    """The largest quotient's log2 at working precision, and its first maximizer."""
+    _, w, k, t = _quotient_peak(objective, n, c)
     with mpmath.workprec(PRECISION):
         return log2_binom(n, w) - log2_binom(k, t), w
 
@@ -209,54 +221,60 @@ def log_max_weight_quotient(n: int, c) -> tuple[mpmath.mpf, int]:
 def log_max_cozero_quotient(n: int, c) -> tuple[mpmath.mpf, int]:
     """max over 0 < u < n of log2(binom(n,u)/binom(n - ceil(u/c), n - u));
     the sweep also admits u = n, whose quotient 1 never beats u = 1's n."""
-    c = as_ratio(c)
-    if n < 2 and c > 1:  # the sweep refuses c <= 1 first
-        raise ValueError("needs n >= 2")
-    return _log_max_quotient("max", n, c)
+    return _log_max_quotient("max", n, as_ratio(c))
 
 
 @dataclass(frozen=True)
 class QuotientApproxReport:
+    """log_max_quotient and bound_bits are taken at working precision when read."""
+
     n: int
     c: Fraction
-    log_max_quotient: float
     argmax: int
-    bound_bits: float
+    shape: tuple[int, int]  # (k, t): the quotient is binom(n, argmax) / binom(k, t)
     lower_slack: float
     upper_slack: float
     lower_ok: bool
     upper_ok: bool
 
     @property
+    def log_max_quotient(self) -> float:
+        with mpmath.workprec(PRECISION):
+            return float(log2_binom(self.n, self.argmax) - log2_binom(*self.shape))
+
+    @property
+    def bound_bits(self) -> float:
+        return float(advice_bound(self.n, self.c))
+
+    @property
     def ok(self) -> bool:
         return self.lower_ok and self.upper_ok
 
 
-def _check_quotient_approx(n: int, c, quotient, slacks) -> QuotientApproxReport:
-    """One quotient form's (value, argmax) against B(n,c), given the form's
-    (lower, upper) additive slack pair."""
-    value, argmax = quotient
-    slack_lo, slack_hi = slacks
-    c = as_ratio(c)
-    with mpmath.workprec(PRECISION):
-        b = advice_bound(n, c)
-        lower_ok = bool(value >= b - slack_lo - QUOTIENT_TOL)
-        upper_ok = bool(value <= b + slack_hi + QUOTIENT_TOL)
-    return QuotientApproxReport(
-        n, c, float(value), argmax, float(b), float(slack_lo), float(slack_hi), lower_ok, upper_ok
-    )
+def _check_quotient_approx(objective, n, c, slack_lo, slack_hi) -> QuotientApproxReport:
+    """One quotient form's maximum against [B - slack_lo, B + slack_hi] around
+    B(n,c), each edge widened by QUOTIENT_TOL: in floats when the peak is more
+    than _float_margin(n) from both edges, else at working precision."""
+    value, w, k, t = _quotient_peak(objective, n, c)
+    b = n * float(_bound_rate(c))
+    lo, hi = b - slack_lo - QUOTIENT_TOL, b + slack_hi + QUOTIENT_TOL
+    if min(abs(value - lo), abs(hi - value)) <= _float_margin(n):
+        with mpmath.workprec(PRECISION):
+            value, b = log2_binom(n, w) - log2_binom(k, t), advice_bound(n, c)
+            lo, hi = b - slack_lo - QUOTIENT_TOL, b + slack_hi + QUOTIENT_TOL
+    return QuotientApproxReport(n, c, w, (k, t), slack_lo, slack_hi, value >= lo, value <= hi)
 
 
 def check_min_quotient_approx(n: int, c) -> QuotientApproxReport:
     """The minimization-form quotient tracks B(n,c) within the stated slacks:
     B - 2 log(n+1) - 5 <= log max quotient <= B + 3 log(n+1)."""
-    return _check_quotient_approx(n, c, log_max_weight_quotient(n, c), _slacks(n)[:2])
+    return _check_quotient_approx("min", n, as_ratio(c), *_slacks(n)[:2])
 
 
 def check_max_quotient_approx(n: int, c) -> QuotientApproxReport:
     """The maximization-form quotient tracks B(n,c) within
     B - 3 log n - 6 <= log max quotient <= B + 4 log(n+1)."""
-    return _check_quotient_approx(n, c, log_max_cozero_quotient(n, c), _slacks(n)[2:])
+    return _check_quotient_approx("max", n, as_ratio(c), *_slacks(n)[2:])
 
 
 def exp_growth_floor_ok(n: int, c: int, tol: float = 1e-9) -> bool:
@@ -280,40 +298,40 @@ def exp_growth_floor_sweep(n_max: int, c: int, tol: float = 1e-9) -> list[int]:
     """Every n <= n_max where the exp_growth_floor_ok inequality fails
     (empty when the floor bound holds throughout).
 
-    Same claim as the pointwise check, but the exact binomials C(n, t) and
-    C(ct, t) are maintained incrementally: C(n,t) = C(n-1,t) * n/(n-t), and
-    each threshold crossing t-1 -> t uses C(n,t) = C(n-1,t-1) * n/t and
-    C(ct,t) = C(c(t-1),t-1) * prod_{j=1..c} (c(t-1)+j) /
-    (t * prod_{j=1..c-1} ((c-1)(t-1)+j)).  Every division is exact.  Logs
-    are applied last, per row.
+    Same claim as the pointwise check.  Each row is decided in floats from
+    the log-factorial table; a row within _float_margin(n_max) of its
+    threshold is decided by the pointwise check's own formula on the exact
+    binomials C(n, t) and C(ct, t).
     """
     if not isinstance(c, int) or c < 2:
         raise TypeError("needs an integer ratio c >= 2")
     if n_max < 1:
         raise ValueError("needs n_max >= 1")
+    lg = _log_factorials(n_max)
     log2e = math.log2(math.e)
+    margin = _float_margin(n_max)
     bad: list[int] = []
     with mpmath.workprec(PRECISION):
+        ec = mpmath.e * c
+
         def first_n_with(t_next: int) -> int:
             # smallest n with floor(n / (e c)) = t_next; e c is irrational
-            return int(mpmath.ceil(t_next * mpmath.e * c))
+            return int(mpmath.ceil(t_next * ec))
 
-        t, num, den = 0, 1, 1  # num = C(n, t) and den = C(ct, t) exactly
-        den_log = 0.0
+        t, floor, den_log = 0, 0.0, 0.0  # den_log ~ log2 C(ct, t); row n fails below floor
         nxt = first_n_with(1)
         for n in range(1, n_max + 1):
             if n == nxt:
                 t += 1
-                num = num * n // t
-                den = den * math.prod(range(c * (t - 1) + 1, c * t + 1)) // (
-                    t * math.prod(range((c - 1) * (t - 1) + 1, (c - 1) * t + 1))
-                )
-                den_log = math.log2(den)
+                den_log = (lg[c * t] - lg[t] - lg[c * t - t]) / _LN2
+                floor = t * log2e - tol
                 nxt = first_n_with(t + 1)
-            elif t:
-                num = num * n // (n - t)
-            if t and math.log2(num) - den_log < t * log2e - tol:
-                bad.append(n)
+            if t:
+                gap = (lg[n] - lg[t] - lg[n - t]) / _LN2 - den_log - floor
+                if gap < -margin or gap <= margin and (
+                    math.log2(math.comb(n, t)) - math.log2(math.comb(c * t, t)) < floor
+                ):
+                    bad.append(n)
     return bad
 
 

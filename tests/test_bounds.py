@@ -9,6 +9,10 @@ import pytest
 
 from asg.bounds import (
     PRECISION,
+    QUOTIENT_TOL,
+    _check_quotient_approx,
+    _float_margin,
+    _log_factorials,
     _mpf,
     advice_bound,
     binary_entropy,
@@ -289,6 +293,42 @@ def test_quotient_sweep_values_are_pinned():
     assert digest == "a2c29ea4b56dad5bc4a9e2f339ac3a41a217cfa4d54c2c962621f7f677aa6f20"
 
 
+def test_log_factorials_stay_within_the_stated_bound():
+    # entry i is i - 1 rounded logs and additions: within 2 i ulp(entry) nats
+    lg = _log_factorials(10**5)
+    with mpmath.workprec(PRECISION):
+        for i in (400, 2000, 10**4, 10**5):
+            assert abs(lg[i] - mpmath.loggamma(i + 1)) <= 2 * i * math.ulp(lg[i]), i
+    # the 1e-6 floor holds through the pinned sweep; the derived bound takes
+    # over past it
+    assert _float_margin(2000) == 1e-6 < _float_margin(10**5)
+
+
+def test_quotient_window_edges_are_decided_exactly():
+    # slacks that put the exact maximum within 1e-12 bits of a window edge,
+    # on either side: the floats cannot tell, and the answer is the 128-bit
+    # comparison of the exact maximum with that edge
+    seen = set()
+    for objective, quotient in (("min", log_max_weight_quotient), ("max", log_max_cozero_quotient)):
+        for n, c in ((37, Fraction(3, 2)), (100, Fraction(2)), (256, Fraction(3)), (1000, Fraction(5))):
+            value, _ = quotient(n, c)
+            with mpmath.workprec(PRECISION):
+                b = advice_bound(n, c)
+                lo_edge, hi_edge = float(b - value - QUOTIENT_TOL), float(value - b - QUOTIENT_TOL)
+            far = lo_edge + hi_edge + 100  # a slack far from either edge
+            for d in (-5e-13, -2e-14, -1e-15, 0.0, 1e-15, 2e-14, 5e-13):
+                for slacks in ((lo_edge + d, far), (far, hi_edge + d), (lo_edge + d, hi_edge - d)):
+                    rep = _check_quotient_approx(objective, n, c, *slacks)
+                    with mpmath.workprec(PRECISION):
+                        want = (
+                            bool(value >= b - slacks[0] - QUOTIENT_TOL),
+                            bool(value <= b + slacks[1] + QUOTIENT_TOL),
+                        )
+                    assert (rep.lower_ok, rep.upper_ok) == want, (objective, n, c, slacks)
+                    seen.add(want)
+    assert seen >= {(True, True), (False, True), (True, False)}
+
+
 def test_quotient_forms_at_the_smallest_lengths():
     assert log_max_weight_quotient(1, 2) == (0, 0)
     for n in (0, 1):
@@ -313,6 +353,19 @@ def test_exp_growth_floor():
             assert exp_growth_floor_ok(n, c), (n, c)
     with pytest.raises(TypeError):
         exp_growth_floor_ok(100, Fraction(3, 2))
+
+
+def test_growth_floor_sweep_on_its_threshold():
+    # tol puts row n0 exactly on the threshold of the pointwise formula, so
+    # the floats cannot decide it; the sweep still flips where the pointwise
+    # check flips
+    log2e = math.log2(math.e)
+    for c in (2, 3, 4, 5):
+        for n0 in (60, 123, 199):
+            t0 = math.floor(n0 / (math.e * c))
+            tol = t0 * log2e - (math.log2(math.comb(n0, t0)) - math.log2(math.comb(c * t0, t0)))
+            expected = [n for n in range(1, 201) if not exp_growth_floor_ok(n, c, tol=tol)]
+            assert exp_growth_floor_sweep(200, c, tol=tol) == expected, (c, n0)
 
 
 def test_sg_comparison_curve():

@@ -476,5 +476,7 @@ def test_each_command_imports_only_what_it_runs(name):
     # scipy loads only for a cover the orbital search leaves to HiGHS, which
     # no n <= 7 count at c in {5/4, 3/2, 2, 3} is
     assert "scipy" not in modules
+    # the float sweeps in asg.bounds run on the stdlib alone
+    assert "numpy" not in modules
     # csv loads only to write CSV, so only for curve and suite
     assert ("csv" in modules) == (name in ("curve", "suite-csv"))
