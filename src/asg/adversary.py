@@ -12,9 +12,9 @@ cover over all 2^n inputs (asg.cover); strategy_count_bounds sandwiches
 that number with covering-design sizes.  The cover is a ladder of steps,
 each bounded by a count: forced picks, strict dominance, an orbital
 branch-and-bound search over the permutations of the n positions of at
-most cover.SEARCH_NODES nodes, and only for a residual that search does
-not settle, HiGHS (scipy, imported then and only then).  No count at
-n <= 7 and c in {5/4, 3/2, 2, 3} needs HiGHS; five at n = 8 do.
+most cover.SEARCH_NODES nodes, then HiGHS within cover.HIGHS_NODES nodes
+for a residual that search does not settle (scipy, imported then only).
+No count at n <= 7 and c in {5/4, 3/2, 2, 3} needs HiGHS; five at n = 8 do.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from asg.core import (
     asg_score,
     ceil_log2,
     check_bits,
+    check_work,
     design_shapes,
     dominates,
     ones,
@@ -57,9 +58,11 @@ __all__ = [
     "exact_strategy_count",
     "strategy_count_bounds",
     "DEFAULT_BRUTE_LIMIT",
+    "CLASS_BITS",
 ]
 
 DEFAULT_BRUTE_LIMIT = 8  # the largest n exact_strategy_count takes
+CLASS_BITS = 5_000_000  # bits weight_class builds: binom(n, t) strings of n bits
 
 
 @lru_cache(maxsize=None)
@@ -78,9 +81,10 @@ def forced_cost_bound(m: int, h: int) -> int:
 
 
 def weight_class(n: int, t: int) -> list[str]:
-    """All strings of length n with exactly t ones, lexicographically."""
+    """All strings of length n with exactly t ones, lexicographically, up to CLASS_BITS bits."""
     if not 0 <= t <= n:
         raise ValueError("needs 0 <= t <= n")
+    check_work("weight-class bits", math.comb(n, t) * n, CLASS_BITS)
     out = []
     for support in combinations(range(1, n + 1), t):
         out.append("".join("1" if i in support else "0" for i in range(1, n + 1)))
@@ -374,8 +378,7 @@ def exact_strategy_count(n: int, c, objective: str = "min") -> StrategyCover:
     unknown-history game at length n, not counting any self-delimiting
     overhead.
     """
-    if n > DEFAULT_BRUTE_LIMIT:
-        raise ValueError(f"n={n} exceeds the brute-force limit {DEFAULT_BRUTE_LIMIT}")
+    check_work("strategy-count length", n, DEFAULT_BRUTE_LIMIT)
     if n < 1:
         raise ValueError("needs n >= 1")
     ratio = as_ratio(c)

@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import mpmath
 
-from asg.core import JsonRecord, as_ratio, render_text
+from asg.core import JsonRecord, as_ratio, check_work, render_text
 
 __all__ = [
     "PRECISION",
@@ -47,6 +47,7 @@ __all__ = [
     "exp_growth_floor_sweep",
     "sg_comparison_value",
     "CURVE_N",
+    "CURVE_STEPS",
     "CURVE_COLUMNS",
     "CurvePoint",
     "curve_point",
@@ -350,6 +351,7 @@ def sg_comparison_value(c) -> mpmath.mpf:
 # --- the advice curve ---------------------------------------------------------
 
 CURVE_N = 10**6  # the input length the curve is sampled at
+CURVE_STEPS = 10_000  # points one curve samples; each costs the same, whatever n
 CURVE_COLUMNS = ("c", "asg_bits_per_request", "envelope_hi", "envelope_lo", "sg_bits_per_request")
 
 
@@ -384,6 +386,7 @@ def emit_curve(c_min, c_max, steps: int, n: int = CURVE_N) -> list[CurvePoint]:
         raise ValueError("needs c_max >= c_min")
     if steps < 1 or (steps < 2 and c_max != c_min):
         raise ValueError("needs at least two steps to span a ratio range")
+    check_work("curve steps", steps, CURVE_STEPS)
     if c_max == c_min:
         grid = [c_min] * min(steps, 1)
     else:

@@ -4,9 +4,9 @@ exact strategy counts, problem reductions, and the verification suite.
 Every command is deterministic: the same invocation produces the same
 bytes.  Ratios are rationals (P/Q or an integer); float notation is
 rejected so results never depend on binary rounding of the arguments.
-Usage and domain errors, tripped search guards and solver failures exit
-with status 2 and one `error: ...` line; a failed verification run (verify
-or suite) exits with status 1.
+Usage and domain errors, work over a limit (`core.WorkLimitError`, checked
+before the work starts) and solver failures exit with status 2 and one
+`error: ...` line; a failed verification run (verify or suite) exits 1.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from asg.core import (
     asg_opt,
     ceil_log2,
     check_bits,
+    check_work,
     competitive_ok,
     json_text,
     run_asg,
@@ -42,6 +43,8 @@ BATTERY_ORDER = (
 )
 # runs one `verify` may make; it makes sum(2^n for n <= n_max) = 2^(n_max+1) - 1
 VERIFY_RUNS = 2**16 - 1
+GAME_ROUNDS = 100_000  # rounds of one `adversary` game, however few its strings or strategies
+GAME_ANSWERS = 300_000  # strategies times rounds (at least 1) of one max game
 
 
 def _protocol(name: str):
@@ -135,8 +138,8 @@ def cmd_verify(args) -> int:
     """Exhaustively re-check one protocol up to a length; exit 1 on failure."""
     if args.n_max < 0:
         raise ValueError("--n-max must be at least 0")
-    if args.n_max + 1 > VERIFY_RUNS.bit_length():  # 2^(n_max+1) - 1 > VERIFY_RUNS
-        raise ValueError(f"--n-max {args.n_max} makes 2^{args.n_max + 1} - 1 runs, over the limit {VERIFY_RUNS}")
+    # past n_max 63 the runs are shown as "2^64 or more" whatever n_max is
+    check_work("verify runs", 2 ** (min(args.n_max, 64) + 1) - 1, VERIFY_RUNS)
     objective, factory = _protocol(args.protocol)
     variant = Variant((objective, "unknown"))
     pair = factory(args.c)
@@ -184,6 +187,7 @@ def cmd_adversary(args) -> int:
         else:
             if args.n is None or args.weight is None:
                 raise ValueError("--game min needs --strings or both --n and --weight")
+            check_work("game rounds", args.n, GAME_ROUNDS)
             alive = weight_class(args.n, args.weight)
             if args.m is not None:
                 if args.m < 0:
@@ -193,6 +197,8 @@ def cmd_adversary(args) -> int:
         return 0
     if args.n is None or args.m is None:
         raise ValueError("--game max needs --n and --m")
+    check_work("game rounds", args.n, GAME_ROUNDS)
+    check_work("max-game answers", args.m * max(args.n, 1), GAME_ANSWERS)
     _emit_json(max_no_advice_game(standard_max_behaviors(args.m), args.n), args.out)
     return 0
 
@@ -223,9 +229,11 @@ def cmd_reduce(args) -> int:
 
 def cmd_lift(args) -> int:
     from asg.algorithms import aoc_generic
-    from asg.problems import PROBLEMS
+    from asg.problems import BRUTE_GUARD, PROBLEMS
     from asg.reductions import REDUCTION_VARIANT, lift_to_asg
 
+    # the lifted oracle scores every output of a len(x)-request instance
+    check_work("brute-force requests", len(args.x), BRUTE_GUARD)
     problem = PROBLEMS[args.to]
     pair = aoc_generic(problem, args.c)
     lifted = lift_to_asg(pair, args.to)

@@ -35,6 +35,8 @@ __all__ = [
     "Variant",
     "AdviceTape",
     "MalformedAdviceError",
+    "WorkLimitError",
+    "check_work",
     "RunResult",
     "OnlineAlgorithm",
     "check_bits",
@@ -260,6 +262,18 @@ def fill_count(loads, scale: int) -> int:
 
 class MalformedAdviceError(ValueError):
     """Raised when advice holds an impossible field."""
+
+
+class WorkLimitError(RuntimeError):
+    """A call's work is over its limit, a count in a module constant."""
+
+
+def check_work(what: str, estimate: int, limit: int, *args) -> None:
+    """The one work-limit rule, checked before the work: estimate <= limit.
+    `what` names the work, formatted with args only when the check fails."""
+    if estimate > limit:  # str() refuses ints past 4300 digits
+        shown = estimate if estimate < 1 << 64 else "2^64 or more"
+        raise WorkLimitError(f"{what.format(*args)} {shown}, over the limit {limit}")
 
 
 class AdviceTape:

@@ -16,7 +16,8 @@ settles an instance on a ladder of steps, each bounded by a count:
   the Lovasz bound (`_cover_lower_bound`) and cut by orbital branching
   over the permutations that fix every pick;
 * HiGHS (`_milp_cover`, scipy, imported then and only then) on a residual
-  the search does not settle, with one column per residual mask.
+  the search does not settle, with one column per residual mask, within
+  HIGHS_NODES nodes; past them it raises `core.WorkLimitError`.
 
 Every strategy count at n <= 7 for c in {5/4, 3/2, 2, 3} settles in the
 search, and so do (8, 5/4, max), (8, 3, min) and (8, 3, max); the other
@@ -29,12 +30,16 @@ from __future__ import annotations
 
 import math
 
-__all__ = ["SEARCH_NODES", "greedy_picks"]
+from asg.core import WorkLimitError
+
+__all__ = ["SEARCH_NODES", "HIGHS_NODES", "greedy_picks"]
 
 # _bounded_cover's node budget, past which HiGHS takes the residual: the
 # hardest n <= 7 strategy count at c in {5/4, 3/2, 2, 3}, (7, 2, max), takes
 # 5,432 nodes
 SEARCH_NODES = 6000
+# HiGHS's node budget: (8, 3/2, min) takes 738 nodes and (8, 2, min) 216, in every run
+HIGHS_NODES = 1000
 
 
 def greedy_picks(uncovered: int, masks: list[int], candidates) -> list[int]:
@@ -57,7 +62,7 @@ def _milp_cover(uncovered: int, active: list[int], masks: list[int]) -> list[int
     """Exact 0/1 set cover on the residual instance via HiGHS.
 
     The program is tiny (at most 2^n columns) and HiGHS solves it to proven
-    optimality; repeated runs return the same family (tested)."""
+    optimality within HIGHS_NODES nodes; repeated runs return the same family."""
     from scipy import optimize, sparse  # deferred: only the residual search needs it
 
     row_of: dict[int, int] = {}
@@ -80,7 +85,10 @@ def _milp_cover(uncovered: int, active: list[int], masks: list[int]) -> list[int
         constraints=optimize.LinearConstraint(matrix, lb=1.0, ub=math.inf),
         integrality=[1] * len(active),
         bounds=optimize.Bounds(0.0, 1.0),
+        options={"node_limit": HIGHS_NODES},
     )
+    if not result.success and getattr(result, "mip_node_count", 0) >= HIGHS_NODES:
+        raise WorkLimitError(f"set-cover program stopped at the HiGHS node limit {HIGHS_NODES}")
     if not result.success:
         raise RuntimeError(f"set-cover program failed: {result.message}")
     return [active[col] for col, v in enumerate(result.x) if v > 0.5]

@@ -23,12 +23,12 @@ nothing smaller (the sandwich met, or every smaller size was refuted), and
 otherwise the family the search found, its blocks sorted.  The search
 spends at most SEARCH_NODES nodes, one per coverer tried, per (v, k, t).
 If it runs out, the size stays unproven: `design_for` takes the greedy
-family and `exact_cover_number` raises SearchLimitError naming the
+family and `exact_cover_number` raises `core.WorkLimitError` naming the
 [lower, upper] bracket.  Every limit is a count, never time, so the oracle
 and the algorithm build the same design.  Results are cached once per
 (v, k, t) and budget beside a `DesignProvenance` record
 (`design_provenance`); the binom(v, t) and binom(v, k) guard is a module
-constant, checked on every call, before the cache.
+constant, checked by `core.check_work` on every call, before the cache.
 """
 
 from __future__ import annotations
@@ -39,14 +39,13 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from asg.core import JsonRecord
+from asg.core import JsonRecord, WorkLimitError, check_work
 from asg.cover import greedy_picks
 
 __all__ = [
     "CoveringDesign",
     "CoverNumberBounds",
     "DesignProvenance",
-    "SearchLimitError",
     "DEFAULT_TSUBSET_LIMIT",
     "SEARCH_NODES",
     "is_covering_design",
@@ -60,11 +59,6 @@ __all__ = [
 
 DEFAULT_TSUBSET_LIMIT = 100000  # the search guard on binom(v, t) and binom(v, k)
 SEARCH_NODES = 1_000_000  # search nodes per (v, k, t) for the size proof
-
-
-class SearchLimitError(RuntimeError):
-    """The instance exceeds the search guard, or its size is unproven
-    within the node budget."""
 
 
 class _BudgetSpent(Exception):
@@ -155,12 +149,8 @@ def _guard(v: int, k: int, t: int) -> None:
     """Both tables a search builds, binom(v, t) subsets and binom(v, k)
     blocks, must fit the guard before either is built."""
     _check_params(v, k, t)
-    limit = DEFAULT_TSUBSET_LIMIT
-    for m in (t, k):
-        if math.comb(v, m) > limit:
-            raise SearchLimitError(
-                f"binom({v},{m}) = {math.comb(v, m)} exceeds the search guard {limit}"
-            )
+    check_work("({},{},{}) design t-subsets", math.comb(v, t), DEFAULT_TSUBSET_LIMIT, v, k, t)
+    check_work("({},{},{}) design blocks", math.comb(v, k), DEFAULT_TSUBSET_LIMIT, v, k, t)
 
 
 def _coverage_tables(v: int, k: int, t: int):
@@ -260,13 +250,13 @@ def exact_cover_number(v: int, k: int, t: int) -> CoveringDesign:
     proven size, else the searched one, sorted (see the module docstring).
 
     Deterministic: repeated calls return the identical family.  Raises
-    SearchLimitError when binom(v, t) or binom(v, k) exceeds the guard, or
+    WorkLimitError when binom(v, t) or binom(v, k) exceeds the guard, or
     when the size is not proven within SEARCH_NODES search nodes.
     """
     _guard(v, k, t)
     design, record = _ladder(v, k, t, SEARCH_NODES)
     if not record.proven:
-        raise SearchLimitError(
+        raise WorkLimitError(
             f"the ({v},{k},{t}) cover number lies in [{record.lower}, {record.upper}]: "
             f"not proven within {SEARCH_NODES} search nodes"
         )

@@ -30,6 +30,7 @@ from asg.core import (
     RunResult,
     Score,
     check_bits,
+    check_work,
     one_positions,
     run_online,
     weight_ratio,
@@ -320,8 +321,7 @@ def _score_table(problem: Problem, instance) -> tuple[Score, ...]:
 @lru_cache(maxsize=SCORE_TABLES)
 def _scores(problem: Problem, instance) -> tuple[Score, ...]:
     n = len(instance)
-    if n > BRUTE_GUARD:
-        raise ValueError(f"brute force capped at {BRUTE_GUARD} requests")
+    check_work("brute-force requests", n, BRUTE_GUARD)
     # output y is the mask y reads in binary, so round i is bit n - i;
     # chosen[mask] holds the rounds of the mask's 1 bits
     chosen = [frozenset()]
@@ -503,8 +503,7 @@ def halving_paths_instance(x: str) -> DisjointPathInstance:
     request; one at a 0-position overlaps none of them."""
     check_bits(x)
     n = len(x)
-    if n > HALVING_PATHS_LIMIT:
-        raise ValueError(f"length {n} exceeds the construction guard {HALVING_PATHS_LIMIT}")
+    check_work("halving-paths length", n, HALVING_PATHS_LIMIT)
     if n == 0:
         return DisjointPathInstance(1, ())
     u, requests = 0, []

@@ -22,7 +22,7 @@ from asg.adversary import (
     strategy_count_bounds,
     weight_class,
 )
-from asg.core import MINUS_INF, PLUS_INF, all_bitstrings, dominates, ones, zeros
+from asg.core import MINUS_INF, PLUS_INF, WorkLimitError, all_bitstrings, dominates, ones, zeros
 from asg.cover import _bounded_cover, _milp_cover
 
 
@@ -337,6 +337,15 @@ def test_a_cover_past_the_node_budget_goes_to_highs_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_highs_past_its_node_limit_is_a_work_limit_error(monkeypatch):
+    monkeypatch.setattr(cover, "SEARCH_NODES", 100)  # (7, 2, min) goes to HiGHS
+    # HiGHS settles that residual in its first node; a limit of one stops it there
+    monkeypatch.setattr(cover, "HIGHS_NODES", 1)
+    with pytest.raises(WorkLimitError) as info:
+        exact_strategy_count(7, 2, "min")
+    assert str(info.value) == "set-cover program stopped at the HiGHS node limit 1"
+
+
 def test_the_search_settles_three_n_8_counts_without_highs(monkeypatch):
     def no_highs(*args):
         raise AssertionError("the residual went to HiGHS")
@@ -375,8 +384,9 @@ def test_exact_strategy_count_single_round():
 
 
 def test_exact_strategy_count_respects_limit():
-    with pytest.raises(ValueError):
+    with pytest.raises(WorkLimitError) as info:
         exact_strategy_count(9, 2, "min")
+    assert str(info.value) == "strategy-count length 9, over the limit 8"
 
 
 def test_covers_is_domination_within_the_strict_budget():

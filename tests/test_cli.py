@@ -205,7 +205,9 @@ def test_adversary_missing_arguments(capsys):
         # n/c past the largest float would print `Infinity`, which is not JSON
         (("bounds", "--n", "1" + "0" * 320, "--c", "2"), "n is too large: the bound overflows a float"),
         (("verify", "--protocol", "covering-min", "--c", "2", "--n-max", "16"),
-         "--n-max 16 makes 2^17 - 1 runs, over the limit 65535"),
+         "verify runs 131071, over the limit 65535"),
+        (("verify", "--protocol", "covering-min", "--c", "2", "--n-max", "64"),
+         "verify runs 2^64 or more, over the limit 65535"),
     ],
 )
 def test_bad_sizes_fail_fast_with_exit_2(capsys, argv, message):
@@ -262,19 +264,104 @@ def test_verify_bounds_its_runs_before_it_starts():
                        timeout=30)
     assert done.returncode == 2
     assert done.stdout == ""
-    assert done.stderr == "error: --n-max 30 makes 2^31 - 1 runs, over the limit 65535\n"
+    assert done.stderr == "error: verify runs 2147483647, over the limit 65535\n"
 
 
-def test_every_benchmark_verify_is_within_the_run_limit(monkeypatch):
+@pytest.mark.parametrize(
+    "argv, stderr",
+    [
+        (("adversary", "--game", "min", "--n", "60", "--weight", "30"),
+         "weight-class bits 7095874893891685440, over the limit 5000000"),
+        (("adversary", "--game", "max", "--n", "10000000", "--m", "8"),
+         "game rounds 10000000, over the limit 100000"),
+        (("adversary", "--game", "max", "--n", "0", "--m", "1000000000"),
+         "max-game answers 1000000000, over the limit 300000"),
+        (("curve", "--c-min", "3/2", "--c-max", "3", "--steps", "1000000000"),
+         "curve steps 1000000000, over the limit 10000"),
+        (("lift", "--from", "1" * 2000, "--to", "vc", "--c", "2"),
+         "brute-force requests 2000, over the limit 16"),
+    ],
+)
+def test_work_over_a_limit_is_refused_before_it_starts(argv, stderr):
+    # each would run for minutes or exhaust memory; the timeout is only a safety net
+    done = _run_module(*argv, timeout=30)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == f"error: {stderr}\n"  # one line, no traceback
+
+
+def test_every_benchmark_command_and_battery_call_is_within_its_limits(monkeypatch):
+    from asg import adversary, bounds, designs, problems
+
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
     spec.loader.exec_module(workloads)
-    n_maxes = [int(c.args[c.args.index("--n-max") + 1])
-               for c in workloads.cli_commands(0) if c.kind == "verify"]
-    assert n_maxes and max(n_maxes) == 12
-    assert 2 ** (max(n_maxes) + 1) - 1 <= asg.cli.VERIFY_RUNS == 2**16 - 1
+    estimates = {}  # limit name -> the estimates it must admit
+
+    def need(limit: str, estimate: int) -> None:
+        estimates.setdefault(limit, []).append(estimate)
+
+    for c in workloads.cli_commands(0):
+        if c.frontier:  # two of its designs are over the binom guard on purpose
+            continue
+        arg = {flag: value for flag, value in zip(c.args, c.args[1:]) if flag.startswith("--")}
+        if c.kind == "verify":
+            need("VERIFY_RUNS", 2 ** (int(arg["--n-max"]) + 1) - 1)
+        elif c.kind == "adversary":
+            n = int(arg["--n"])
+            need("GAME_ROUNDS", n)
+            if arg["--game"] == "min":
+                need("CLASS_BITS", math.comb(n, int(arg["--weight"])) * n)
+            else:
+                need("GAME_ANSWERS", int(arg["--m"]) * max(n, 1))
+        elif c.kind == "lift":
+            need("BRUTE_GUARD", len(c.x))
+            need("HALVING_PATHS_LIMIT", len(c.x))
+        elif c.kind == "brute":
+            need("DEFAULT_BRUTE_LIMIT", int(arg["--n"]))
+        elif c.kind == "design":
+            v, k, t = (int(arg[f]) for f in ("--v", "--k", "--t"))
+            need("DEFAULT_TSUBSET_LIMIT", max(math.comb(v, t), math.comb(v, k)))
+    for workload in workloads.BATTERIES:
+        for name, caps, _ in workloads.battery_calls(workload, 0):
+            if name == "adversary":  # weight classes and alive sets to n_max
+                n = caps["n_max"]
+                need("CLASS_BITS", max(math.comb(n, t) for t in range(n + 1)) * n)
+            elif name == "growth":  # 2^(floor(log2 n) - 1) strategies over n rounds
+                n = caps["n"]
+                need("GAME_ROUNDS", n)
+                need("GAME_ANSWERS", (1 << n.bit_length() - 2) * n)
+            elif name == "curve":
+                need("CURVE_STEPS", caps["steps"])
+            elif name == "counting":
+                need("DEFAULT_BRUTE_LIMIT", caps["n_max"])
+            elif name == "covering":  # a (v, k, t) design per weight class, v <= n_max
+                need("DEFAULT_TSUBSET_LIMIT", math.comb(caps["n_max"], caps["n_max"] // 2))
+            elif name == "reductions":  # instances and brute-force optima to n_max
+                need("BRUTE_GUARD", caps["n_max"])
+                need("HALVING_PATHS_LIMIT", caps["n_max"])
+            elif name == "packing":  # runs to n_max requests
+                need("BRUTE_GUARD", caps["n_max"])
+    limits = {
+        "VERIFY_RUNS": asg.cli.VERIFY_RUNS, "GAME_ROUNDS": asg.cli.GAME_ROUNDS,
+        "GAME_ANSWERS": asg.cli.GAME_ANSWERS, "CLASS_BITS": adversary.CLASS_BITS,
+        "CURVE_STEPS": bounds.CURVE_STEPS, "BRUTE_GUARD": problems.BRUTE_GUARD,
+        "HALVING_PATHS_LIMIT": problems.HALVING_PATHS_LIMIT,
+        "DEFAULT_BRUTE_LIMIT": adversary.DEFAULT_BRUTE_LIMIT,
+        "DEFAULT_TSUBSET_LIMIT": designs.DEFAULT_TSUBSET_LIMIT,
+    }
+    assert estimates.keys() == limits.keys()
+    assert max(estimates["VERIFY_RUNS"]) == 2**13 - 1  # the largest verify has n_max 12
+    over = {name: max(estimates[name]) for name in limits if max(estimates[name]) > limits[name]}
+    assert over == {}
+    # the limits' values, each set where it is defined
+    assert limits == {
+        "VERIFY_RUNS": 2**16 - 1, "GAME_ROUNDS": 100_000, "GAME_ANSWERS": 300_000,
+        "CLASS_BITS": 5_000_000, "CURVE_STEPS": 10_000, "BRUTE_GUARD": 16,
+        "HALVING_PATHS_LIMIT": 30, "DEFAULT_BRUTE_LIMIT": 8, "DEFAULT_TSUBSET_LIMIT": 100_000,
+    }
 
 
 def test_exact_design_with_too_many_blocks_fails_before_building_them():
@@ -283,7 +370,7 @@ def test_exact_design_with_too_many_blocks_fails_before_building_them():
                        timeout=10)
     assert done.returncode == 2
     assert done.stdout == ""
-    assert done.stderr == "error: binom(20,10) = 184756 exceeds the search guard 100000\n"
+    assert done.stderr == "error: (20,10,5) design blocks 184756, over the limit 100000\n"
 
 
 # The node budget bounds these; the timeouts are only a safety net.

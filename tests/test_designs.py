@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asg import designs
+from asg.core import WorkLimitError
 from asg.cover import greedy_picks
 from asg.designs import (
     CoveringDesign,
     DesignProvenance,
-    SearchLimitError,
     binom_quotient,
     cover_number_bounds,
     design_for,
@@ -139,33 +139,35 @@ def test_monotonicity_in_k():
             assert sizes == sorted(sizes, reverse=True)
 
 
+def refusal(build, *vkt) -> str:
+    with pytest.raises(WorkLimitError) as info:
+        build(*vkt)
+    return str(info.value)
+
+
 def test_search_guard(monkeypatch):
-    with pytest.raises(SearchLimitError):
-        exact_cover_number(30, 10, 8)
+    assert refusal(exact_cover_number, 30, 10, 8) == (
+        "(30,10,8) design t-subsets 5852925, over the limit 100000")
     monkeypatch.setattr(designs, "DEFAULT_TSUBSET_LIMIT", 10)
-    with pytest.raises(SearchLimitError):
-        exact_cover_number(6, 3, 2)
+    assert refusal(exact_cover_number, 6, 3, 2) == "(6,3,2) design t-subsets 15, over the limit 10"
     monkeypatch.setattr(designs, "DEFAULT_TSUBSET_LIMIT", 1000)
-    with pytest.raises(SearchLimitError):
-        greedy_cover(40, 20, 2)
+    assert refusal(greedy_cover, 40, 20, 2) == (
+        "(40,20,2) design blocks 137846528820, over the limit 1000")
 
 
 def test_search_guard_counts_the_blocks_too(monkeypatch):
     # binom(8,2) = 28 subsets fit a guard of 50; binom(8,4) = 70 blocks do not
     monkeypatch.setattr(designs, "DEFAULT_TSUBSET_LIMIT", 50)
     for build in (exact_cover_number, design_for, greedy_cover):
-        with pytest.raises(SearchLimitError, match=r"binom\(8,4\) = 70 exceeds .* 50"):
-            build(8, 4, 2)
+        assert refusal(build, 8, 4, 2) == "(8,4,2) design blocks 70, over the limit 50"
 
 
 def test_guard_holds_after_an_unguarded_call_is_cached(monkeypatch):
     exact_cover_number(6, 3, 2)
     greedy_cover(6, 3, 2)
     monkeypatch.setattr(designs, "DEFAULT_TSUBSET_LIMIT", 10)
-    with pytest.raises(SearchLimitError):
-        exact_cover_number(6, 3, 2)
-    with pytest.raises(SearchLimitError):
-        greedy_cover(6, 3, 2)
+    for build in (exact_cover_number, greedy_cover):
+        assert refusal(build, 6, 3, 2) == "(6,3,2) design t-subsets 15, over the limit 10"
 
 
 def test_exact_search_is_cached_once_per_vkt():
@@ -218,9 +220,8 @@ def test_design_for_modes(monkeypatch):
     assert forced_greedy.size == 14
     assert is_covering_design(forced_greedy)
     assert design_provenance(7, 4, 3) == DesignProvenance(7, 4, 3, "greedy", 100, 11, 14)
-    with pytest.raises(SearchLimitError, match=r"^the \(7,4,3\) cover number lies in \[11, 14\]: "
-                                               r"not proven within 100 search nodes$"):
-        exact_cover_number(7, 4, 3)
+    assert refusal(exact_cover_number, 7, 4, 3) == (
+        "the (7,4,3) cover number lies in [11, 14]: not proven within 100 search nodes")
     monkeypatch.undo()
     assert design_for(7, 4, 3) is exact
 

@@ -11,6 +11,7 @@ from asg.core import (
     MINUS_INF,
     PLUS_INF,
     AdviceTape,
+    WorkLimitError,
     all_bitstrings,
     asg_opt,
     competitive_ok,
@@ -146,9 +147,9 @@ def test_halving_paths_worked_examples():
     assert halving_paths_instance("00").requests == ((0, 2), (2, 3))
     # only the refusing side: x at the limit itself builds a path of 2^30 edges
     n = HALVING_PATHS_LIMIT + 1
-    with pytest.raises(ValueError) as info:
+    with pytest.raises(WorkLimitError) as info:
         halving_paths_instance("0" * n)
-    assert str(info.value) == f"length {n} exceeds the construction guard {HALVING_PATHS_LIMIT}"
+    assert str(info.value) == f"halving-paths length {n}, over the limit {HALVING_PATHS_LIMIT}"
 
 
 def test_halving_paths_overlap_structure():
