@@ -20,10 +20,10 @@ No count at n <= 7 and c in {5/4, 3/2, 2, 3} needs HiGHS; five at n = 8 do.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import lru_cache
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Callable, Sequence
 
 from asg.core import (
@@ -33,6 +33,7 @@ from asg.core import (
     as_ratio,
     asg_opt,
     asg_score,
+    capped_comb,
     ceil_log2,
     check_bits,
     check_work,
@@ -62,7 +63,7 @@ __all__ = [
 ]
 
 DEFAULT_BRUTE_LIMIT = 8  # the largest n exact_strategy_count takes
-CLASS_BITS = 5_000_000  # bits weight_class builds: binom(n, t) strings of n bits
+CLASS_BITS = 5_000_000  # bits weight_class builds: min(binom(n, t), m) strings of n bits
 
 
 @lru_cache(maxsize=None)
@@ -80,33 +81,41 @@ def forced_cost_bound(m: int, h: int) -> int:
     return q
 
 
-def weight_class(n: int, t: int) -> list[str]:
-    """All strings of length n with exactly t ones, lexicographically, up to CLASS_BITS bits."""
+def weight_class(n: int, t: int, m: int | None = None) -> list[str]:
+    """The strings of length n with exactly t ones in lexicographic order,
+    all of them or the first m, up to CLASS_BITS bits.  In that order the
+    strings' zero positions run as `combinations` gives them, so each
+    string is built in O(n) and none past the first m."""
     if not 0 <= t <= n:
         raise ValueError("needs 0 <= t <= n")
-    check_work("weight-class bits", math.comb(n, t) * n, CLASS_BITS)
-    out = []
-    for support in combinations(range(1, n + 1), t):
-        out.append("".join("1" if i in support else "0" for i in range(1, n + 1)))
-    return sorted(out)
+    if m is not None and m < 0:
+        raise ValueError("needs m >= 0")
+    count = capped_comb(n, t) if m is None else min(capped_comb(n, t), m)
+    check_work("weight-class bits", count * n, CLASS_BITS)
+    out, ones = [], b"1" * n
+    for zeros in islice(combinations(range(n), n - t), count):
+        s = bytearray(ones)
+        for i in zeros:
+            s[i] = 48  # "0"
+        out.append(s.decode())
+    return out
 
 
-@dataclass(frozen=True)
-class GameRound(JsonRecord):
-    index: int
-    alive: int  # strings alive entering the round
-    answer: int
-    revealed: int
-    forced: bool  # some alive string had a 1 here
-    punished: bool  # the algorithm answered 0 in a forced round
+class GameRound(
+    JsonRecord, namedtuple("GameRound", "index alive answer revealed forced punished")
+):
+    """One round: the strings alive entering it, the answer, the revealed
+    bit, whether some alive string had a 1 here (forced) and whether the
+    algorithm answered 0 in a forced round (punished)."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class GameTranscript(JsonRecord):
-    x: str  # the input the adversary committed to
-    y: str  # the algorithm's answers
-    score: Score
-    rounds: tuple[GameRound, ...] = field(repr=False)
+class GameTranscript(JsonRecord, namedtuple("GameTranscript", "x y score rounds")):
+    """The input the adversary committed to, the algorithm's answers, their
+    score and the GameRound of every round."""
+
+    __slots__ = ()
 
     @property
     def forced_ones(self) -> int:
@@ -266,10 +275,8 @@ def min_game_against(
     return GameTranscript(x, y, asg_score("min", x, y), tuple(rounds))
 
 
-@dataclass(frozen=True)
-class MaxGameOutcome(JsonRecord):
-    x: str
-    outputs: tuple[str, ...]
+class MaxGameOutcome(JsonRecord, namedtuple("MaxGameOutcome", "x outputs")):
+    __slots__ = ()
 
     @property
     def scores(self) -> tuple[Score, ...]:
@@ -361,11 +368,8 @@ def _coverage_masks(objective: str, c: Fraction, n: int) -> list[int]:
     return masks
 
 
-@dataclass(frozen=True)
-class StrategyCover(JsonRecord):
-    count: int
-    bits: int
-    family: tuple[str, ...]
+class StrategyCover(JsonRecord, namedtuple("StrategyCover", "count bits family")):
+    __slots__ = ()
 
 
 def exact_strategy_count(n: int, c, objective: str = "min") -> StrategyCover:

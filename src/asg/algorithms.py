@@ -65,7 +65,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AdvicePair:
-    """An advice oracle with its matching algorithm and declared bit budget."""
+    """An advice oracle with its matching algorithm and declared bit budget.
+
+    The one record that stays a frozen dataclass, not a named tuple: the
+    benchmark's tracer (`perfbench/tracing.py`) copies pairs with
+    `dataclasses.replace`.  So `dataclasses` loads exactly when this module
+    does, and commands that run no protocol never pay for it."""
 
     oracle: Callable  # full input -> list of tape bits
     algorithm: Callable[[], OnlineAlgorithm]  # fresh state per run

@@ -22,7 +22,7 @@ Ratios are exact rationals; floats are rejected at the API boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -111,14 +111,13 @@ def envelope(n: int, c) -> tuple[mpmath.mpf, mpmath.mpf]:
         return n / (mpmath.e * mpmath.ln(2) * cm), n / cm
 
 
-@dataclass(frozen=True)
-class BoundReport(JsonRecord):
-    n: int
-    c: Fraction
-    bound_bits: float
-    lower_envelope: float
-    upper_envelope: float
-    slack_terms: dict
+class BoundReport(JsonRecord, namedtuple(
+    "BoundReport", "n c bound_bits lower_envelope upper_envelope slack_terms"
+)):
+    """B(n, c) and its envelopes as floats, with the quotient forms' slacks
+    by name."""
+
+    __slots__ = ()
 
 
 _SLACK_TERMS = ("min_form_lower", "min_form_upper", "max_form_lower", "max_form_upper")
@@ -225,18 +224,14 @@ def log_max_cozero_quotient(n: int, c) -> tuple[mpmath.mpf, int]:
     return _log_max_quotient("max", n, as_ratio(c))
 
 
-@dataclass(frozen=True)
-class QuotientApproxReport:
-    """log_max_quotient and bound_bits are taken at working precision when read."""
+class QuotientApproxReport(namedtuple(
+    "QuotientApproxReport", "n c argmax shape lower_slack upper_slack lower_ok upper_ok"
+)):
+    """One quotient form's check at (n, c): the quotient is binom(n, argmax)
+    / binom(k, t) with shape (k, t).  log_max_quotient and bound_bits are
+    taken at working precision when read."""
 
-    n: int
-    c: Fraction
-    argmax: int
-    shape: tuple[int, int]  # (k, t): the quotient is binom(n, argmax) / binom(k, t)
-    lower_slack: float
-    upper_slack: float
-    lower_ok: bool
-    upper_ok: bool
+    __slots__ = ()
 
     @property
     def log_max_quotient(self) -> float:
@@ -355,16 +350,11 @@ CURVE_STEPS = 10_000  # points one curve samples; each costs the same, whatever 
 CURVE_COLUMNS = ("c", "asg_bits_per_request", "envelope_hi", "envelope_lo", "sg_bits_per_request")
 
 
-@dataclass(frozen=True)
-class CurvePoint(JsonRecord):
+class CurvePoint(JsonRecord, namedtuple("CurvePoint", CURVE_COLUMNS)):
     """One sampled ratio: per-request advice with its envelopes and, for
-    1 < c <= 2, the per-request advice of plain string guessing."""
+    1 < c <= 2, the per-request advice of plain string guessing (else None)."""
 
-    c: Fraction
-    asg_bits_per_request: float
-    envelope_hi: float
-    envelope_lo: float
-    sg_bits_per_request: float | None
+    __slots__ = ()
 
 
 def curve_point(c, n: int = CURVE_N) -> CurvePoint:

@@ -32,9 +32,10 @@ from asg.core import (
 
 __all__ = ["main"]
 
-# Each command imports the engine it runs when it runs, so a command pays
-# only for its own modules at start-up.  The choice lists are therefore
-# literal copies of the tables they name; tests/test_cli.py pins them.
+# Each command imports the engine it runs when it runs, and `main` builds
+# only that command's parser, so a command pays only for its own modules
+# and arguments at start-up.  The choice lists are therefore literal copies
+# of the tables they name; tests/test_cli.py pins them.
 PROTOCOLS = ("covering-max", "covering-min", "trivial-max", "trivial-min")
 REDUCTIONS = ("cf", "dpa", "ds", "is", "sc", "vc")
 BATTERY_ORDER = (
@@ -188,11 +189,9 @@ def cmd_adversary(args) -> int:
             if args.n is None or args.weight is None:
                 raise ValueError("--game min needs --strings or both --n and --weight")
             check_work("game rounds", args.n, GAME_ROUNDS)
-            alive = weight_class(args.n, args.weight)
-            if args.m is not None:
-                if args.m < 0:
-                    raise ValueError("--m must be at least 0")
-                alive = alive[: args.m]
+            if args.m is not None and args.m < 0:
+                raise ValueError("--m must be at least 0")
+            alive = weight_class(args.n, args.weight, args.m)  # only the first m are built
         _emit_json(min_game_against(alive), args.out)
         return 0
     if args.n is None or args.m is None:
@@ -266,97 +265,92 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
+# The commands in the order `asg --help` lists them: name -> (help, the
+# arguments, each a flag and its add_argument keywords).  Every command also
+# takes --out, and runs cmd_<name>.
+COMMANDS = {
+    "bounds": ("advice bound and envelopes for one (n, c)", (
+        ("--n", {"type": int, "required": True}),
+        ("--c", {"type": rational, "required": True}),
+    )),
+    "curve": ("sample the per-request advice curve", (
+        ("--c-min", {"type": rational, "required": True}),
+        ("--c-max", {"type": rational, "required": True}),
+        ("--steps", {"type": int, "required": True}),
+        ("--n", {"type": int, "default": 10**6}),
+        ("--format", {"choices": ("csv", "json"), "default": "csv"}),
+    )),
+    "design": ("covering design for (v, k, t)", (
+        ("--v", {"type": int, "required": True}),
+        ("--k", {"type": int, "required": True}),
+        ("--t", {"type": int, "required": True}),
+        ("--method", {"choices": ("auto", "exact", "greedy"), "default": "auto"}),
+    )),
+    "simulate": ("run one protocol on one input", (
+        ("--protocol", {"choices": PROTOCOLS, "required": True}),
+        ("--c", {"type": rational, "required": True}),
+        ("--x", {"type": bitstring, "required": True}),
+        ("--history", {"choices": ("known", "unknown"), "default": "unknown"}),
+    )),
+    "verify": ("exhaustively re-check one protocol", (
+        ("--protocol", {"choices": PROTOCOLS, "required": True}),
+        ("--c", {"type": rational, "required": True}),
+        ("--n-max", {"type": int, "default": 8}),
+    )),
+    "adversary": ("play a lower-bound game", (
+        ("--game", {"choices": ("min", "max"), "required": True}),
+        ("--strings", {"metavar": "FILE", "help": "JSON list of alive strings (min game)"}),
+        ("--n", {"type": int}),
+        ("--weight", {"type": int, "help": "alive weight class (min game)"}),
+        ("--m", {"type": int, "help": "alive set size (min) / strategies to defeat (max)"}),
+    )),
+    "brute": ("exact minimum strategy count for tiny n", (
+        ("--n", {"type": int, "required": True}),
+        ("--c", {"type": rational, "required": True}),
+        ("--variant", {"choices": ("min", "max"), "default": "min"}),
+    )),
+    "reduce": ("build a problem instance from a guessing input", (
+        ("--from", {"dest": "x", "type": bitstring, "required": True, "metavar": "BITS"}),
+        ("--to", {"choices": REDUCTIONS, "required": True}),
+    )),
+    "lift": ("run a lifted problem protocol on a guessing input", (
+        ("--from", {"dest": "x", "type": bitstring, "required": True, "metavar": "BITS"}),
+        ("--to", {"choices": REDUCTIONS, "required": True}),
+        ("--c", {"type": rational, "required": True}),
+    )),
+    "suite": ("run the verification batteries", (
+        ("--only", {"nargs": "+", "choices": BATTERY_ORDER, "metavar": "BATTERY"}),
+        ("--n-max", {"type": int}),
+        ("--grid-max", {"type": int}),
+        ("--c", {"nargs": "+", "type": rational, "metavar": "P/Q"}),
+        ("--seed", {"type": int, "default": 0}),
+        ("--format", {"choices": ("csv", "json"), "default": "json"}),
+    )),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The `asg` parser.  When `command` names one of COMMANDS it holds that
+    command's parser alone, which is all that parsing its arguments needs;
+    otherwise all of them, for the help and the errors that list them."""
     parser = _Parser(
         prog="asg", description="advice complexity of string guessing: tools and checks"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_out(p):
+    for name, (help_text, arguments) in COMMANDS.items():
+        if command in COMMANDS and name != command:
+            continue
+        p = sub.add_parser(name, help=help_text)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
         p.add_argument("--out", metavar="PATH", help="write here instead of stdout")
-
-    p = sub.add_parser("bounds", help="advice bound and envelopes for one (n, c)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--c", type=rational, required=True)
-    add_out(p)
-    p.set_defaults(func=cmd_bounds)
-
-    p = sub.add_parser("curve", help="sample the per-request advice curve")
-    p.add_argument("--c-min", type=rational, required=True)
-    p.add_argument("--c-max", type=rational, required=True)
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--n", type=int, default=10**6)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    add_out(p)
-    p.set_defaults(func=cmd_curve)
-
-    p = sub.add_parser("design", help="covering design for (v, k, t)")
-    p.add_argument("--v", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--method", choices=("auto", "exact", "greedy"), default="auto")
-    add_out(p)
-    p.set_defaults(func=cmd_design)
-
-    p = sub.add_parser("simulate", help="run one protocol on one input")
-    p.add_argument("--protocol", choices=PROTOCOLS, required=True)
-    p.add_argument("--c", type=rational, required=True)
-    p.add_argument("--x", type=bitstring, required=True)
-    p.add_argument("--history", choices=("known", "unknown"), default="unknown")
-    add_out(p)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("verify", help="exhaustively re-check one protocol")
-    p.add_argument("--protocol", choices=PROTOCOLS, required=True)
-    p.add_argument("--c", type=rational, required=True)
-    p.add_argument("--n-max", type=int, default=8)
-    add_out(p)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("adversary", help="play a lower-bound game")
-    p.add_argument("--game", choices=("min", "max"), required=True)
-    p.add_argument("--strings", metavar="FILE", help="JSON list of alive strings (min game)")
-    p.add_argument("--n", type=int)
-    p.add_argument("--weight", type=int, help="alive weight class (min game)")
-    p.add_argument("--m", type=int, help="alive set size (min) / strategies to defeat (max)")
-    add_out(p)
-    p.set_defaults(func=cmd_adversary)
-
-    p = sub.add_parser("brute", help="exact minimum strategy count for tiny n")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--c", type=rational, required=True)
-    p.add_argument("--variant", choices=("min", "max"), default="min")
-    add_out(p)
-    p.set_defaults(func=cmd_brute)
-
-    p = sub.add_parser("reduce", help="build a problem instance from a guessing input")
-    p.add_argument("--from", dest="x", type=bitstring, required=True, metavar="BITS")
-    p.add_argument("--to", choices=REDUCTIONS, required=True)
-    add_out(p)
-    p.set_defaults(func=cmd_reduce)
-
-    p = sub.add_parser("lift", help="run a lifted problem protocol on a guessing input")
-    p.add_argument("--from", dest="x", type=bitstring, required=True, metavar="BITS")
-    p.add_argument("--to", choices=REDUCTIONS, required=True)
-    p.add_argument("--c", type=rational, required=True)
-    add_out(p)
-    p.set_defaults(func=cmd_lift)
-
-    p = sub.add_parser("suite", help="run the verification batteries")
-    p.add_argument("--only", nargs="+", choices=BATTERY_ORDER, metavar="BATTERY")
-    p.add_argument("--n-max", type=int)
-    p.add_argument("--grid-max", type=int)
-    p.add_argument("--c", nargs="+", type=rational, metavar="P/Q")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=("csv", "json"), default="json")
-    add_out(p)
-    p.set_defaults(func=cmd_suite)
-
+        p.set_defaults(func=globals()[f"cmd_{name}"])
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

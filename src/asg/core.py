@@ -18,13 +18,12 @@ is 1-based, matching x = x_1 ... x_n.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import functools
 import io
 import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -37,6 +36,7 @@ __all__ = [
     "MalformedAdviceError",
     "WorkLimitError",
     "check_work",
+    "capped_comb",
     "RunResult",
     "OnlineAlgorithm",
     "check_bits",
@@ -76,12 +76,21 @@ Score = int | float
 
 
 class JsonRecord:
-    """Base of the result dataclasses: to_json() is the record's fields in
-    declaration order, each written by to_plain.  A record that adds,
-    renames or reformats a key overrides to_json."""
+    """Base of the result records, each an immutable named tuple declared as
+    `class R(JsonRecord, namedtuple("R", "a b")): __slots__ = ()`.
+    to_json() is the record's fields in declaration order, each written by
+    to_plain.  A record that adds, renames or reformats a key overrides
+    to_json.  `_make`, and so `_replace`, goes through the constructor, so a
+    replaced record is checked as a new one is."""
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
-        return {f.name: to_plain(getattr(self, f.name)) for f in dataclasses.fields(self)}
+        return {name: to_plain(value) for name, value in zip(self._fields, self)}
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
 
 def to_plain(value):
@@ -276,6 +285,21 @@ def check_work(what: str, estimate: int, limit: int, *args) -> None:
         raise WorkLimitError(f"{what.format(*args)} {shown}, over the limit {limit}")
 
 
+def capped_comb(n: int, m: int) -> int:
+    """C(n, m) while it is below 2^64, else a count of at least 2^64, which
+    check_work names "2^64 or more": an estimate that never computes a
+    huge binomial.  C(n, m) < 2^n, so for n <= 64 it is math.comb's; past
+    that C(n, j) >= 2^j for j <= n/2 ends the product within 64 steps."""
+    if n <= 64 or not 0 < m < n:
+        return math.comb(n, m)
+    value = 1
+    for j in range(min(m, n - m)):
+        value = value * (n - j) // (j + 1)  # C(n, j + 1), exactly
+        if value >> 64:
+            break
+    return value
+
+
 class AdviceTape:
     """One-way read access to an oracle-written tape.
 
@@ -382,11 +406,10 @@ class OnlineAlgorithm:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class RunResult(JsonRecord):
-    y: str
-    score: Score
-    bits: int
+class RunResult(JsonRecord, namedtuple("RunResult", "y score bits")):
+    """One run: the answer string, its score and the advice bits read."""
+
+    __slots__ = ()
 
 
 def run_online(algorithm: OnlineAlgorithm, tape: AdviceTape, requests: Sequence) -> str:

@@ -34,12 +34,12 @@ constant, checked by `core.check_work` on every call, before the cache.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from asg.core import JsonRecord, WorkLimitError, check_work
+from asg.core import JsonRecord, WorkLimitError, capped_comb, check_work
 from asg.cover import greedy_picks
 
 __all__ = [
@@ -65,45 +65,33 @@ class _BudgetSpent(Exception):
     """The search used up its node budget."""
 
 
-@dataclass(frozen=True)
-class CoveringDesign(JsonRecord):
-    v: int
-    k: int
-    t: int
-    blocks: tuple[tuple[int, ...], ...]
+class CoveringDesign(JsonRecord, namedtuple("CoveringDesign", "v k t blocks")):
+    """The blocks of a (v, k, t) covering design, each a sorted element tuple."""
+
+    __slots__ = ()
 
     @property
     def size(self) -> int:
         return len(self.blocks)
 
 
-@dataclass(frozen=True)
-class DesignProvenance(JsonRecord):
+class DesignProvenance(
+    JsonRecord, namedtuple("DesignProvenance", "v k t method nodes lower upper")
+):
     """How the ladder settled one (v, k, t).  `method` is "trivial",
     "sandwich" or "search" when the size is proven (lower == upper), and
     "greedy" when the budget ran out first and [lower, upper] brackets it.
     `nodes` counts the search nodes spent on this (v, k, t) alone."""
 
-    v: int
-    k: int
-    t: int
-    method: str
-    nodes: int
-    lower: int
-    upper: int
+    __slots__ = ()
 
     @property
     def proven(self) -> bool:
         return self.lower == self.upper
 
 
-@dataclass(frozen=True)
-class CoverNumberBounds:
-    v: int
-    k: int
-    t: int
-    lower: int
-    upper: int
+class CoverNumberBounds(namedtuple("CoverNumberBounds", "v k t lower upper")):
+    __slots__ = ()
 
 
 def _check_params(v: int, k: int, t: int) -> None:
@@ -147,10 +135,11 @@ def cover_number_bounds(v: int, k: int, t: int) -> CoverNumberBounds:
 
 def _guard(v: int, k: int, t: int) -> None:
     """Both tables a search builds, binom(v, t) subsets and binom(v, k)
-    blocks, must fit the guard before either is built."""
+    blocks, must fit the guard before either is built; each count is
+    estimated by `core.capped_comb`, so a refusal costs no huge binomial."""
     _check_params(v, k, t)
-    check_work("({},{},{}) design t-subsets", math.comb(v, t), DEFAULT_TSUBSET_LIMIT, v, k, t)
-    check_work("({},{},{}) design blocks", math.comb(v, k), DEFAULT_TSUBSET_LIMIT, v, k, t)
+    check_work("({},{},{}) design t-subsets", capped_comb(v, t), DEFAULT_TSUBSET_LIMIT, v, k, t)
+    check_work("({},{},{}) design blocks", capped_comb(v, k), DEFAULT_TSUBSET_LIMIT, v, k, t)
 
 
 def _coverage_tables(v: int, k: int, t: int):

@@ -18,7 +18,7 @@ family of subpaths.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -74,18 +74,17 @@ BRUTE_GUARD = 16  # selections are enumerated exhaustively up to this length
 # --- instance types ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VertexArrivalGraph(JsonRecord):
+class VertexArrivalGraph(JsonRecord, namedtuple("VertexArrivalGraph", "n edges")):
     """A graph revealed vertex by vertex; vertices are 1..n in arrival
     order and every edge (i, j) with i < j arrives together with j."""
 
-    n: int
-    edges: frozenset
+    __slots__ = ()
 
-    def __post_init__(self):
-        for i, j in self.edges:
-            if not (1 <= i < j <= self.n):
+    def __new__(cls, n: int, edges: frozenset):
+        for i, j in edges:
+            if not (1 <= i < j <= n):
                 raise ValueError(f"edge ({i},{j}) out of order or range")
+        return super().__new__(cls, n, edges)
 
     def neighbors_before(self, j: int) -> tuple[int, ...]:
         return tuple(sorted(i for i, k in self.edges if k == j))
@@ -100,62 +99,63 @@ class VertexArrivalGraph(JsonRecord):
         return {"n": self.n, "arrivals": [list(self.neighbors_before(j)) for j in range(1, self.n + 1)]}
 
 
-@dataclass(frozen=True)
-class SetCoverInstance(JsonRecord):
+class SetCoverInstance(JsonRecord, namedtuple("SetCoverInstance", "universe requests")):
     """Known universe, subsets arriving online; their union is the universe."""
 
-    universe: tuple
-    requests: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, universe: tuple, requests: tuple):
         union = set()
-        for r in self.requests:
+        for r in requests:
             union.update(r)
-        if union != set(self.universe):
+        if union != set(universe):
             raise ValueError("requests must union to the universe")
+        return super().__new__(cls, universe, requests)
 
     def __len__(self) -> int:
         return len(self.requests)
 
 
-@dataclass(frozen=True)
-class DisjointPathInstance(JsonRecord):
+class DisjointPathInstance(JsonRecord, namedtuple("DisjointPathInstance", "length requests")):
     """Subpath requests (u, v), 0 <= u < v <= length, on a fixed path."""
 
-    length: int
-    requests: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        for u, v in self.requests:
-            if not (0 <= u < v <= self.length):
+    def __new__(cls, length: int, requests: tuple):
+        for u, v in requests:
+            if not (0 <= u < v <= length):
                 raise ValueError(f"request ({u},{v}) leaves the path")
+        return super().__new__(cls, length, requests)
 
     def __len__(self) -> int:
         return len(self.requests)
 
 
-@dataclass(frozen=True)
-class KnapsackInstance:
-    """Unit-knapsack items in arrival order, scaled and checked once: the
-    weights as given, each read as `weight_ratio` reads it, and `loads`,
-    their integer numerators over `scale`, the lcm of their denominators.
-    Items fit exactly when their loads sum to at most the scale.  Records
-    with equal weights are equal."""
+class KnapsackInstance(namedtuple("KnapsackInstance", "weights loads scale")):
+    """Unit-knapsack items in arrival order, scaled and checked once: built
+    from the weights alone, each read as `weight_ratio` reads it, with
+    `loads`, their integer numerators over `scale`, the lcm of their
+    denominators.  Items fit exactly when their loads sum to at most the
+    scale.  Records with equal weights are equal."""
 
-    weights: tuple
-    loads: tuple = field(init=False, repr=False, compare=False)
-    scale: int = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, weights: tuple):
         # exact ints and Fractions are read inline, which saves a call per
         # weight on the packing battery's hot path, and range-checked here
-        ratios = [w.as_integer_ratio() if type(w) in (Fraction, int) else weight_ratio(w) for w in self.weights]
+        ratios = [w.as_integer_ratio() if type(w) in (Fraction, int) else weight_ratio(w) for w in weights]
         for num, den in ratios:
             if not 0 <= num <= den:
                 raise ValueError(f"knapsack weight {Fraction(num, den)} is outside [0, 1]")
         scale = math.lcm(*[d for _, d in ratios])
-        object.__setattr__(self, "loads", tuple([n * (scale // d) for n, d in ratios]))
-        object.__setattr__(self, "scale", scale)
+        return super().__new__(cls, weights, tuple([n * (scale // d) for n, d in ratios]), scale)
+
+    def _replace(self, *, weights):
+        """A record of other weights, scaled anew."""
+        return KnapsackInstance(weights)
+
+    def __getnewargs__(self):  # copy and pickle rebuild the record from its weights
+        return (self.weights,)
 
     def __len__(self) -> int:
         return len(self.weights)

@@ -34,7 +34,7 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 from typing import NamedTuple
@@ -54,6 +54,7 @@ from asg.adversary import (
     weight_class,
 )
 from asg.algorithms import (
+    AdvicePair,
     aoc_generic,
     covering_max,
     covering_min,
@@ -111,39 +112,36 @@ __all__ = [
 # --- configuration and results ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExperimentConfig(JsonRecord):
-    """Knobs for a suite run.  None leaves a battery at its full default
-    range; caps only ever shrink the sweeps."""
+class ExperimentConfig(JsonRecord, namedtuple(
+    "ExperimentConfig", "seed n_max grid_max ratios output_format"
+)):
+    """Knobs for a suite run: the packing battery's seed, a cap on
+    exhaustive input lengths (n_max), a cap on numeric grid sweeps
+    (grid_max), ratios that override the per-battery ratio grids, and the
+    output format.  None leaves a battery at its full default range; caps
+    only ever shrink the sweeps."""
 
-    seed: int = 0
-    n_max: int | None = None  # cap on exhaustive input lengths
-    grid_max: int | None = None  # cap on numeric grid sweeps
-    ratios: tuple | None = None  # override the per-battery ratio grids
-    output_format: str = "json"
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.seed < 0:
+    def __new__(cls, seed=0, n_max=None, grid_max=None, ratios=None, output_format="json"):
+        if seed < 0:
             raise ValueError("seed must be nonnegative")
-        for name in ("n_max", "grid_max"):
-            value = getattr(self, name)
+        for name, value in (("n_max", n_max), ("grid_max", grid_max)):
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be positive")
-        if self.ratios is not None:
-            object.__setattr__(self, "ratios", tuple(as_ratio(r) for r in self.ratios))
-            if any(r <= 0 for r in self.ratios):
+        if ratios is not None:
+            ratios = tuple(as_ratio(r) for r in ratios)
+            if any(r <= 0 for r in ratios):
                 raise ValueError("ratios must be positive")
-        if self.output_format not in ("csv", "json"):
-            raise ValueError(f"unknown format {self.output_format!r}")
+        if output_format not in ("csv", "json"):
+            raise ValueError(f"unknown format {output_format!r}")
+        return super().__new__(cls, seed, n_max, grid_max, ratios, output_format)
 
 
-@dataclass(frozen=True)
-class BatteryResult(JsonRecord):
-    name: str
-    passed: bool
-    checked: int
-    detail: str
-    witness: str | None = None
+class BatteryResult(JsonRecord, namedtuple(
+    "BatteryResult", "name passed checked detail witness", defaults=(None,)
+)):
+    __slots__ = ()
 
     def line(self) -> str:
         status = "pass" if self.passed else "FAIL"
@@ -151,10 +149,8 @@ class BatteryResult(JsonRecord):
         return f"{status} {self.name}: {self.detail}{tail}"
 
 
-@dataclass(frozen=True)
-class SuiteReport(JsonRecord):
-    config: ExperimentConfig
-    results: tuple
+class SuiteReport(JsonRecord, namedtuple("SuiteReport", "config results")):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -482,7 +478,8 @@ def battery_reductions(n_max: int = 8, ratios=None):
                         )
                         inner_len, inner_read = len(advice), inner.bits
                     tape = lift_tape(name, x, run)  # the lifted run and the length check share it
-                    res = run_asg(variant, replace(lifted, oracle=lambda _: tape), x)
+                    replay = AdvicePair(lambda _: tape, lifted.algorithm, lifted.budget)
+                    res = run_asg(variant, replay, x)
                     opt = asg_opt(variant.objective, x)
                     yield None if (
                         competitive_ok(variant.objective, res.score, opt, c)

@@ -63,6 +63,26 @@ def test_weight_class():
             assert cls == sorted(cls)
 
 
+def test_weight_class_prefix_is_the_sorted_class():
+    # the reference: every string with t ones, sorted
+    for n in range(9):
+        for t in range(n + 1):
+            whole = sorted(s for s in map("".join, product("01", repeat=n)) if s.count("1") == t)
+            assert weight_class(n, t) == whole
+            for m in (0, 1, 2, len(whole) - 1, len(whole), len(whole) + 5):
+                assert weight_class(n, t, m) == whole[:m]
+    with pytest.raises(ValueError, match="needs m >= 0"):
+        weight_class(4, 2, -1)
+
+
+def test_weight_class_bits_count_only_the_strings_built():
+    assert len(weight_class(40, 20, 3)) == 3  # the whole class is 5.5 * 10^12 strings
+    with pytest.raises(WorkLimitError, match="weight-class bits 5000040, over the limit 5000000"):
+        weight_class(40, 20, 125_001)
+    with pytest.raises(WorkLimitError, match="weight-class bits 2\\^64 or more, over the limit"):
+        weight_class(10**6, 5 * 10**5)  # refused without computing the binomial
+
+
 def all_alive_sets(n, t, max_size=None):
     cls = weight_class(n, t)
     top = len(cls) if max_size is None else min(max_size, len(cls))

@@ -364,6 +364,23 @@ def test_every_benchmark_command_and_battery_call_is_within_its_limits(monkeypat
     }
 
 
+def test_a_huge_design_guard_is_refused_without_computing_the_binomial():
+    # binom(10^6, 5 10^5) has 300,000 digits; computing it took 8-12 s
+    done = _run_module("design", "--v", "1000000", "--k", "500000", "--t", "0", timeout=5)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == (
+        "error: (1000000,500000,0) design blocks 2^64 or more, over the limit 100000\n")
+
+
+def test_adversary_min_game_builds_only_the_first_m_strings(capsys):
+    # the whole class is C(22, 11) 22 = 15.5 M bits, over CLASS_BITS; one string is 22
+    code, out, err = run_cli(capsys, "adversary", "--game", "min", "--n", "22", "--weight", "11",
+                             "--m", "1")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["x"] == "0" * 11 + "1" * 11  # the class's first string
+
+
 def test_exact_design_with_too_many_blocks_fails_before_building_them():
     # binom(20,5) = 15504 subsets pass the guard, but binom(20,10) = 184756 blocks do not
     done = _run_module("design", "--v", "20", "--k", "10", "--t", "5", "--method", "exact",
@@ -488,6 +505,51 @@ def test_help_exits_cleanly(capsys):
     assert main([]) == 2
 
 
+# sha256 of "<exit code>\0<stdout>\0<stderr>" at 80 columns, taken when every
+# command's parser was built on every call: building only the parser that
+# argv[0] names changes none of these bytes
+HELP_AND_ERROR_SHA256 = {
+    "help": (("--help",), "5e3884785281178174ac3b0c2cc4cb9a1e1a8a42536e120642d07df5d50e9be6"),
+    "no-command": ((), "e3904a52ff642e7f4c67f2ce44b79cf482e6a514fe91ef287b8d5cf0cbc0af6b"),
+    "unknown-command": (("bogus",), "72af1d2faf9fd968d258889c8740bc428d0ef5932fc609a99599cba451750a35"),
+    "missing-argument": (
+        ("brute", "--n", "3"), "defc701dc4387f2bfd9cdbb4cdb6aa35a006ef2b962f9c631aebab79ce0a7dd1"),
+    "unrecognized-argument": (
+        ("brute", "--n", "3", "--c", "2", "--bogus", "1"),
+        "b313dd1f7fc4bc3fc05c29a1af57e424ba47e1382874e60d586e4244536ef9d6"),
+    "bounds-help": (("bounds", "--help"), "b73bbd0524398c2ca0ffbad8695e37ecdfe925e58a9ebb07be4411838fc13717"),
+    "curve-help": (("curve", "--help"), "ca5f4697effa35c06eab692bbb3fa1408c1c03184ffc55d15ef45952579addb9"),
+    "design-help": (("design", "--help"), "616a204efc4c811a77cd5adaa8fbca74196a225dd98725a3fead3ad113877915"),
+    "simulate-help": (
+        ("simulate", "--help"), "60762e18275859b3226734365782ec933e1ce43edcb03f91bbb726e2315cb575"),
+    "verify-help": (("verify", "--help"), "31f1957363f57e914d1713943156c4ec7db2fc91a5ff16b63e886649ddc06f2f"),
+    "adversary-help": (
+        ("adversary", "--help"), "490dd16527c2cc98f678a31a44fc8abbab7242e39399bbb435f188a0eacbf01c"),
+    "brute-help": (("brute", "--help"), "6465e021cf85b96c308dc5df855393685924baffc58a62833dc32547ba983faf"),
+    "reduce-help": (("reduce", "--help"), "b9de731c446d65b5ec68a4156bf25253136f294e9605e68179858ad1e227b0ad"),
+    "lift-help": (("lift", "--help"), "ad1b65fdd9a47a8a0d653f226b7c3cd85cee6700e0ce8889a8ce0bc28bfcc137"),
+    "suite-help": (("suite", "--help"), "737a45589b4ad8dea342ce73252081b04f1183aebecf2e4c1cf73ab814f641f7"),
+}
+
+
+@pytest.mark.parametrize("name", HELP_AND_ERROR_SHA256)
+def test_help_and_usage_error_bytes_are_pinned(capsys, monkeypatch, name):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    argv, digest = HELP_AND_ERROR_SHA256[name]
+    code, out, err = run_cli(capsys, *argv)
+    assert hashlib.sha256(f"{code}\0{out}\0{err}".encode()).hexdigest() == digest
+
+
+def test_a_command_builds_only_its_own_parser():
+    assert list(asg.cli.COMMANDS) == ["bounds", "curve", "design", "simulate", "verify",
+                                      "adversary", "brute", "reduce", "lift", "suite"]
+    for name in asg.cli.COMMANDS:
+        assert asg.cli.build_parser(name).format_usage() == f"usage: asg [-h] {{{name}}} ...\n"
+    every = "{" + ",".join(asg.cli.COMMANDS) + "}"
+    for command in (None, "bogus", "--help"):
+        assert every in asg.cli.build_parser(command).format_usage()
+
+
 def test_parser_choice_lists_copy_the_tables_they_name():
     assert asg.cli.REDUCTIONS == tuple(sorted(REDUCTIONS))
     assert asg.cli.BATTERY_ORDER == BATTERY_ORDER
@@ -567,3 +629,6 @@ def test_each_command_imports_only_what_it_runs(name):
     assert "numpy" not in modules
     # csv loads only to write CSV, so only for curve and suite
     assert ("csv" in modules) == (name in ("curve", "suite-csv"))
+    # the records are named tuples; only algorithms.AdvicePair is a dataclass
+    assert ("dataclasses" in modules) == ("asg.algorithms" in modules)
+    assert ("inspect" in modules) == ("asg.algorithms" in modules)

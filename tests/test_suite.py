@@ -171,7 +171,7 @@ def _wrap_opt(monkeypatch, cls, sabotage):
 def _run_asg_sabotage(variant, x, **changes):
     def sabotage(real, v, pair, y):
         res = real(v, pair, y)
-        return dataclasses.replace(res, **changes) if v is variant and y == x else res
+        return res._replace(**changes) if v is variant and y == x else res
 
     return sabotage
 
@@ -260,7 +260,7 @@ FAILURE_CASES = {
     ),
     "counting-sandwich": (
         lambda mp: _wrap(mp, "exact_strategy_count", lambda real, n, c, *rest, **kw: (
-            dataclasses.replace(real(n, c, *rest, **kw), count=1) if (n, c) == (3, 2)
+            real(n, c, *rest, **kw)._replace(count=1) if (n, c) == (3, 2)
             else real(n, c, *rest, **kw)
         )),
         lambda: battery_counting(n_max=3, quotient_n_max=20),
@@ -268,7 +268,7 @@ FAILURE_CASES = {
     ),
     "counting-quotient": (
         lambda mp: _wrap(mp, "check_min_quotient_approx", lambda real, n, c: (
-            dataclasses.replace(real(n, c), upper_ok=False) if (n, c) == (10, 3) else real(n, c)
+            real(n, c)._replace(upper_ok=False) if (n, c) == (10, 3) else real(n, c)
         )),
         lambda: battery_counting(n_max=2, quotient_n_max=20),
         (
