@@ -15,6 +15,8 @@ branch-and-bound search over the permutations of the n positions of at
 most cover.SEARCH_NODES nodes, then HiGHS within cover.HIGHS_NODES nodes
 for a residual that search does not settle (scipy, imported then only).
 No count at n <= 7 and c in {5/4, 3/2, 2, 3} needs HiGHS; five at n = 8 do.
+Only these two functions import asg.cover and asg.designs, so a game loads
+neither.
 """
 
 from __future__ import annotations
@@ -42,8 +44,6 @@ from asg.core import (
     ones,
     to_plain,
 )
-from asg.cover import _min_set_cover
-from asg.designs import exact_cover_number
 
 __all__ = [
     "forced_cost_bound",
@@ -155,15 +155,17 @@ def _columns(members: Sequence[str]) -> tuple[int, ...]:
 
 def _alive_masks(n: int, m_cap: int):
     """Every alive set of at most m_cap strings of one weight class, by
-    weight, size and lexicographic order, as (t, class, its columns, alive
-    mask), bit j of the mask standing for class[j].  Valid by construction."""
+    weight, size and lexicographic order, as (t, class, its _StateTable,
+    alive mask), bit j of the mask standing for class[j].  Valid by
+    construction.  Each class gets a fresh table per call, so no state
+    outlives the caller's loop."""
     for t in range(n + 1):
         cls = weight_class(n, t)
-        cols = _columns(cls)
+        table = _StateTable(_columns(cls))
         bits = [1 << j for j in range(len(cls))]
         for m in range(1, min(len(cls), m_cap) + 1):
             for members in combinations(bits, m):
-                yield t, cls, cols, sum(members)
+                yield t, cls, table, sum(members)
 
 
 def _members(strings: Sequence[str], alive: int) -> tuple[str, ...]:
@@ -232,23 +234,59 @@ def _min_score(x: int, y: int) -> Score:
     return PLUS_INF if x & ~y else y.bit_count()
 
 
-def _script_scores(cols, alive: int, h: int) -> list[Score]:
-    """The score of every answer script, scripts in lexicographic order.
-    The scripts are walked as a prefix tree, so scripts with a common
-    prefix share the adversary's state; each leaf is one game."""
-    n = len(cols)
-    scores: list[Score] = []
+class _StateTable:
+    """What remains of the game once its state is known, for the alive sets
+    of one weight class.  The state is the round i, the alive mask and h,
+    the 1s every alive member still has to come; from it on, the canonical
+    player's cost and the score of every remaining answer script are fixed.
+    Alive sets of one class reach the same states after a round or two, so
+    each state past round 0 is played once and stored.  Round-0 states are
+    not stored: every alive set is its own.  Both entries move by _reveal,
+    so the adversary's rule stays in one place."""
 
-    def walk(i, alive, h, x, y):
-        if i == n:
-            scores.append(_min_score(x, y))
-            return
-        for a in (0, 1):
-            bit, after = _reveal(cols[i], alive, h, a)
-            walk(i + 1, after, h - bit, x << 1 | bit, y << 1 | a)
+    __slots__ = ("cols", "_costs", "_scores")
 
-    walk(0, alive, h, 0, 0)
-    return scores
+    def __init__(self, cols: tuple[int, ...]):
+        self.cols = cols
+        self._costs: dict[tuple[int, int, int], Score] = {}
+        self._scores: dict[tuple[int, int, int], list[Score]] = {}
+
+    def canonical(self, alive: int, h: int, i: int = 0) -> Score:
+        """The canonical player's cost over rounds i+1.. on: it answers 1
+        exactly when some alive member has a 1, so it pays one per forced
+        round, or PLUS_INF should a revealed 1 ever meet its 0."""
+        if i == len(self.cols):
+            return 0
+        key = (i, alive, h)
+        cost = self._costs.get(key)
+        if cost is None:
+            col = self.cols[i]
+            a = 1 if alive & col else 0
+            bit, after = _reveal(col, alive, h, a)
+            cost = PLUS_INF if bit > a else a + self.canonical(after, h - bit, i + 1)
+            if i:
+                self._costs[key] = cost
+        return cost
+
+    def scripts(self, alive: int, h: int, i: int = 0) -> list[Score]:
+        """The score over rounds i+1.. of every answer script for them, in
+        lexicographic script order; PLUS_INF once a revealed 1 meets an
+        answer of 0.  Past round 0 the list is the stored one: callers must
+        not change it."""
+        rounds = len(self.cols) - i
+        if not rounds:
+            return [0]
+        key = (i, alive, h)
+        scores = self._scores.get(key)
+        if scores is None:
+            col = self.cols[i]
+            bit, after = _reveal(col, alive, h, 0)
+            scores = [PLUS_INF] * (1 << rounds - 1) if bit else self.scripts(after, h, i + 1)
+            bit, after = _reveal(col, alive, h, 1)
+            scores = scores + [s + 1 for s in self.scripts(after, h - bit, i + 1)]
+            if i:
+                self._scores[key] = scores
+        return scores
 
 
 def min_game_against(
@@ -382,6 +420,8 @@ def exact_strategy_count(n: int, c, objective: str = "min") -> StrategyCover:
     unknown-history game at length n, not counting any self-delimiting
     overhead.
     """
+    from asg.cover import _min_set_cover
+
     check_work("strategy-count length", n, DEFAULT_BRUTE_LIMIT)
     if n < 1:
         raise ValueError("needs n >= 1")
@@ -397,6 +437,8 @@ def strategy_count_bounds(n: int, c, objective: str = "min") -> tuple[int, int]:
     """Covering-design sandwich for the exact strategy count: the largest
     single weight class forces the lower bound, one design per weight class
     yields the upper."""
+    from asg.designs import exact_cover_number
+
     ratio = as_ratio(c)
     if ratio < 1:
         raise ValueError("needs c >= 1")

@@ -44,7 +44,6 @@ from asg.adversary import (
     _members,
     _min_score,
     _play,
-    _script_scores,
     exact_strategy_count,
     forced_cost_bound,
     max_no_advice_game,
@@ -373,27 +372,29 @@ def battery_adversary(n_max: int = 6, script_n_max: int = 5, table_n_max: int = 
     at single-weight and single-string sets."""
     # best-response play on every alive set
     for n in range(1, n_max + 1):
-        for t, cls, cols, alive in _alive_masks(n, m_cap):
-            score = _min_score(*_play(cols, alive, t))
+        for t, cls, states, alive in _alive_masks(n, m_cap):
+            score = states.canonical(alive, t)
             yield None if score >= forced_cost_bound(alive.bit_count(), t) else (
                 "canonical play beat the bound", f"n={n} alive={_members(cls, alive)}"
             )
-    # every algorithm, as the answer script it produces against this adversary
+    # every algorithm, as the answer script it produces against this
+    # adversary: one weighted entry per alive set, up to its first failing script
     for n in range(1, script_n_max + 1):
-        for t, cls, cols, alive in _alive_masks(n, m_cap):
+        for t, cls, states, alive in _alive_masks(n, m_cap):
             bound = forced_cost_bound(alive.bit_count(), t)
-            for script, score in enumerate(_script_scores(cols, alive, t)):
-                yield None if score >= bound else (
-                    "a scripted algorithm beat the bound",
-                    f"n={n} alive={_members(cls, alive)} script={script:0{n}b}",
-                )
+            scores = states.scripts(alive, t)
+            bad = None if min(scores) >= bound else next(j for j, s in enumerate(scores) if s < bound)
+            yield _Weighted(len(scores), None) if bad is None else _Weighted(bad + 1, (
+                "a scripted algorithm beat the bound",
+                f"n={n} alive={_members(cls, alive)} script={bad:0{n}b}",
+            ))
     # and literally every strategy table at tiny n
     for n in range(1, table_n_max + 1):
         sets_here = list(_alive_masks(n, m_cap))
         for table in _prefix_tables(n):
             player = lambda i, prefix: table[(i, prefix)]
-            for t, cls, cols, alive in sets_here:
-                score = _min_score(*_play(cols, alive, t, player))
+            for t, cls, states, alive in sets_here:
+                score = _min_score(*_play(states.cols, alive, t, player))
                 yield None if score >= forced_cost_bound(alive.bit_count(), t) else (
                     "a strategy table beat the bound",
                     f"n={n} alive={_members(cls, alive)} table={sorted(table.items())}",

@@ -51,6 +51,7 @@ def test_adversary_forces_the_binomial_bound_on_every_algorithm():
     # with equality at weight-one sets and single strings
     result = battery_adversary()
     assert result.passed, result.line()
+    assert result.checked == 1187876
 
 
 def test_no_advice_maximizers_are_defeated_and_growth_floor_holds():

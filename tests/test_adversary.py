@@ -11,9 +11,11 @@ import scipy.optimize
 
 from asg import cover
 from asg.adversary import (
-    _columns,
+    _alive_masks,
     _coverage_masks,
-    _script_scores,
+    _members,
+    _min_score,
+    _play,
     covers,
     exact_strategy_count,
     forced_cost_bound,
@@ -172,13 +174,23 @@ def test_game_transcripts_are_pinned():
 
 
 def test_prefix_tree_scores_equal_one_replay_per_script():
-    for alive in all_small_alive_sets(4):
-        scores = _script_scores(_columns(alive), (1 << len(alive)) - 1, ones(alive[0]))
-        replays = [
-            min_game_against(alive, script_player(script)).score
-            for script in all_bitstrings(len(alive[0]))
-        ]
-        assert scores == replays, alive
+    # the state table shares states across the alive sets of a class; the
+    # reference plays every script on its own
+    for n in range(1, 5):
+        for t, cls, states, alive in _alive_masks(n, 20):
+            members = list(_members(cls, alive))
+            replays = [min_game_against(members, script_player(s)).score for s in all_bitstrings(n)]
+            assert states.scripts(alive, t) == replays, members
+
+
+def test_state_table_canonical_cost_equals_one_game_per_alive_set():
+    # every alive set to n = 6 with at most 5 strings, the lower-bounds workload's range
+    sets = 0
+    for n in range(1, 7):
+        for t, cls, states, alive in _alive_masks(n, 5):
+            assert states.canonical(alive, t) == _min_score(*_play(states.cols, alive, t)), (n, alive)
+            sets += 1
+    assert sets == 33166
 
 
 def test_answers_other_than_zero_or_one_are_rejected():

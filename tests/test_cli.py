@@ -604,8 +604,8 @@ COMMAND_MODULES = {
     "verify": {"algorithms", "cover", "designs"},
     "reduce": {"problems"},
     "lift": {"algorithms", "cover", "designs", "problems", "reductions"},
-    "adversary-min": {"adversary", "cover", "designs"},
-    "adversary-max": {"adversary", "cover", "designs"},
+    "adversary-min": {"adversary"},
+    "adversary-max": {"adversary"},
     "bounds": {"bounds"},
     "brute": {"adversary", "cover", "designs"},
     "curve": {"bounds"},

@@ -132,23 +132,57 @@ def test_battery_adversary_small():
     assert result.checked == 234
 
 
-@pytest.mark.parametrize(
-    "caps, checked, detail, witness",
-    [
-        ((3, 3, 2), 7, "canonical play beat the bound", "n=2 alive=('11',)"),
-        ((0, 3, 2), 3, "a scripted algorithm beat the bound", "n=1 alive=('1',) script=0"),
-        ((0, 0, 2), 2, "a strategy table beat the bound", "n=1 alive=('1',) table=[((1, ''), 0)]"),
-    ],
-)
-def test_battery_adversary_catches_a_sabotaged_reveal_rule(monkeypatch, caps, checked, detail, witness):
-    # an adversary that always reveals 0 lets some algorithm pay less than the bound
+def test_battery_adversary_pins_the_lower_bounds_workload_count():
+    # the lower-bounds workload's caps: 33,166 canonical games, 44,472
+    # scripts, 2,092 strategy-table games and 127 equality games
+    result = battery_adversary(6, 5, 3, 5)
+    assert (result.passed, result.checked) == (True, 79857)
+
+
+# an adversary that always reveals 0 lets some algorithm pay less than the bound
+SABOTAGED_REVEAL_PINS = [
+    ((3, 3, 2), 7, "canonical play beat the bound", "n=2 alive=('11',)"),
+    ((0, 3, 2), 3, "a scripted algorithm beat the bound", "n=1 alive=('1',) script=0"),
+    ((0, 0, 2), 2, "a strategy table beat the bound", "n=1 alive=('1',) table=[((1, ''), 0)]"),
+]
+
+
+def _sabotage_reveal(monkeypatch):
     import asg.adversary
 
     monkeypatch.setattr(asg.adversary, "_reveal", lambda col, alive, h, answer: (0, alive & ~col))
+
+
+@pytest.mark.parametrize("caps, checked, detail, witness", SABOTAGED_REVEAL_PINS)
+def test_battery_adversary_catches_a_sabotaged_reveal_rule(monkeypatch, caps, checked, detail, witness):
+    _sabotage_reveal(monkeypatch)
     result = battery_adversary(*caps)
     assert (result.passed, result.checked, result.detail, result.witness) == (
         False, checked, detail, witness
     )
+
+
+def test_battery_adversary_keeps_no_state_between_calls(monkeypatch):
+    # a clean run first: a memo that outlived it could hide the sabotage,
+    # and no state table of the clean run may serve a later call
+    tables = []
+
+    def record(real, n, m_cap):
+        for entry in real(n, m_cap):
+            tables.append(entry[2])
+            yield entry
+
+    _wrap(monkeypatch, "_alive_masks", record)
+    assert battery_adversary(3, 3, 2).passed
+    clean = {id(table) for table in tables}
+    used = len(tables)
+    _sabotage_reveal(monkeypatch)
+    for caps, checked, detail, witness in SABOTAGED_REVEAL_PINS:
+        result = battery_adversary(*caps)
+        assert (result.passed, result.checked, result.detail, result.witness) == (
+            False, checked, detail, witness
+        )
+    assert len(tables) > used and not clean & {id(table) for table in tables[used:]}
 
 
 # --- failure paths ----------------------------------------------------------------
