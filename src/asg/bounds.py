@@ -13,26 +13,25 @@ binom(n,t)/binom(floor(c t), t) over weights t (minimization form) and by
 binom(n,u)/binom(n - ceil(u/c), n - u) over zero counts u (maximization
 form).
 
-Sweeps decide in floats from one log-factorial table and take exact
-big-integer binomials, with logs at PRECISION bits, only where a value
-sits within the table's proven error (_float_margin) of its threshold.
-Ratios are exact rationals; floats are rejected at the API boundary.
+High-precision values are stdlib Decimals at 50 significant digits
+(_PRECISION_DIGITS), computed from the exact integers of the ratio.  Sweeps
+decide in floats from one log-factorial table and take exact big-integer
+binomials, with logs at 50 digits, only where a value sits within the
+table's proven error (_float_margin) of its threshold.  Ratios are exact
+rationals; floats are rejected at the API boundary.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
-
-import mpmath
 
 from asg.core import JsonRecord, as_ratio, check_work, render_text
 
 __all__ = [
-    "PRECISION",
-    "binary_entropy",
     "advice_bound",
     "envelope",
     "BoundReport",
@@ -43,7 +42,6 @@ __all__ = [
     "QuotientApproxReport",
     "check_min_quotient_approx",
     "check_max_quotient_approx",
-    "exp_growth_floor_ok",
     "exp_growth_floor_sweep",
     "sg_comparison_value",
     "CURVE_N",
@@ -55,60 +53,76 @@ __all__ = [
     "render_curve",
 ]
 
-PRECISION = 128  # working precision in bits for every mpmath computation
+_PRECISION_DIGITS = 50  # significant decimal digits of every Decimal computation
 QUOTIENT_TOL = 1e-9  # absolute slack allowed on each side of a quotient window
 _LN2 = math.log(2)
 
-
-def _mpf(value) -> mpmath.mpf:
-    """Exact conversion of int/Fraction (floats rejected upstream)."""
-    if isinstance(value, Fraction):
-        return mpmath.mpf(value.numerator) / value.denominator
-    return mpmath.mpf(value)
+# the working context: _PRECISION_DIGITS digits, and exponents wide enough
+# that no n or c a caller can pass overflows or underflows
+_CONTEXT = Context(prec=_PRECISION_DIGITS, Emax=MAX_EMAX, Emin=MIN_EMIN)
+_SERIES_BELOW = Decimal("0.01")  # _log1p sums its series for |x| below this
 
 
-def binary_entropy(p) -> mpmath.mpf:
-    """H(p) = -p log2 p - (1-p) log2 (1-p), with H(0) = H(1) = 0."""
-    with mpmath.workprec(PRECISION):
-        p = _mpf(p) if isinstance(p, (int, Fraction)) else mpmath.mpf(p)
-        if p < 0 or p > 1:
-            raise ValueError(f"entropy argument {p} outside [0, 1]")
-        if p == 0 or p == 1:
-            return mpmath.mpf(0)
-        q = 1 - p
-        return -(p * mpmath.log(p, 2) + q * mpmath.log(q, 2))
+def _log1p(x: Decimal) -> Decimal:
+    """ln(1 + x) for x > -1 at working precision, also where 1 + x would
+    round to 1 and lose x.  Called inside _CONTEXT."""
+    if abs(x) >= _SERIES_BELOW:  # rounding 1 + x costs at most two of x's digits
+        return (1 + x).ln()
+    # x - x^2/2 + x^3/3 - ...; each term is under 1/100 of the one before
+    total, power, k = x, x, 1
+    negligible = abs(x).scaleb(-_PRECISION_DIGITS - 1)
+    while abs(power) > negligible:
+        k += 1
+        power *= -x
+        total += power / k
+    return total
 
 
-def advice_bound(n: int, c) -> mpmath.mpf:
+def _ln(p: int, q: int = 1) -> Decimal:
+    """ln(p/q) for positive integers at working precision, accurate relative
+    to the result also for p/q near 1.  Called inside _CONTEXT."""
+    if abs(p - q) >= q * _SERIES_BELOW:
+        # |ln(p/q)| > 1/101, so rounding p/q costs at most two of its digits
+        return (Decimal(p) / q).ln()
+    return _log1p(Decimal(p - q) / q)
+
+
+with localcontext(_CONTEXT):
+    _LN2_D = _ln(2)
+    _E_D = Decimal(1).exp()
+
+
+def advice_bound(n: int, c) -> Decimal:
     """B(n, c) for rational c > 1, bits of advice for strict c-competitiveness.
 
-    Evaluated in the algebraically equal form
-    n * log2(1 + ((c-1)/c)^(c-1) / c), which stays stable as c -> 1+.
+    Evaluated as n log2(1 + r) with ln r = (c-1) ln((c-1)/c) - ln c, each
+    log taken of an exact ratio of integers and log2(1 + r) kept precise for
+    tiny r, so the value stays precise both as c -> 1+ and for huge c.
     """
     c = as_ratio(c)
     if c <= 1:
         raise ValueError("the bound needs c > 1")
-    with mpmath.workprec(PRECISION):
+    with localcontext(_CONTEXT):
         return n * _bound_rate(c)
 
 
 @lru_cache(maxsize=None)
-def _bound_rate(c: Fraction) -> mpmath.mpf:
+def _bound_rate(c: Fraction) -> Decimal:
     """B(1, c) = log2(1 + ((c-1)/c)^(c-1) / c) at working precision, once per c."""
-    with mpmath.workprec(PRECISION):
-        cm = _mpf(c)
-        ratio = mpmath.power((cm - 1) / cm, cm - 1) / cm
-        return mpmath.log(1 + ratio, 2)
+    p, q = c.numerator, c.denominator
+    with localcontext(_CONTEXT):
+        log_ratio = Decimal(p - q) / q * _ln(p - q, p) - _ln(p, q)
+        return _log1p(log_ratio.exp()) / _LN2_D
 
 
-def envelope(n: int, c) -> tuple[mpmath.mpf, mpmath.mpf]:
+def envelope(n: int, c) -> tuple[Decimal, Decimal]:
     """(lower, upper) linear envelopes n/(e ln2 c) and n/c around B(n, c)."""
     c = as_ratio(c)
     if c <= 1:
         raise ValueError("the envelope needs c > 1")
-    with mpmath.workprec(PRECISION):
-        cm = _mpf(c)
-        return n / (mpmath.e * mpmath.ln(2) * cm), n / cm
+    with localcontext(_CONTEXT):
+        hi = Decimal(n * c.denominator) / c.numerator
+        return hi / (_E_D * _LN2_D), hi
 
 
 class BoundReport(JsonRecord, namedtuple(
@@ -141,10 +155,16 @@ def bound_report(n: int, c) -> BoundReport:
     return BoundReport(n, c, float(advice_bound(n, c)), float(lo), float(hi), slacks)
 
 
-def log2_binom(n: int, m: int) -> mpmath.mpf:
+def log2_binom(n: int, m: int) -> Decimal:
     """log2 of the exact binomial, precise to the working precision."""
-    with mpmath.workprec(PRECISION):
-        return mpmath.log(mpmath.mpf(math.comb(n, m)), 2)
+    with localcontext(_CONTEXT):
+        return (+Decimal(math.comb(n, m))).ln() / _LN2_D
+
+
+def _log2_quotient(n: int, w: int, k: int, t: int) -> Decimal:
+    """log2(binom(n, w) / binom(k, t)) at working precision."""
+    with localcontext(_CONTEXT):
+        return log2_binom(n, w) - log2_binom(k, t)
 
 
 _LOG_FACTORIALS = [0.0, 0.0]  # entry i is ln(i!), grown on demand by _log_factorials
@@ -206,19 +226,18 @@ def _quotient_peak(objective: str, n: int, c: Fraction) -> tuple[float, int, int
     return (lg[n] + peak) / _LN2, ws[best], ks[best], ts[best]
 
 
-def _log_max_quotient(objective: str, n: int, c: Fraction) -> tuple[mpmath.mpf, int]:
+def _log_max_quotient(objective: str, n: int, c: Fraction) -> tuple[Decimal, int]:
     """The largest quotient's log2 at working precision, and its first maximizer."""
     _, w, k, t = _quotient_peak(objective, n, c)
-    with mpmath.workprec(PRECISION):
-        return log2_binom(n, w) - log2_binom(k, t), w
+    return _log2_quotient(n, w, k, t), w
 
 
-def log_max_weight_quotient(n: int, c) -> tuple[mpmath.mpf, int]:
+def log_max_weight_quotient(n: int, c) -> tuple[Decimal, int]:
     """max over t with floor(c t) < n of log2(binom(n,t)/binom(floor(ct),t))."""
     return _log_max_quotient("min", n, as_ratio(c))
 
 
-def log_max_cozero_quotient(n: int, c) -> tuple[mpmath.mpf, int]:
+def log_max_cozero_quotient(n: int, c) -> tuple[Decimal, int]:
     """max over 0 < u < n of log2(binom(n,u)/binom(n - ceil(u/c), n - u));
     the sweep also admits u = n, whose quotient 1 never beats u = 1's n."""
     return _log_max_quotient("max", n, as_ratio(c))
@@ -235,8 +254,7 @@ class QuotientApproxReport(namedtuple(
 
     @property
     def log_max_quotient(self) -> float:
-        with mpmath.workprec(PRECISION):
-            return float(log2_binom(self.n, self.argmax) - log2_binom(*self.shape))
+        return float(_log2_quotient(self.n, self.argmax, *self.shape))
 
     @property
     def bound_bits(self) -> float:
@@ -255,9 +273,11 @@ def _check_quotient_approx(objective, n, c, slack_lo, slack_hi) -> QuotientAppro
     b = n * float(_bound_rate(c))
     lo, hi = b - slack_lo - QUOTIENT_TOL, b + slack_hi + QUOTIENT_TOL
     if min(abs(value - lo), abs(hi - value)) <= _float_margin(n):
-        with mpmath.workprec(PRECISION):
-            value, b = log2_binom(n, w) - log2_binom(k, t), advice_bound(n, c)
-            lo, hi = b - slack_lo - QUOTIENT_TOL, b + slack_hi + QUOTIENT_TOL
+        # decide at working precision; the float slacks convert exactly
+        value, b = _log2_quotient(n, w, k, t), advice_bound(n, c)
+        with localcontext(_CONTEXT):
+            lo = b - Decimal(slack_lo) - Decimal(QUOTIENT_TOL)
+            hi = b + Decimal(slack_hi) + Decimal(QUOTIENT_TOL)
     return QuotientApproxReport(n, c, w, (k, t), slack_lo, slack_hi, value >= lo, value <= hi)
 
 
@@ -273,31 +293,14 @@ def check_max_quotient_approx(n: int, c) -> QuotientApproxReport:
     return _check_quotient_approx("max", n, as_ratio(c), *_slacks(n)[2:])
 
 
-def exp_growth_floor_ok(n: int, c: int, tol: float = 1e-9) -> bool:
-    """binom(n,t)/binom(ct,t) >= e^t at t = floor(n/(e c)), in log space.
-
-    Only defined for integer c >= 2 with c t < n; t = 0 holds trivially.
-    """
-    if not isinstance(c, int) or c < 2:
-        raise TypeError("needs an integer ratio c >= 2")
-    with mpmath.workprec(PRECISION):
-        t = int(mpmath.floor(n / (mpmath.e * c)))
-        if t == 0:
-            return True
-        if c * t >= n:
-            raise ValueError("c t must stay below n")
-        lhs = math.log2(math.comb(n, t)) - math.log2(math.comb(c * t, t))
-        return bool(lhs >= t * float(mpmath.log(mpmath.e, 2)) - tol)
-
-
 def exp_growth_floor_sweep(n_max: int, c: int, tol: float = 1e-9) -> list[int]:
-    """Every n <= n_max where the exp_growth_floor_ok inequality fails
-    (empty when the floor bound holds throughout).
+    """Every n <= n_max where binom(n,t)/binom(ct,t) >= e^t fails at
+    t = floor(n/(e c)), in log2 space less tol (empty when the floor bound
+    holds throughout; a row with t = 0 holds trivially).
 
-    Same claim as the pointwise check.  Each row is decided in floats from
-    the log-factorial table; a row within _float_margin(n_max) of its
-    threshold is decided by the pointwise check's own formula on the exact
-    binomials C(n, t) and C(ct, t).
+    Each row is decided in floats from the log-factorial table; a row within
+    _float_margin(n_max) of its threshold is decided by
+    log2(C(n, t)) - log2(C(ct, t)) on the exact binomials.
     """
     if not isinstance(c, int) or c < 2:
         raise TypeError("needs an integer ratio c >= 2")
@@ -307,40 +310,38 @@ def exp_growth_floor_sweep(n_max: int, c: int, tol: float = 1e-9) -> list[int]:
     log2e = math.log2(math.e)
     margin = _float_margin(n_max)
     bad: list[int] = []
-    with mpmath.workprec(PRECISION):
-        ec = mpmath.e * c
-
-        def first_n_with(t_next: int) -> int:
-            # smallest n with floor(n / (e c)) = t_next; e c is irrational
-            return int(mpmath.ceil(t_next * ec))
-
-        t, floor, den_log = 0, 0.0, 0.0  # den_log ~ log2 C(ct, t); row n fails below floor
-        nxt = first_n_with(1)
-        for n in range(1, n_max + 1):
-            if n == nxt:
-                t += 1
-                den_log = (lg[c * t] - lg[t] - lg[c * t - t]) / _LN2
-                floor = t * log2e - tol
-                nxt = first_n_with(t + 1)
-            if t:
-                gap = (lg[n] - lg[t] - lg[n - t]) / _LN2 - den_log - floor
-                if gap < -margin or gap <= margin and (
-                    math.log2(math.comb(n, t)) - math.log2(math.comb(c * t, t)) < floor
-                ):
-                    bad.append(n)
+    with localcontext(_CONTEXT):
+        # e c at working precision as an exact fraction; e c is irrational, so
+        # floor(n / (e c)) first reaches t at n = ceil(t e c)
+        ec_num, ec_den = (_E_D * c).as_integer_ratio()
+    t, floor, den_log = 0, 0.0, 0.0  # den_log ~ log2 C(ct, t); row n fails below floor
+    nxt = -(-ec_num // ec_den)
+    for n in range(1, n_max + 1):
+        if n == nxt:
+            t += 1
+            den_log = (lg[c * t] - lg[t] - lg[c * t - t]) / _LN2
+            floor = t * log2e - tol
+            nxt = -(-(t + 1) * ec_num // ec_den)
+        if t:
+            gap = (lg[n] - lg[t] - lg[n - t]) / _LN2 - den_log - floor
+            if gap < -margin or gap <= margin and (
+                math.log2(math.comb(n, t)) - math.log2(math.comb(c * t, t)) < floor
+            ):
+                bad.append(n)
     return bad
 
 
-def sg_comparison_value(c) -> mpmath.mpf:
+def sg_comparison_value(c) -> Decimal:
     """Per-request advice for plain string guessing: log2((c-1)^(c-1)/((c/2)^c))/c,
     meaningful for 1 < c <= 2."""
     c = as_ratio(c)
     if not 1 < c <= 2:
         raise ValueError("comparison curve defined for 1 < c <= 2")
-    with mpmath.workprec(PRECISION):
-        cm = _mpf(c)
-        val = mpmath.power(cm - 1, cm - 1) / mpmath.power(cm / 2, cm)
-        return mpmath.log(val, 2) / cm
+    p, q = c.numerator, c.denominator
+    with localcontext(_CONTEXT):
+        # (c-1) ln(c-1) - c ln(c/2), exactly 0 at c = 2
+        log_val = Decimal(p - q) / q * _ln(p - q, q) - Decimal(p) / q * _ln(p, 2 * q)
+        return log_val / (Decimal(p) / q * _LN2_D)
 
 
 # --- the advice curve ---------------------------------------------------------
@@ -364,7 +365,8 @@ def curve_point(c, n: int = CURVE_N) -> CurvePoint:
     bound = advice_bound(n, c)
     lo, hi = envelope(n, c)
     sg = float(sg_comparison_value(c)) if 1 < c <= 2 else None
-    return CurvePoint(c, float(bound / n), float(hi / n), float(lo / n), sg)
+    with localcontext(_CONTEXT):
+        return CurvePoint(c, float(bound / n), float(hi / n), float(lo / n), sg)
 
 
 def emit_curve(c_min, c_max, steps: int, n: int = CURVE_N) -> list[CurvePoint]:

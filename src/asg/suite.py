@@ -245,10 +245,10 @@ def battery_envelope(n: int = CURVE_N, ratios=None):
     """n/(e ln2 c) <= B(n,c) <= n/c on the ratio grid."""
     ratios = _ratios(ratios, ENVELOPE_RATIOS)
     for c in ratios:
-        bound = advice_bound(n, c)
-        lo, hi = envelope(n, c)
+        bound = float(advice_bound(n, c))
+        lo, hi = (float(v) for v in envelope(n, c))
         yield None if lo * (1 - ENVELOPE_REL_TOL) <= bound <= hi * (1 + ENVELOPE_REL_TOL) else (
-            f"sandwich violated at n={n}", f"c={c}: {float(lo)} <= {float(bound)} <= {float(hi)}"
+            f"sandwich violated at n={n}", f"c={c}: {lo} <= {bound} <= {hi}"
         )
     return f"{{checked}} ratios sandwiched at n={n}, rel tol {ENVELOPE_REL_TOL:g}"
 

@@ -2,25 +2,22 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
 import pytest
 
 from asg.bounds import (
-    PRECISION,
     QUOTIENT_TOL,
     _check_quotient_approx,
     _float_margin,
     _log_factorials,
-    _mpf,
     advice_bound,
-    binary_entropy,
     bound_report,
     check_max_quotient_approx,
     check_min_quotient_approx,
     envelope,
-    exp_growth_floor_ok,
     exp_growth_floor_sweep,
     log2_binom,
     log_max_cozero_quotient,
@@ -29,13 +26,80 @@ from asg.bounds import (
 )
 from asg.core import as_ratio
 
+# mpmath is the tests' reference: REFERENCE_BITS of working precision, and
+# the library's Decimal values within 2^-REFERENCE_TOL_BITS of it, relative
+REFERENCE_BITS = 128
+REFERENCE_TOL_BITS = 120
+
+
+def _mpf(value) -> mpmath.mpf:
+    """An int, Fraction or Decimal as an mpf at the current precision (floats
+    are rejected)."""
+    if isinstance(value, Fraction):
+        return mpmath.mpf(value.numerator) / value.denominator
+    if isinstance(value, Decimal):
+        return mpmath.mpf(str(value))
+    if not isinstance(value, int):
+        raise TypeError(f"not an exact number: {value!r}")
+    return mpmath.mpf(value)
+
+
+def _close(value: Decimal, reference: mpmath.mpf) -> bool:
+    """value within 2^-REFERENCE_TOL_BITS of reference, relative."""
+    with mpmath.workprec(REFERENCE_BITS + 64):
+        return abs(_mpf(value) - reference) <= abs(reference) * mpmath.mpf(2) ** -REFERENCE_TOL_BITS
+
+
+def reference_bound(n: int, c, bits: int = REFERENCE_BITS) -> mpmath.mpf:
+    """B(n, c) = n log2(1 + ((c-1)/c)^(c-1) / c) in mpmath at bits of precision."""
+    with mpmath.workprec(bits):
+        cm = _mpf(as_ratio(c))
+        return n * mpmath.log(1 + mpmath.power((cm - 1) / cm, cm - 1) / cm, 2)
+
+
+def reference_log2_quotient(quotient: Fraction) -> mpmath.mpf:
+    """log2 of an exact quotient of binomials in mpmath at REFERENCE_BITS."""
+    with mpmath.workprec(REFERENCE_BITS):
+        return mpmath.log(_mpf(quotient), 2)
+
+
+def binary_entropy(p) -> mpmath.mpf:
+    """H(p) = -p log2 p - (1-p) log2 (1-p), with H(0) = H(1) = 0."""
+    with mpmath.workprec(REFERENCE_BITS):
+        p = _mpf(p) if isinstance(p, (int, Fraction)) else mpmath.mpf(p)
+        if p < 0 or p > 1:
+            raise ValueError(f"entropy argument {p} outside [0, 1]")
+        if p == 0 or p == 1:
+            return mpmath.mpf(0)
+        q = 1 - p
+        return -(p * mpmath.log(p, 2) + q * mpmath.log(q, 2))
+
+
+def exp_growth_floor_ok(n: int, c: int, tol: float = 1e-9) -> bool:
+    """binom(n,t)/binom(ct,t) >= e^t at t = floor(n/(e c)), in log space: the
+    pointwise claim exp_growth_floor_sweep decides row by row.
+
+    Only defined for integer c >= 2 with c t < n; t = 0 holds trivially.
+    """
+    if not isinstance(c, int) or c < 2:
+        raise TypeError("needs an integer ratio c >= 2")
+    with mpmath.workprec(REFERENCE_BITS):
+        t = int(mpmath.floor(n / (mpmath.e * c)))
+        if t == 0:
+            return True
+        if c * t >= n:
+            raise ValueError("c t must stay below n")
+        lhs = math.log2(math.comb(n, t)) - math.log2(math.comb(c * t, t))
+        return bool(lhs >= t * float(mpmath.log(mpmath.e, 2)) - tol)
+
+
 # --- the entropy lemmas behind the bound, as probes --------------------------
 
 
 def entropy_gap(n: int, t: int, c) -> mpmath.mpf:
     """n H(t/n) - c t H(1/c): the entropy estimate of the log quotient."""
     c = as_ratio(c)
-    with mpmath.workprec(PRECISION):
+    with mpmath.workprec(REFERENCE_BITS):
         return n * binary_entropy(Fraction(t, n)) - _mpf(c) * t * binary_entropy(1 / c)
 
 
@@ -51,7 +115,7 @@ def gap_maximizer(n: int, c) -> Maximizer:
     c = as_ratio(c)
     if c <= 1:
         raise ValueError("the maximizer needs c > 1")
-    with mpmath.workprec(PRECISION):
+    with mpmath.workprec(REFERENCE_BITS):
         cm = _mpf(c)
         x = mpmath.power(cm / (cm - 1), cm) * (cm - 1) + 1
         return Maximizer(c, x, n / x)
@@ -72,7 +136,7 @@ def check_entropy_properties(
       5. n H(1/x) - n H(1/x + 1/n) < 3 for n >= 3, x > 2
     """
     bad = []
-    with mpmath.workprec(PRECISION):
+    with mpmath.workprec(REFERENCE_BITS):
         tol = mpmath.mpf(10) ** -25
         for s in s_values:
             lhs = binary_entropy(Fraction(1, s))
@@ -112,8 +176,8 @@ def binomial_entropy_ok(n: int, m: int) -> bool:
     """2^{n H(m/n)} / (n+1) <= binom(n, m) <= 2^{n H(m/n)}, checked in log space."""
     if not 0 <= m <= n or n < 1:
         raise ValueError("need 1 <= n and 0 <= m <= n")
-    with mpmath.workprec(PRECISION):
-        lhs = log2_binom(n, m)
+    with mpmath.workprec(REFERENCE_BITS):
+        lhs = _mpf(log2_binom(n, m))
         ent = n * binary_entropy(Fraction(m, n))
         return ent - mpmath.log(n + 1, 2) <= lhs <= ent
 
@@ -122,9 +186,9 @@ def forms_within_factor_n(n: int, c, tol: float = 1e-9) -> bool:
     """The two quotient forms agree within a multiplicative factor n each way."""
     min_form, _ = log_max_weight_quotient(n, c)
     max_form, _ = log_max_cozero_quotient(n, c)
-    with mpmath.workprec(PRECISION):
+    with mpmath.workprec(REFERENCE_BITS):
         gap = mpmath.log(n, 2)
-        return bool(abs(min_form - max_form) <= gap + tol)
+        return bool(abs(_mpf(min_form) - _mpf(max_form)) <= gap + tol)
 
 
 def binom_ratio_identity_ok(a: int, b: int, c: int) -> bool:
@@ -158,15 +222,35 @@ def test_advice_bound_values():
 
 
 def test_advice_bound_bits_are_pinned():
-    # every 128-bit mantissa, recorded when each call recomputed the per-c
-    # constant; it is now computed once per c and multiplied by n
-    rows = [
-        f"{c} {n} {advice_bound(n, c)._mpf_}"
-        for c in ("21/20", "3/2", "2", "3", "5")
-        for n in (*range(2001), 10**6, 10**12)
-    ]
+    # each value within 2^-120 of mpmath at 128 bits; its float as when the
+    # library computed in mpmath at 128 bits; and the digits themselves
+    args = [(n, c) for c in ("21/20", "3/2", "2", "3", "5") for n in (*range(2001), 10**6, 10**12)]
+    values = [advice_bound(n, c) for n, c in args]
+    rates = {c: reference_bound(1, c) for c in ("21/20", "3/2", "2", "3", "5")}
+    with mpmath.workprec(REFERENCE_BITS):
+        assert all(_close(v, n * rates[c]) for (n, c), v in zip(args, values))
+    floats = [f"{c} {n} {float(v)!r}" for (n, c), v in zip(args, values)]
+    digest = hashlib.sha256("\n".join(floats).encode()).hexdigest()
+    assert digest == "02b7a86b289aedb2b4532e033a66b6d22f9531c585b301ebe7e2ae70b90ab77b"
+    rows = [f"{c} {n} {v}" for (n, c), v in zip(args, values)]
     digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
-    assert digest == "2922bec48f38cc95c26aaf546711ba3cb8aad91977c5458a74f3f4ef8b23a274"
+    assert digest == "aeee224f476efaef4ef32a9717b00a37816036fe97b597e96f00085fecd2cb45"
+
+
+@pytest.mark.parametrize(
+    "c",
+    [10**22, 10**30, 10**39, 10**300, 1 + Fraction(1, 10**30), 1 + Fraction(1, 10**300)],
+    ids=["1e22", "1e30", "1e39", "1e300", "1+1e-30", "1+1e-300"],
+)
+def test_advice_bound_keeps_its_precision_at_extreme_ratios(c):
+    # r ~ 1/(e c) in log2(1 + r) is lost where 1 + r is rounded; at 128 bits
+    # that took bound_bits from c = 10^22 on, and to 0.0 by 10^39.  The
+    # reference has the bits to hold 1 - 1/c, and then some
+    c = Fraction(c)
+    bits = 2 * max(c.numerator, c.denominator).bit_length() + 600
+    assert _close(advice_bound(1000, c), reference_bound(1000, c, bits=bits))
+    rep = bound_report(1000, c)
+    assert 0 < rep.lower_envelope <= rep.bound_bits <= rep.upper_envelope
 
 
 def test_advice_bound_stable_near_one():
@@ -191,9 +275,9 @@ def test_entropy_gap_peaks_at_bound():
     m = gap_maximizer(n, 2)
     assert abs(float(m.x_value) - 5) < 1e-25
     assert abs(float(m.t_star) - 200) < 1e-22
-    with mpmath.workprec(128):
+    with mpmath.workprec(REFERENCE_BITS):
         peak = entropy_gap(n, 200, 2)
-        assert abs(float(peak - advice_bound(n, 2))) < 1e-20
+        assert abs(float(peak - _mpf(advice_bound(n, 2)))) < 1e-20
 
 
 def test_maximizer_interval():
@@ -273,30 +357,41 @@ def test_quotient_forms_match_an_exact_brute_force():
                 first, best = _brute_max_quotient(exact)
                 value, got = quotient(n, c)
                 assert got == first, (quotient.__name__, n, c)
-                with mpmath.workprec(PRECISION):
+                with mpmath.workprec(REFERENCE_BITS):
                     want = mpmath.log(best.numerator, 2) - mpmath.log(best.denominator, 2)
-                    assert abs(value - want) < mpmath.mpf(2) ** -100, (quotient.__name__, n, c)
+                    assert abs(_mpf(value) - want) < mpmath.mpf(2) ** -100, (quotient.__name__, n, c)
 
 
 def test_quotient_sweep_values_are_pinned():
-    # (repr of the value, argmax) of both forms at the sweep's four ratios,
-    # recorded when each call rebuilt its own log-factorials; n = 2000 comes
-    # first so that the small n read a table grown past them
-    rows = []
+    # (value, argmax) of both forms at the sweep's four ratios; n = 2000 comes
+    # first so that the small n read a table grown past them.  Each value is
+    # within 2^-120 of mpmath at 128 bits, its float and argmax are as when
+    # the library computed in mpmath at 128 bits, and the digits are pinned
+    rows, floats = [], []
     for c in ("3/2", "2", "3", "5"):
+        ratio = Fraction(c)
         for n in (2000, 1999, 1000, 500, *range(1, 201)):
-            rows.append(f"min {c} {n} {log_max_weight_quotient(n, c)!r}")
+            forms = [("min", log_max_weight_quotient, lambda w: (math.floor(ratio * w), w))]
             if n >= 2:
-                rows.append(f"max {c} {n} {log_max_cozero_quotient(n, c)!r}")
-    assert rows[0] == "min 3/2 2000 (mpf('939.79697841306235'), 555)"
+                forms.append(("max", log_max_cozero_quotient,
+                              lambda w: (n - math.ceil(w / ratio), n - w)))
+            for name, quotient, shape in forms:
+                value, w = quotient(n, c)
+                exact = Fraction(math.comb(n, w), math.comb(*shape(w)))
+                assert _close(value, reference_log2_quotient(exact)), (name, c, n)
+                rows.append(f"{name} {c} {n} {(value, w)!r}")
+                floats.append(f"{name} {c} {n} {float(value)!r} {w}")
+    assert rows[0] == "min 3/2 2000 (Decimal('939.79697841306235085924401541119386197896423532080'), 555)"
+    digest = hashlib.sha256("\n".join(floats).encode()).hexdigest()
+    assert digest == "3134208e969d69a753b6f6bc8f35f71c8d5900d671e1cefb3f7de1a5011d3206"
     digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
-    assert digest == "a2c29ea4b56dad5bc4a9e2f339ac3a41a217cfa4d54c2c962621f7f677aa6f20"
+    assert digest == "680a4b76bd4827414f54ac9d0c6012b209c0736be346a00036f39a9ee2820abe"
 
 
 def test_log_factorials_stay_within_the_stated_bound():
     # entry i is i - 1 rounded logs and additions: within 2 i ulp(entry) nats
     lg = _log_factorials(10**5)
-    with mpmath.workprec(PRECISION):
+    with mpmath.workprec(REFERENCE_BITS):
         for i in (400, 2000, 10**4, 10**5):
             assert abs(lg[i] - mpmath.loggamma(i + 1)) <= 2 * i * math.ulp(lg[i]), i
     # the 1e-6 floor holds through the pinned sweep; the derived bound takes
@@ -306,20 +401,22 @@ def test_log_factorials_stay_within_the_stated_bound():
 
 def test_quotient_window_edges_are_decided_exactly():
     # slacks that put the exact maximum within 1e-12 bits of a window edge,
-    # on either side: the floats cannot tell, and the answer is the 128-bit
-    # comparison of the exact maximum with that edge
+    # on either side: the floats cannot tell, and the answer is mpmath's
+    # 128-bit comparison of the exact maximum with that edge
     seen = set()
-    for objective, quotient in (("min", log_max_weight_quotient), ("max", log_max_cozero_quotient)):
+    for objective in ("min", "max"):
         for n, c in ((37, Fraction(3, 2)), (100, Fraction(2)), (256, Fraction(3)), (1000, Fraction(5))):
-            value, _ = quotient(n, c)
-            with mpmath.workprec(PRECISION):
-                b = advice_bound(n, c)
+            rep = _check_quotient_approx(objective, n, c, 0.0, 0.0)  # for its argmax and shape
+            exact = Fraction(math.comb(n, rep.argmax), math.comb(*rep.shape))
+            value = reference_log2_quotient(exact)
+            with mpmath.workprec(REFERENCE_BITS):
+                b = reference_bound(n, c)
                 lo_edge, hi_edge = float(b - value - QUOTIENT_TOL), float(value - b - QUOTIENT_TOL)
             far = lo_edge + hi_edge + 100  # a slack far from either edge
             for d in (-5e-13, -2e-14, -1e-15, 0.0, 1e-15, 2e-14, 5e-13):
                 for slacks in ((lo_edge + d, far), (far, hi_edge + d), (lo_edge + d, hi_edge - d)):
                     rep = _check_quotient_approx(objective, n, c, *slacks)
-                    with mpmath.workprec(PRECISION):
+                    with mpmath.workprec(REFERENCE_BITS):
                         want = (
                             bool(value >= b - slacks[0] - QUOTIENT_TOL),
                             bool(value <= b + slacks[1] + QUOTIENT_TOL),

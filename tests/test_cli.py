@@ -290,14 +290,20 @@ def test_work_over_a_limit_is_refused_before_it_starts(argv, stderr):
     assert done.stderr == f"error: {stderr}\n"  # one line, no traceback
 
 
-def test_every_benchmark_command_and_battery_call_is_within_its_limits(monkeypatch):
-    from asg import adversary, bounds, designs, problems
-
+def _benchmark_workloads(monkeypatch):
+    """perfbench/workloads.py, loaded as a module."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def test_every_benchmark_command_and_battery_call_is_within_its_limits(monkeypatch):
+    from asg import adversary, bounds, designs, problems
+
+    workloads = _benchmark_workloads(monkeypatch)
     estimates = {}  # limit name -> the estimates it must admit
 
     def need(limit: str, estimate: int) -> None:
@@ -362,6 +368,43 @@ def test_every_benchmark_command_and_battery_call_is_within_its_limits(monkeypat
         "CLASS_BITS": 5_000_000, "CURVE_STEPS": 10_000, "BRUTE_GUARD": 16,
         "HALVING_PATHS_LIMIT": 30, "DEFAULT_BRUTE_LIMIT": 8, "DEFAULT_TSUBSET_LIMIT": 100_000,
     }
+
+
+# sha256 over "<exit code>\0<stdout>\0<stderr>\0" of each command, in order:
+# one digest per kind of the non-frontier benchmark commands of seeds 0 and 1,
+# then the suite call and the 60-point curve the curve battery samples, at
+# the default n, in both formats
+OUTPUT_SHA256 = {
+    "bounds": "37c621614821ed8e58923f2524596f26581df5f06c5a13f4d6530676d98b6dbb",
+    "simulate": "cfd282807d58d0ba7c709cc893c26383145f03902f50cffd800a10c065a10e39",
+    "verify": "0c3bff8f636f40db37be947dc4765ea5c37de597229955b43bccfdd4eba706cf",
+    "adversary": "5e766da9630c4a6ab0624c45702148177ffa418adbbe737c9defadc8ff1ee91a",
+    "lift": "94cad12c16d31cd36043235014f386575d01c3db19c17c7be4445629883e2ba2",
+    "design": "1d7965196b7b3a6b61e362a7b9261a82005a4e8e44cfd00eb928d7efa204dcac",
+    "brute": "23f3e9efdbec6be28de5dbc83dd09f91d8b62fca1ce9b8a96c8c1b5cc065085f",
+    "suite": "53857bf46027f5481cd6a9976db54d23dd5adadcced19ea7c4257c949f64b978",
+    "curve-csv": "d16ca997b57f4925a2cc3ed5304f994dd5f2a5d7523d691f2bb9c3ee712ed775",
+    "curve-json": "78291fe85d6c5f60fb191b4bf828131d30c322b1cd48983b912310a4ea4451f2",
+}
+OUTPUT_EXTRA_COMMANDS = {
+    "suite": ("suite", "--n-max", "4", "--grid-max", "50"),
+    "curve-csv": ("curve", "--c-min", "21/20", "--c-max", "4", "--steps", "60"),
+    "curve-json": ("curve", "--c-min", "21/20", "--c-max", "4", "--steps", "60",
+                   "--format", "json"),
+}
+
+
+def test_command_output_bytes_are_pinned(capsys, monkeypatch):
+    workloads = _benchmark_workloads(monkeypatch)
+    runs = [(c.kind, (c.kind, *c.args)) for seed in (0, 1) for c in workloads.cli_commands(seed)
+            if not c.frontier]
+    assert len(runs) == 200
+    runs += OUTPUT_EXTRA_COMMANDS.items()
+    digests = {kind: hashlib.sha256() for kind in OUTPUT_SHA256}
+    for kind, argv in runs:
+        code, out, err = run_cli(capsys, *argv)
+        digests[kind].update(f"{code}\0{out}\0{err}\0".encode())
+    assert {kind: d.hexdigest() for kind, d in digests.items()} == OUTPUT_SHA256
 
 
 def test_a_huge_design_guard_is_refused_without_computing_the_binomial():
@@ -583,10 +626,14 @@ IMPORT_GRAPH_COMMANDS = {
 
 
 def _modules_after(argv) -> set[str]:
+    """The modules loaded after `asg <argv>`, or with no argv after no
+    command at all: the bare interpreter with this script's own imports."""
     script = (
         "import json, os, sys\n"
-        "from asg.cli import main\n"
-        "code = main(sys.argv[1:] + ['--out', os.devnull])\n"
+        "code = 0\n"
+        "if sys.argv[1:]:\n"
+        "    from asg.cli import main\n"
+        "    code = main(sys.argv[1:] + ['--out', os.devnull])\n"
         "print(json.dumps([code, sorted(sys.modules)]))\n"
     )
     env = dict(os.environ, PYTHONPATH=SRC)
@@ -595,6 +642,11 @@ def _modules_after(argv) -> set[str]:
     code, modules = json.loads(done.stdout)
     assert code == 0, done.stderr
     return set(modules)
+
+
+@pytest.fixture(scope="module")
+def bare_modules() -> set[str]:
+    return _modules_after(())
 
 
 # The asg.* modules each command loads beyond asg, asg.cli and asg.core.
@@ -617,16 +669,16 @@ COMMAND_MODULES["brute-n7-c2"] = COMMAND_MODULES["brute-n6-c3_2"] = COMMAND_MODU
 
 
 @pytest.mark.parametrize("name", IMPORT_GRAPH_COMMANDS)
-def test_each_command_imports_only_what_it_runs(name):
+def test_each_command_imports_only_what_it_runs(name, bare_modules):
     modules = _modules_after(IMPORT_GRAPH_COMMANDS[name])
     assert {m for m in modules if m.split(".")[0] == "asg"} == {
         "asg", "asg.cli", "asg.core", *(f"asg.{m}" for m in COMMAND_MODULES[name])}
-    assert ("mpmath" in modules) == (name in ("bounds", "curve", "suite", "suite-csv"))
-    # scipy loads only for a cover the orbital search leaves to HiGHS, which
-    # no n <= 7 count at c in {5/4, 3/2, 2, 3} is
-    assert "scipy" not in modules
-    # the float sweeps in asg.bounds run on the stdlib alone
-    assert "numpy" not in modules
+    # every module a command adds is the stdlib's or asg's: asg.bounds runs on
+    # decimal and exact integers, and scipy loads only for a cover the orbital
+    # search leaves to HiGHS, which no n <= 7 count at c in {5/4, 3/2, 2, 3} is
+    assert {m for m in modules - bare_modules
+            if m.split(".")[0] not in sys.stdlib_module_names | {"asg"}} == set()
+    assert "mpmath" not in modules
     # csv loads only to write CSV, so only for curve and suite
     assert ("csv" in modules) == (name in ("curve", "suite-csv"))
     # the records are named tuples; only algorithms.AdvicePair is a dataclass

@@ -4,6 +4,7 @@ small enough to stay fast; the full sweeps live in test_acceptance."""
 import dataclasses
 import itertools
 import json
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -249,7 +250,7 @@ FAILURE_CASES = {
         (
             20,
             "a sampled point broke the envelope contract",
-            "c=2: CurvePoint(c=Fraction(2, 1), asg_bits_per_request=3.219280948873623, "
+            "c=2: CurvePoint(c=Fraction(2, 1), asg_bits_per_request=3.2192809488736236, "
             "envelope_hi=0.5, envelope_lo=0.2653689227115215, sg_bits_per_request=0.0)",
         ),
     ),
@@ -262,7 +263,8 @@ FAILURE_CASES = {
     ),
     "curve-at-two": (
         lambda mp: _wrap(
-            mp, "advice_bound", lambda real, n, c: real(n, c) * (1.001 if c == 2 else 1), asg.bounds
+            mp, "advice_bound", lambda real, n, c: real(n, c) * (Decimal("1.001") if c == 2 else 1),
+            asg.bounds,
         ),
         lambda: battery_curve(),
         (
