@@ -46,10 +46,8 @@ from asg.core import (
     encode_int,
     encoded_length,
     fill_count,
-    one_positions,
     weight_ratio,
 )
-from asg.designs import design_for
 
 __all__ = [
     "AdvicePair",
@@ -102,10 +100,9 @@ def trivial_min(c) -> AdvicePair:
         n = len(x)
         p = -(-n * den // num)
         bits = encode_int(p)
-        for j in range(p):
-            # OR over the class {x_i : i = j (mod p)}, 1-based i: the 0-based
-            # positions j - 1 (mod p)
-            bits.append(int("1" in x[(j - 1) % p::p]))
+        # OR over the class {x_i : i = j (mod p)}, 1-based i: the 0-based
+        # positions j - 1 (mod p)
+        bits += [int("1" in x[(j - 1) % p::p]) for j in range(p)]
         return bits
 
     def budget(n: int) -> int:
@@ -136,22 +133,20 @@ def trivial_max(c) -> AdvicePair:
         raise ValueError("needs c >= 1")
     num, den = c.numerator, c.denominator  # ceil(n / c) is -(-n den // num)
 
-    def blocks_of(n: int) -> list[tuple[int, int]]:
-        if n == 0:
-            return []
-        width = -(-n * den // num)
-        return [(lo, min(lo + width - 1, n)) for lo in range(1, n + 1, width)]
-
     def oracle(x: str) -> list[int]:
         check_bits(x)
         n = len(x)
         if n == 0:
             return encode_int(1) + encode_int(0)
-        best = max(blocks_of(n), key=lambda b: x.count("0", b[0] - 1, b[1]))
-        # max() keeps the first maximum: leftmost block wins ties
-        lo, hi = best
+        width = -(-n * den // num)
+        lo, most = 1, -1
+        for start in range(0, n, width):
+            zeros = x.count("0", start, start + width)
+            if zeros > most:  # strictly more: the leftmost block wins ties
+                lo, most = start + 1, zeros
+        hi = min(lo + width - 1, n)
         bits = encode_int(lo) + encode_int(hi)
-        bits.extend(int(ch) for ch in x[lo - 1 : hi])
+        bits += map(int, x[lo - 1 : hi])
         return bits
 
     def budget(n: int) -> int:
@@ -163,23 +158,16 @@ def trivial_max(c) -> AdvicePair:
 # --- covering design protocols --------------------------------------------
 
 
-def _class_design(objective: str, c: Fraction, n: int, w: int):
-    """(t, design) of weight class w at length n: design is None for a
-    boundary class, which needs none (see core.design_shapes)."""
-    k, t = design_shapes(objective, c, n)[w]
-    return t, design_for(n, k, t) if 0 < t and k < n else None
-
-
 class _CoveringAlg(OnlineAlgorithm):
-    def __init__(self, c: Fraction, objective: str):
-        self.c, self.objective = c, objective
+    def __init__(self, class_design: Callable):
+        self.class_design = class_design
 
     def begin(self, tape):
         n = decode_int(tape)
         w = decode_fixed(tape, ceil_log2(n + 1))
         if w > n:
             raise MalformedAdviceError(f"weight field {w} exceeds the length {n}")
-        t, design = _class_design(self.objective, self.c, n, w)
+        t, design = self.class_design(n, w)
         self.in_block = range(1, n + 1) if t else ()  # a boundary class: all 1s or all 0s
         if design is not None:
             index = decode_fixed(tape, ceil_log2(design.size))
@@ -203,28 +191,37 @@ def _covering(c, objective: str) -> AdvicePair:
     c = as_ratio(c)
     if c <= 1:
         raise ValueError("needs c > 1")
+    from asg.designs import design_for  # here, so the trivial protocols never load designs
+
+    masks = {}  # (n, w) -> the blocks of class w's design as masks, x_1 the top bit
+
+    def class_design(n: int, w: int):
+        """(t, design) of weight class w at length n: design is None for a
+        boundary class, which needs none (see core.design_shapes)."""
+        k, t = design_shapes(objective, c, n)[w]
+        return t, design_for(n, k, t) if 0 < t and k < n else None
 
     def oracle(x: str) -> list[int]:
         check_bits(x)
         n = len(x)
         w = asg_opt(objective, x)
         bits = encode_int(n)
-        bits.extend(encode_fixed(w, ceil_log2(n + 1)))
-        design = _class_design(objective, c, n, w)[1]
+        bits += encode_fixed(w, ceil_log2(n + 1))
+        design = class_design(n, w)[1]
         if design is not None:
-            support = set(one_positions(x))
-            index = next(
-                i for i, block in enumerate(design.blocks) if support <= set(block)
-            )
-            bits.extend(encode_fixed(index, ceil_log2(design.size)))
+            if (n, w) not in masks:
+                masks[n, w] = [sum(1 << n - i for i in block) for block in design.blocks]
+            support = int(x, 2)
+            index = next(i for i, mask in enumerate(masks[n, w]) if support & mask == support)
+            bits += encode_fixed(index, ceil_log2(design.size))
         return bits
 
     def budget(n: int) -> int:
-        designs = [_class_design(objective, c, n, w)[1] for w in range(n + 1)]
+        designs = [class_design(n, w)[1] for w in range(n + 1)]
         widths = [ceil_log2(d.size) for d in designs if d is not None]
         return encoded_length(n) + ceil_log2(n + 1) + max(widths, default=0)
 
-    return AdvicePair(oracle, lambda: _CoveringAlg(c, objective), budget)
+    return AdvicePair(oracle, lambda: _CoveringAlg(class_design), budget)
 
 
 def covering_min(c) -> AdvicePair:

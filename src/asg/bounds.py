@@ -106,7 +106,10 @@ def advice_bound(n: int, c) -> Decimal:
         return n * _bound_rate(c)
 
 
-@lru_cache(maxsize=None)
+RATE_CACHE = 1024  # B(1, c) values kept, least recently used dropped first
+
+
+@lru_cache(maxsize=RATE_CACHE)
 def _bound_rate(c: Fraction) -> Decimal:
     """B(1, c) = log2(1 + ((c-1)/c)^(c-1) / c) at working precision, once per c."""
     p, q = c.numerator, c.denominator

@@ -307,18 +307,29 @@ class AdviceTape:
     read as 0.  bits_read is the number of bits read, the advice cost of a
     run; with no seek it is also the furthest position reached.  The bits
     are held as bytes, so a block or a field is read with one slice.
+
+    A tape is built from any iterable of bits: a list of 0/1 ints or bools
+    becomes bytes in one call; any other 0/1-valued number (1.0,
+    Fraction(1)) is converted one by one, and the first other value is
+    refused.
     """
 
     def __init__(self, written: Iterable[int] = ()):
         written = list(written)
         try:
-            bad = not set(written) <= {0, 1}
-        except TypeError:  # an unhashable element is no bit either
-            bad = True
-        if bad:
-            b = next(b for b in written if b not in (0, 1))
-            raise ValueError(f"tape bits must be 0 or 1, got {b!r}")
-        self._written = bytes(map(int, written))
+            data = bytes(written)  # ints and bools; other numbers raise TypeError
+        except (TypeError, ValueError):
+            data = None
+        if data is None or data.strip(b"\x00\x01"):
+            try:
+                bad = not set(written) <= {0, 1}
+            except TypeError:  # an unhashable element is no bit either
+                bad = True
+            if bad:
+                b = next(b for b in written if b not in (0, 1))
+                raise ValueError(f"tape bits must be 0 or 1, got {b!r}")
+            data = bytes(map(int, written))
+        self._written = data
         self._cursor = 0
 
     def read_bit(self) -> int:
@@ -348,10 +359,12 @@ def encode_fixed(value: int, width: int) -> list[int]:
     """value on exactly width bits, most significant bit first."""
     if not 0 <= value < 1 << width:
         raise ValueError(f"{value} does not fit in {width} bits")
-    return [(value >> shift) & 1 for shift in range(width - 1, -1, -1)]
+    # bin() of value with a 1 set above its top bit: "0b1" then the width bits
+    return list(bin(value | 1 << width)[3:].encode().translate(_BITS))
 
 
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def decode_fixed(tape: AdviceTape, width: int) -> int:
@@ -431,7 +444,7 @@ def run_asg(variant: Variant, pair, x: str) -> RunResult:
     tape = AdviceTape(pair.oracle(x))
     algorithm = pair.algorithm()
     if variant.history == "known":
-        requests = [None] + [bit_at(x, i) for i in range(1, n)] if n else []
+        requests = [None, *x[:-1].encode().translate(_BITS)] if n else []
     else:
         requests = [None] * n
     y = run_online(algorithm, tape, requests)

@@ -211,6 +211,37 @@ def test_covering_tapes_match_the_golden_digest():
     assert digest.hexdigest() == COVERING_TAPE_DIGEST
 
 
+# sha256 over the tape, output, score and bits read of every run of the trivial
+# protocols for |x| <= 10 and of the covering protocols for |x| <= 8, taken
+# before the oracles moved from per-bit loops to slices, counts and masks
+TRIVIAL_RUN_DIGEST = "0f6619d8b3f2678e0b99dead5fa10e7aa8483fd8e4fe881a49d08674c06eb53a"
+COVERING_RUN_DIGEST = "cb15404f7fb91d6090334381640030f870455cf8b207361036bb47f73dbbc19d"
+
+
+def _run_digest(factories, ratios, n_max):
+    digest = hashlib.sha256()
+    for factory, variant in factories:
+        for c in ratios:
+            pair = factory(c)
+            for n in range(n_max + 1):
+                for x in all_bitstrings(n):
+                    tape = "".join(map(str, pair.oracle(x)))
+                    out = run_asg(variant, pair, x)
+                    digest.update(f"{factory.__name__} {c} {x} {tape} {out.y} {out.score} {out.bits}\n".encode())
+    return digest.hexdigest()
+
+
+def test_trivial_runs_match_the_golden_digest():
+    factories = ((trivial_min, Variant.MIN_UNKNOWN), (trivial_max, Variant.MAX_UNKNOWN))
+    ratios = (Fraction(5, 4), Fraction(3, 2), Fraction(2), Fraction(3), Fraction(7, 2))
+    assert _run_digest(factories, ratios, 10) == TRIVIAL_RUN_DIGEST
+
+
+def test_covering_runs_match_the_golden_digest():
+    factories = ((covering_min, Variant.MIN_UNKNOWN), (covering_max, Variant.MAX_UNKNOWN))
+    assert _run_digest(factories, (Fraction(3, 2), Fraction(2), Fraction(3)), 8) == COVERING_RUN_DIGEST
+
+
 def test_covering_rejects_impossible_tape_fields():
     # n = 5 leaves 3 bits for the weight, so 6 and 7 fit the field but no input
     for factory in (covering_min, covering_max):

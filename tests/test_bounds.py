@@ -10,6 +10,8 @@ import pytest
 
 from asg.bounds import (
     QUOTIENT_TOL,
+    RATE_CACHE,
+    _bound_rate,
     _check_quotient_approx,
     _float_margin,
     _log_factorials,
@@ -17,6 +19,7 @@ from asg.bounds import (
     bound_report,
     check_max_quotient_approx,
     check_min_quotient_approx,
+    emit_curve,
     envelope,
     exp_growth_floor_sweep,
     log2_binom,
@@ -463,6 +466,17 @@ def test_growth_floor_sweep_on_its_threshold():
             tol = t0 * log2e - (math.log2(math.comb(n0, t0)) - math.log2(math.comb(c * t0, t0)))
             expected = [n for n in range(1, 201) if not exp_growth_floor_ok(n, c, tol=tol)]
             assert exp_growth_floor_sweep(200, c, tol=tol) == expected, (c, n0)
+
+
+def test_bound_rate_cache_stays_within_its_cap():
+    # two curve grids that share only their last ratio, more ratios in all
+    # than the cache keeps: an unbounded cache would hold every one of them
+    steps = RATE_CACHE // 2 + 100
+    for start in (Fraction(3, 2), Fraction(3, 2) + Fraction(1, 7 * steps)):
+        emit_curve(start, 4, steps)
+    info = _bound_rate.cache_info()
+    assert info.maxsize == RATE_CACHE
+    assert 0 < info.currsize <= RATE_CACHE
 
 
 def test_sg_comparison_curve():

@@ -609,6 +609,7 @@ def test_parser_choice_lists_copy_the_tables_they_name():
 IMPORT_GRAPH_COMMANDS = {
     "design": ("design", "--v", "6", "--k", "3", "--t", "2"),
     "simulate": ("simulate", "--protocol", "covering-min", "--c", "2", "--x", "0110"),
+    "simulate-trivial": ("simulate", "--protocol", "trivial-min", "--c", "2", "--x", "0110"),
     "verify": ("verify", "--protocol", "trivial-max", "--c", "3/2", "--n-max", "3"),
     "reduce": ("reduce", "--from", "0111", "--to", "cf"),
     "lift": ("lift", "--from", "0110", "--to", "is", "--c", "3/2"),
@@ -653,7 +654,9 @@ def bare_modules() -> set[str]:
 COMMAND_MODULES = {
     "design": {"cover", "designs"},
     "simulate": {"algorithms", "cover", "designs"},
-    "verify": {"algorithms", "cover", "designs"},
+    # the trivial protocols load no design code
+    "simulate-trivial": {"algorithms"},
+    "verify": {"algorithms"},
     "reduce": {"problems"},
     "lift": {"algorithms", "cover", "designs", "problems", "reductions"},
     "adversary-min": {"adversary"},

@@ -146,7 +146,14 @@ def test_tape_semantics():
     assert tape.read(3) == [1, 0, 0]  # past the written prefix: zeros
     assert tape.bits_read == 5
     assert AdviceTape([True, False]).read(2) == [1, 0]
-    for written, bad in (([2], 2), (["1"], "1"), ([None], None), ([[1]], [1]), ([0, 1, 0.5], 0.5)):
+    # any iterable of 0/1 values, bools and 0/1-valued numbers included
+    for written in ((1, 0, 1), (b for b in (1, 0, 1)), [True, False, True], [1.0, 0.0, 1],
+                    [Fraction(1), 0, True]):
+        assert AdviceTape(written)._written == b"\x01\x00\x01"
+    assert AdviceTape([1.0, 0.0])._written == b"\x01\x00"
+    for written, bad in (([2], 2), (["1"], "1"), ([None], None), ([[1]], [1]), ([0, 1, 0.5], 0.5),
+                         ([256], 256), ([-1], -1), ([True, 2], 2), ([1, b"\x01"], b"\x01"),
+                         ([0, Fraction(1, 2)], Fraction(1, 2))):
         with pytest.raises(ValueError) as info:
             AdviceTape(written)
         assert str(info.value) == f"tape bits must be 0 or 1, got {bad!r}"  # the first bad bit
@@ -229,6 +236,14 @@ def test_fixed_width_codec():
     for value, width in ((4, 2), (1, 0), (-1, 3)):
         with pytest.raises(ValueError, match=f"^{value} does not fit in {width} bits$"):
             encode_fixed(value, width)
+
+
+@given(st.integers(min_value=0, max_value=2**80 - 1), st.integers(min_value=0, max_value=8))
+def test_codes_match_the_per_bit_definitions(m, extra):
+    width = m.bit_length() + extra
+    fixed = [(m >> shift) & 1 for shift in range(width - 1, -1, -1)]
+    assert encode_fixed(m, width) == fixed
+    assert encode_int(m) == [1] * m.bit_length() + [0] + fixed[extra:]
 
 
 @given(st.integers(min_value=0, max_value=2**20))
