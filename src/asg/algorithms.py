@@ -37,6 +37,7 @@ from asg.core import (
     OnlineAlgorithm,
     as_ratio,
     asg_opt,
+    bit_list,
     ceil_log2,
     check_bits,
     decode_fixed,
@@ -99,11 +100,9 @@ def trivial_min(c) -> AdvicePair:
         check_bits(x)
         n = len(x)
         p = -(-n * den // num)
-        bits = encode_int(p)
         # OR over the class {x_i : i = j (mod p)}, 1-based i: the 0-based
         # positions j - 1 (mod p)
-        bits += [int("1" in x[(j - 1) % p::p]) for j in range(p)]
-        return bits
+        return encode_int(p) + [int("1" in x[(j - 1) % p::p]) for j in range(p)]
 
     def budget(n: int) -> int:
         p = -(-n * den // num)
@@ -145,9 +144,7 @@ def trivial_max(c) -> AdvicePair:
             if zeros > most:  # strictly more: the leftmost block wins ties
                 lo, most = start + 1, zeros
         hi = min(lo + width - 1, n)
-        bits = encode_int(lo) + encode_int(hi)
-        bits += map(int, x[lo - 1 : hi])
-        return bits
+        return encode_int(lo) + encode_int(hi) + bit_list(x[lo - 1 : hi])
 
     def budget(n: int) -> int:
         return -(-n * den // num) + 2 * encoded_length(n) if n else 2 * encoded_length(1)

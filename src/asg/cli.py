@@ -19,7 +19,6 @@ from fractions import Fraction
 
 from asg.core import (
     Variant,
-    all_bitstrings,
     as_ratio,
     asg_opt,
     ceil_log2,
@@ -27,6 +26,7 @@ from asg.core import (
     check_work,
     competitive_ok,
     json_text,
+    run_all,
     run_asg,
 )
 
@@ -145,15 +145,12 @@ def cmd_verify(args) -> int:
     variant = Variant((objective, "unknown"))
     pair = factory(args.c)
     target = args.c if args.protocol.startswith("covering") else Fraction(math.ceil(args.c))
-    checked = 0
-    witness = None
+    checked, witness = 0, None
     for n in range(args.n_max + 1):
         budget = pair.budget(n)
-        for x in all_bitstrings(n):
-            res = run_asg(variant, pair, x)
+        for x, res in run_all(variant, pair, n):
             checked += 1
-            ok = competitive_ok(objective, res.score, asg_opt(objective, x), target)
-            if not ok or res.bits > budget:
+            if not competitive_ok(objective, res.score, asg_opt(objective, x), target) or res.bits > budget:
                 witness = _run_report(args.protocol, args.c, variant, pair, x)
                 break
         if witness:

@@ -40,7 +40,6 @@ __all__ = [
     "RunResult",
     "OnlineAlgorithm",
     "check_bits",
-    "bit_at",
     "ones",
     "zeros",
     "one_positions",
@@ -54,12 +53,14 @@ __all__ = [
     "weight_ratio",
     "fill_count",
     "ceil_log2",
+    "bit_list",
     "encode_fixed",
     "decode_fixed",
     "encode_int",
     "decode_int",
     "encoded_length",
     "run_asg",
+    "run_all",
     "run_online",
     "competitive_ok",
     "JsonRecord",
@@ -151,13 +152,6 @@ def check_bits(x: str) -> str:
     if not isinstance(x, str) or x.strip("01"):
         raise ValueError(f"{x!r} is not a 0/1 string")
     return x
-
-
-def bit_at(x: str, i: int) -> int:
-    """x_i with 1-based i."""
-    if not 1 <= i <= len(x):
-        raise IndexError(f"position {i} out of range for length {len(x)}")
-    return ord(x[i - 1]) - 48
 
 
 def ones(x: str) -> int:
@@ -321,13 +315,9 @@ class AdviceTape:
         except (TypeError, ValueError):
             data = None
         if data is None or data.strip(b"\x00\x01"):
-            try:
-                bad = not set(written) <= {0, 1}
-            except TypeError:  # an unhashable element is no bit either
-                bad = True
-            if bad:
-                b = next(b for b in written if b not in (0, 1))
-                raise ValueError(f"tape bits must be 0 or 1, got {b!r}")
+            for b in written:
+                if b not in (0, 1):
+                    raise ValueError(f"tape bits must be 0 or 1, got {b!r}")
             data = bytes(map(int, written))
         self._written = data
         self._cursor = 0
@@ -355,16 +345,21 @@ def ceil_log2(m: int) -> int:
     return (m - 1).bit_length() if m > 1 else 0
 
 
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def bit_list(x: str) -> list[int]:
+    """The bits of a 0/1 string as ints, in one translate of its bytes."""
+    return list(x.encode().translate(_BITS))
+
+
 def encode_fixed(value: int, width: int) -> list[int]:
     """value on exactly width bits, most significant bit first."""
     if not 0 <= value < 1 << width:
         raise ValueError(f"{value} does not fit in {width} bits")
     # bin() of value with a 1 set above its top bit: "0b1" then the width bits
-    return list(bin(value | 1 << width)[3:].encode().translate(_BITS))
-
-
-_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
-_BITS = bytes.maketrans(b"01", b"\x00\x01")
+    return bit_list(bin(value | 1 << width)[3:])
 
 
 def decode_fixed(tape: AdviceTape, width: int) -> int:
@@ -437,18 +432,32 @@ def run_online(algorithm: OnlineAlgorithm, tape: AdviceTape, requests: Sequence)
     return "".join(answers)
 
 
+def _requests(variant: Variant, x: str) -> list:
+    """The requests of a run on x: x's prefix under known history, else Nones."""
+    return [None, *bit_list(x[:-1])] if x and variant.history == "known" else [None] * len(x)
+
+
 def run_asg(variant: Variant, pair, x: str) -> RunResult:
     """Run an oracle/algorithm pair on input x under the given variant."""
     check_bits(x)
-    n = len(x)
     tape = AdviceTape(pair.oracle(x))
-    algorithm = pair.algorithm()
-    if variant.history == "known":
-        requests = [None, *x[:-1].encode().translate(_BITS)] if n else []
-    else:
-        requests = [None] * n
-    y = run_online(algorithm, tape, requests)
+    y = run_online(pair.algorithm(), tape, _requests(variant, x))
     return RunResult(y, asg_score(variant.objective, x, y), tape.bits_read)
+
+
+def run_all(variant: Variant, pair, n: int) -> Iterator[tuple[str, RunResult]]:
+    """(x, run_asg(variant, pair, x)) for every x of length n, in all_bitstrings
+    order.  Each x has its own oracle call, tape and score, but the algorithm
+    plays once per view, the written tape and the requests: all that a
+    deterministic algorithm sees.  The plays last for this call only."""
+    plays = {}  # view -> (y, bits read)
+    for x in all_bitstrings(n):
+        tape = AdviceTape(pair.oracle(x))
+        view = (tape._written, x[:-1]) if variant.history == "known" else tape._written
+        if view not in plays:
+            plays[view] = run_online(pair.algorithm(), tape, _requests(variant, x)), tape.bits_read
+        y, bits = plays[view]
+        yield x, RunResult(y, asg_score(variant.objective, x, y), bits)
 
 
 def competitive_ok(objective: str, alg_score: Score, opt_score: Score, c: Fraction | int) -> bool:

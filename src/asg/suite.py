@@ -83,6 +83,7 @@ from asg.core import (
     fill_count,
     ones,
     render_text,
+    run_all,
     run_asg,
     to_plain,
 )
@@ -268,21 +269,17 @@ def battery_trivial(n_max: int = 10, ratios=None):
         target = Fraction(math.ceil(c))
         for n in range(n_max + 1):
             p = math.ceil(n / c)  # the min budget is derived here, not read from the pair
-            protocols = (
-                ("residue-class", Variant.MIN_UNKNOWN, pair_min, p + 2 * ceil_log2(p + 1) + 1),
-                ("block-copy", Variant.MAX_UNKNOWN, pair_max, pair_max.budget(n)),
+            # one runner per protocol, each advanced once per x: both play x before the next x
+            runs = (
+                ("residue-class", "min", run_all(Variant.MIN_UNKNOWN, pair_min, n), p + 2 * ceil_log2(p + 1) + 1),
+                ("block-copy", "max", run_all(Variant.MAX_UNKNOWN, pair_max, n), pair_max.budget(n)),
             )
-            for x in all_bitstrings(n):
-                for label, variant, pair, budget in protocols:
-                    res = run_asg(variant, pair, x)
-                    opt = asg_opt(variant.objective, x)
-                    yield None if (
-                        competitive_ok(variant.objective, res.score, opt, target)
-                        and res.bits <= budget
-                    ) else (
-                        f"{label} protocol failed",
-                        f"c={c} x={x!r}: y={res.y!r} bits={res.bits}/{budget}",
-                    )
+            for label, objective, run, budget in runs * (1 << n):
+                x, res = next(run)
+                ok = competitive_ok(objective, res.score, asg_opt(objective, x), target) and res.bits <= budget
+                yield None if ok else (
+                    f"{label} protocol failed", f"c={c} x={x!r}: y={res.y!r} bits={res.bits}/{budget}"
+                )
     return f"{{checked}} runs over n <= {n_max}, ratios {_ratio_list(ratios)}"
 
 
@@ -304,21 +301,20 @@ def battery_covering(n_max: int = 8, ratios=None):
         for n in range(n_max + 1):
             header = encoded_length(n) + ceil_log2(n + 1)
             # the (k, t) design serving each optimum w; the protocol scores
-            # k (min) or n - k (max) on an interior class
-            protocols = [(label, variant, pair, design_shapes(variant.objective, c, n)) for label, variant, pair in pairs]
-            for x in all_bitstrings(n):
-                for label, variant, pair, shapes in protocols:
-                    res = run_asg(variant, pair, x)
-                    w = asg_opt(variant.objective, x)
-                    ok = competitive_ok(variant.objective, res.score, w, c)
-                    k, t = shapes[w]
-                    if ok and 0 < t and k < n:
-                        width = ceil_log2(exact_cover_number(n, k, t).size)
-                        target = k if variant.objective == "min" else n - k
-                        ok = res.score == target and res.bits - header <= width
-                    yield None if ok else (
-                        f"{label} protocol failed", f"c={c} x={x!r}: y={res.y!r} bits={res.bits}"
-                    )
+            # k (min) or n - k (max) on an interior class; the runners advance together
+            runs = [(label, v.objective, run_all(v, p, n), design_shapes(v.objective, c, n)) for label, v, p in pairs]
+            for label, objective, run, shapes in runs * (1 << n):
+                x, res = next(run)
+                w = asg_opt(objective, x)
+                ok = competitive_ok(objective, res.score, w, c)
+                k, t = shapes[w]
+                if ok and 0 < t and k < n:
+                    width = ceil_log2(exact_cover_number(n, k, t).size)
+                    target = k if objective == "min" else n - k
+                    ok = res.score == target and res.bits - header <= width
+                yield None if ok else (
+                    f"{label} protocol failed", f"c={c} x={x!r}: y={res.y!r} bits={res.bits}"
+                )
     return f"{{checked}} runs over n <= {n_max}, ratios {_ratio_list(ratios)}"
 
 

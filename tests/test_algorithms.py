@@ -28,6 +28,7 @@ from asg.core import (
     encoded_length,
     fill_count,
     ones,
+    run_all,
     run_asg,
     run_online,
     zeros,
@@ -240,6 +241,24 @@ def test_trivial_runs_match_the_golden_digest():
 def test_covering_runs_match_the_golden_digest():
     factories = ((covering_min, Variant.MIN_UNKNOWN), (covering_max, Variant.MAX_UNKNOWN))
     assert _run_digest(factories, (Fraction(3, 2), Fraction(2), Fraction(3)), 8) == COVERING_RUN_DIGEST
+
+
+RUNNER_CASES = [
+    ((trivial_min, trivial_max), (Fraction(5, 4), Fraction(3, 2), Fraction(2), Fraction(3), Fraction(7, 2)), 10),
+    ((covering_min, covering_max), (Fraction(3, 2), Fraction(2), Fraction(3)), 8),
+]
+
+
+@pytest.mark.parametrize("history", ["unknown", "known"])
+@pytest.mark.parametrize("factories, ratios, n_max", RUNNER_CASES, ids=["trivial", "covering"])
+def test_the_runner_matches_run_asg_on_every_input(factories, ratios, n_max, history):
+    for factory in factories:
+        variant = Variant((factory.__name__.split("_")[1], history))
+        for c in ratios:
+            pair = factory(c)
+            for n in range(n_max + 1):
+                runs = list(run_all(variant, pair, n))
+                assert runs == [(x, run_asg(variant, pair, x)) for x in all_bitstrings(n)]
 
 
 def test_covering_rejects_impossible_tape_fields():

@@ -1,5 +1,6 @@
 """Command-line harness: argument validation, output shapes, determinism."""
 
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -405,6 +406,29 @@ def test_command_output_bytes_are_pinned(capsys, monkeypatch):
         code, out, err = run_cli(capsys, *argv)
         digests[kind].update(f"{code}\0{out}\0{err}\0".encode())
     assert {kind: d.hexdigest() for kind, d in digests.items()} == OUTPUT_SHA256
+
+
+# `verify` with one sabotaged run: trivial-min's oracle sends x = 0110 the
+# tape of 0000, so that run answers 0000; exit code 1 and the bytes below
+# were taken before `verify` shared one play among the inputs of one tape
+SABOTAGED_VERIFY_SHA256 = "6e6b4fb6d8045241a25d17cbfdd50026fee4254d6477d66e15e09f3261ae3b4e"
+
+
+def test_verify_failure_bytes_are_pinned(capsys, monkeypatch):
+    real = algorithms.trivial_min
+
+    def sabotaged(c):
+        pair = real(c)
+        return dataclasses.replace(pair, oracle=lambda x: pair.oracle("0000" if x == "0110" else x))
+
+    monkeypatch.setattr(algorithms, "trivial_min", sabotaged)
+    code, out, err = run_cli(capsys, "verify", "--protocol", "trivial-min", "--c", "2", "--n-max", "6")
+    payload = json.loads(out)
+    assert (code, err, payload["checked"], payload["passed"]) == (1, "", 22, False)
+    assert {k: payload["witness"][k] for k in ("x", "y", "score", "bits")} == {
+        "x": "0110", "y": "0000", "score": "+inf", "bits": 7
+    }
+    assert hashlib.sha256(f"{code}\0{out}\0{err}\0".encode()).hexdigest() == SABOTAGED_VERIFY_SHA256
 
 
 def test_a_huge_design_guard_is_refused_without_computing_the_binomial():

@@ -16,7 +16,6 @@ from asg.core import (
     asg_opt,
     asg_score,
     as_ratio,
-    bit_at,
     ceil_log2,
     decode_fixed,
     decode_int,
@@ -25,6 +24,7 @@ from asg.core import (
     encode_fixed,
     encode_int,
     encoded_length,
+    run_all,
     run_asg,
 )
 
@@ -32,11 +32,8 @@ bitstrings = st.text(alphabet="01", max_size=24)
 
 
 def test_bit_helpers():
-    assert bit_at("011010", 1) == 0
-    assert bit_at("011010", 2) == 1
-    assert bit_at("011010", 6) == 0
-    with pytest.raises(IndexError):
-        bit_at("011", 4)
+    assert core.bit_list("011010") == [0, 1, 1, 0, 1, 0]
+    assert core.bit_list("") == []
     assert core.one_positions("011010") == (2, 3, 5)
     assert core.zero_positions("011010") == (1, 4, 6)
 
@@ -246,6 +243,11 @@ def test_codes_match_the_per_bit_definitions(m, extra):
     assert encode_int(m) == [1] * m.bit_length() + [0] + fixed[extra:]
 
 
+@given(st.text(alphabet="01", max_size=200))
+def test_bit_list_matches_the_per_bit_definition(x):
+    assert core.bit_list(x) == [int(ch) for ch in x]
+
+
 @given(st.integers(min_value=0, max_value=2**20))
 def test_encode_decode_round_trip(m):
     bits = encode_int(m)
@@ -331,6 +333,63 @@ def test_run_rejects_bad_answers():
 
     with pytest.raises(ValueError):
         run_asg(Variant.MIN_UNKNOWN, _Pair(lambda x: [], Bad), "01")
+
+
+def test_run_all_plays_once_per_tape_and_requests(monkeypatch):
+    # a view is the tape, and under known history the requests too: the
+    # weight tape gives one play per weight, or per x under known history
+    # (a prefix and a weight fix x); the empty tape gives one play, or one
+    # per prefix
+    plays = []
+    real = core.run_online
+    monkeypatch.setattr(core, "run_online", lambda *args: plays.append(1) or real(*args))
+    weight, empty = (_Pair(oracle, _CopyPrev) for oracle in (lambda x: encode_int(x.count("1")), lambda x: []))
+    for variant, pair, count in ((Variant.MIN_UNKNOWN, weight, 6), (Variant.MIN_KNOWN, weight, 32),
+                                 (Variant.MAX_UNKNOWN, empty, 1), (Variant.MAX_KNOWN, empty, 16)):
+        plays.clear()
+        assert list(run_all(variant, pair, 5)) == [(x, run_asg(variant, pair, x)) for x in all_bitstrings(5)]
+        assert len(plays) == count + 32  # run_asg plays every x once more
+    assert list(run_all(Variant.MAX_KNOWN, weight, 0)) == [("", run_asg(Variant.MAX_KNOWN, weight, ""))]
+
+
+class _FailOnWeightTwo(OnlineAlgorithm):
+    """Reads a weight from the tape; on weight 2 it answers `bad`, or raises
+    it when it is an exception."""
+
+    bad = 2
+
+    def begin(self, tape):
+        self.weight = decode_int(tape)
+
+    def answer(self, i, request):
+        if self.weight != 2:
+            return 1
+        if isinstance(self.bad, Exception):
+            raise self.bad
+        return self.bad
+
+
+def _first_failure(runs):
+    """(the inputs run before the first error, the error's type and text)."""
+    done = []
+    try:
+        for x in runs:
+            done.append(x)
+    except (ValueError, RuntimeError) as exc:
+        return done, type(exc), str(exc)
+    return done, None, None
+
+
+@pytest.mark.parametrize("bad", [2, None, RuntimeError("no answer on weight 2")])
+@pytest.mark.parametrize("variant", list(Variant))
+def test_run_all_fails_where_run_asg_fails(monkeypatch, variant, bad):
+    monkeypatch.setattr(_FailOnWeightTwo, "bad", bad)
+    pair = _Pair(lambda x: encode_int(x.count("1")), _FailOnWeightTwo)
+    each = (run_asg(variant, pair, x) and x for x in all_bitstrings(5))
+    together = (x for x, _ in run_all(variant, pair, 5))
+    done, kind, text = _first_failure(together)
+    assert (done, kind, text) == _first_failure(each)
+    assert done[-1] == "00010" and kind is not None  # 00011 is the first of weight 2
 
 
 class _AllOnes(OnlineAlgorithm):

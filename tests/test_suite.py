@@ -186,6 +186,61 @@ def test_battery_adversary_keeps_no_state_between_calls(monkeypatch):
     assert len(tables) > used and not clean & {id(table) for table in tables[used:]}
 
 
+def _count_plays(monkeypatch):
+    """The list that each run_online call, one per play, appends to."""
+    plays = []
+    real = asg.core.run_online
+    monkeypatch.setattr(asg.core, "run_online", lambda *args: plays.append(1) or real(*args))
+    return plays
+
+
+def test_the_protocol_batteries_play_each_tape_once(monkeypatch):
+    # the upper-bounds workload's calls: 12,282 runs over 1,221 tapes and
+    # 3,066 runs over 807 (a tape is shared only within one runner call)
+    plays = _count_plays(monkeypatch)
+    result = battery_trivial()
+    assert (result.passed, result.checked, len(plays)) == (True, 12282, 1221)
+    plays.clear()
+    result = battery_covering()
+    assert (result.passed, result.checked, len(plays)) == (True, 3066, 807)
+
+
+def _sabotage_one_tape(monkeypatch, x):
+    """trivial_min's algorithm answers all 0s on the tape its oracle writes for x."""
+    real = asg.suite.trivial_min
+
+    def factory(c):
+        pair = real(c)
+        bad = bytes(pair.oracle(x))
+
+        class Sabotaged(OnlineAlgorithm):
+            def begin(self, tape):
+                self.inner, self.zero = pair.algorithm(), tape._written == bad
+                self.inner.begin(tape)
+
+            def answer(self, i, request):
+                return 0 if self.zero else self.inner.answer(i, request)
+
+        return dataclasses.replace(pair, algorithm=Sabotaged)
+
+    monkeypatch.setattr(asg.suite, "trivial_min", factory)
+
+
+def test_battery_trivial_keeps_no_plays_between_calls(monkeypatch):
+    # clean, sabotaged, clean: a play kept from the first call would hide the
+    # sabotage, and one kept from the second would fail the third
+    plays = _count_plays(monkeypatch)
+    assert (battery_trivial(n_max=4).passed, len(plays)) == (True, 99)
+    with monkeypatch.context() as mp:
+        _sabotage_one_tape(mp, "0110")
+        result = battery_trivial(n_max=4)
+    assert (result.passed, result.checked, result.detail, result.witness) == (
+        False, 43, "residue-class protocol failed", "c=3/2 x='0110': y='0000' bits=8/8"
+    )
+    plays.clear()
+    assert (battery_trivial(n_max=4).passed, len(plays)) == (True, 99)
+
+
 # --- failure paths ----------------------------------------------------------------
 # Each case sabotages one dependency of one battery and pins the failing
 # result: the count at the first failure, its detail and its witness.
@@ -203,10 +258,12 @@ def _wrap_opt(monkeypatch, cls, sabotage):
     monkeypatch.setattr(cls, "opt", lambda self, instance: sabotage(lambda i: real(self, i), instance))
 
 
-def _run_asg_sabotage(variant, x, **changes):
-    def sabotage(real, v, pair, y):
-        res = real(v, pair, y)
-        return res._replace(**changes) if v is variant and y == x else res
+def _run_all_sabotage(variant, x, **changes):
+    """The runner with the result of input x under variant changed."""
+
+    def sabotage(real, v, pair, n):
+        for y, res in real(v, pair, n):
+            yield y, res._replace(**changes) if v is variant and y == x else res
 
     return sabotage
 
@@ -275,22 +332,22 @@ FAILURE_CASES = {
         ),
     ),
     "trivial-min": (
-        lambda mp: _wrap(mp, "run_asg", _run_asg_sabotage(Variant.MIN_UNKNOWN, "0110", bits=99)),
+        lambda mp: _wrap(mp, "run_all", _run_all_sabotage(Variant.MIN_UNKNOWN, "0110", bits=99)),
         lambda: battery_trivial(n_max=4),
         (43, "residue-class protocol failed", "c=3/2 x='0110': y='0110' bits=99/8"),
     ),
     "trivial-max": (
-        lambda mp: _wrap(mp, "run_asg", _run_asg_sabotage(Variant.MAX_UNKNOWN, "101", score=MINUS_INF)),
+        lambda mp: _wrap(mp, "run_all", _run_all_sabotage(Variant.MAX_UNKNOWN, "101", score=MINUS_INF)),
         lambda: battery_trivial(n_max=4),
         (26, "block-copy protocol failed", "c=3/2 x='101': y='101' bits=10/12"),
     ),
     "covering-min": (
-        lambda mp: _wrap(mp, "run_asg", _run_asg_sabotage(Variant.MIN_UNKNOWN, "0110", bits=99)),
+        lambda mp: _wrap(mp, "run_all", _run_all_sabotage(Variant.MIN_UNKNOWN, "0110", bits=99)),
         lambda: battery_covering(n_max=4),
         (43, "minimization protocol failed", "c=3/2 x='0110': y='1110' bits=99"),
     ),
     "covering-max": (
-        lambda mp: _wrap(mp, "run_asg", _run_asg_sabotage(Variant.MAX_UNKNOWN, "0100", score=PLUS_INF)),
+        lambda mp: _wrap(mp, "run_all", _run_all_sabotage(Variant.MAX_UNKNOWN, "0100", score=PLUS_INF)),
         lambda: battery_covering(n_max=4),
         (40, "maximization protocol failed", "c=3/2 x='0100': y='1100' bits=11"),
     ),
