@@ -156,21 +156,19 @@ def trivial_max(c) -> AdvicePair:
 
 
 class _CoveringAlg(OnlineAlgorithm):
-    def __init__(self, class_design: Callable):
-        self.class_design = class_design
+    def __init__(self, weight_class: Callable):
+        self.weight_class = weight_class
 
     def begin(self, tape):
         n = decode_int(tape)
         w = decode_fixed(tape, ceil_log2(n + 1))
         if w > n:
             raise MalformedAdviceError(f"weight field {w} exceeds the length {n}")
-        t, design = self.class_design(n, w)
-        self.in_block = range(1, n + 1) if t else ()  # a boundary class: all 1s or all 0s
-        if design is not None:
-            index = decode_fixed(tape, ceil_log2(design.size))
-            if index >= design.size:
-                raise MalformedAdviceError(f"block index {index} outside {design.size} blocks")
-            self.in_block = set(design.blocks[index])
+        blocks, _, width = self.weight_class(n, w)
+        index = decode_fixed(tape, width)
+        if index >= len(blocks):
+            raise MalformedAdviceError(f"block index {index} outside {len(blocks)} blocks")
+        self.in_block = set(blocks[index])
 
     def answer(self, i, request):
         return int(i in self.in_block)
@@ -190,35 +188,35 @@ def _covering(c, objective: str) -> AdvicePair:
         raise ValueError("needs c > 1")
     from asg.designs import design_for  # here, so the trivial protocols never load designs
 
-    masks = {}  # (n, w) -> the blocks of class w's design as masks, x_1 the top bit
+    classes = {}  # (n, w) -> weight_class(n, w), fixed by objective, c and the design limits
 
-    def class_design(n: int, w: int):
-        """(t, design) of weight class w at length n: design is None for a
-        boundary class, which needs none (see core.design_shapes)."""
-        k, t = design_shapes(objective, c, n)[w]
-        return t, design_for(n, k, t) if 0 < t and k < n else None
+    def weight_class(n: int, w: int):
+        """(blocks, block masks with x_1 the top bit, index width) of weight
+        class w at length n.  A boundary class needs no design (see
+        core.design_shapes): its one block is all of 1..n, or empty when
+        t = 0, and its index takes no bits."""
+        if (n, w) not in classes:
+            k, t = design_shapes(objective, c, n)[w]
+            if 0 < t and k < n:  # a design_for refusal raises here, so nothing is stored
+                blocks = design_for(n, k, t).blocks
+                classes[n, w] = blocks, [sum(1 << n - i for i in block) for block in blocks], ceil_log2(len(blocks))
+            else:
+                classes[n, w] = ((*range(1, n + 1),) if t else (),), [(1 << n) - 1 if t else 0], 0
+        return classes[n, w]
 
     def oracle(x: str) -> list[int]:
         check_bits(x)
         n = len(x)
         w = asg_opt(objective, x)
-        bits = encode_int(n)
-        bits += encode_fixed(w, ceil_log2(n + 1))
-        design = class_design(n, w)[1]
-        if design is not None:
-            if (n, w) not in masks:
-                masks[n, w] = [sum(1 << n - i for i in block) for block in design.blocks]
-            support = int(x, 2)
-            index = next(i for i, mask in enumerate(masks[n, w]) if support & mask == support)
-            bits += encode_fixed(index, ceil_log2(design.size))
-        return bits
+        _, masks, width = weight_class(n, w)
+        support = int(x or "0", 2)
+        index = next(i for i, mask in enumerate(masks) if support & mask == support)
+        return encode_int(n) + encode_fixed(w, ceil_log2(n + 1)) + encode_fixed(index, width)
 
     def budget(n: int) -> int:
-        designs = [class_design(n, w)[1] for w in range(n + 1)]
-        widths = [ceil_log2(d.size) for d in designs if d is not None]
-        return encoded_length(n) + ceil_log2(n + 1) + max(widths, default=0)
+        return encoded_length(n) + ceil_log2(n + 1) + max(weight_class(n, w)[2] for w in range(n + 1))
 
-    return AdvicePair(oracle, lambda: _CoveringAlg(class_design), budget)
+    return AdvicePair(oracle, lambda: _CoveringAlg(weight_class), budget)
 
 
 def covering_min(c) -> AdvicePair:

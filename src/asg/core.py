@@ -19,7 +19,6 @@ is 1-based, matching x = x_1 ... x_n.
 from __future__ import annotations
 
 import enum
-import functools
 import io
 import json
 import math
@@ -219,7 +218,6 @@ def as_ratio(c) -> Fraction:
     raise TypeError(f"cannot interpret {c!r} as a rational ratio")
 
 
-@functools.lru_cache(maxsize=8)
 def design_shapes(objective: str, c, n: int) -> tuple[tuple[int, int], ...]:
     """The (k, t) of the (n, k, t) covering design serving each weight class.
 
@@ -365,6 +363,8 @@ def encode_fixed(value: int, width: int) -> list[int]:
 def decode_fixed(tape: AdviceTape, width: int) -> int:
     """Inverse of encode_fixed, reading width >= 0 bits from an advice tape:
     one slice, and the bits past the written end as 0s."""
+    if width < 0:
+        raise ValueError(f"cannot read a field of negative width {width}")
     i = tape._cursor
     tape._cursor = i + width
     field = tape._written[i : i + width]
@@ -380,10 +380,13 @@ def encode_int(m: int) -> list[int]:
     if m < 0:
         raise ValueError("cannot encode a negative value")
     k = m.bit_length()  # equals ceil(log2(m+1))
-    return [1] * k + [0] + encode_fixed(m, k)
+    return encode_fixed(((1 << k) - 1) << (k + 1) | m, 2 * k + 1)
 
 
 def encoded_length(m: int) -> int:
+    """The length 2k+1 of encode_int(m), for m >= 0."""
+    if m < 0:
+        raise ValueError("cannot encode a negative value")
     return 2 * m.bit_length() + 1
 
 

@@ -143,33 +143,23 @@ def _guard(v: int, k: int, t: int) -> None:
 
 
 def _coverage_tables(v: int, k: int, t: int):
-    """Blocks in lex order, per-block coverage masks, per-subset coverer lists."""
-    tsubsets = list(combinations(range(1, v + 1), t))
-    index_of = {ts: i for i, ts in enumerate(tsubsets)}
+    """Blocks in lex order and their masks: bit i covers the i-th t-subset in lex order."""
+    index_of = {ts: i for i, ts in enumerate(combinations(range(1, v + 1), t))}
     blocks = list(combinations(range(1, v + 1), k))
-    masks = []
-    coverers: list[list[int]] = [[] for _ in tsubsets]
-    for bi, block in enumerate(blocks):
-        m = 0
-        for ts in combinations(block, t):
-            m |= 1 << index_of[ts]
-            coverers[index_of[ts]].append(bi)
-        masks.append(m)
-    return blocks, masks, coverers
+    masks = [sum(1 << index_of[ts] for ts in combinations(block, t)) for block in blocks]
+    return blocks, masks
 
 
 @lru_cache(maxsize=None)
 def _ladder(v: int, k: int, t: int, budget: int) -> tuple[CoveringDesign, DesignProvenance]:
     """The design for (v, k, t) and how it was settled, within `budget`
     search nodes of its own (the inner bound's ladder has its own)."""
-    blocks, masks, coverers = _coverage_tables(v, k, t)
     if t == 0 or k == v or k == t:
         # one block holds every t-subset, or each t-subset is its own only
         # coverer and so a block
-        family = tuple(blocks[:1] if t == 0 or k == v else blocks)
-        size = len(family)
+        family = ((*range(1, k + 1),),) if t == 0 or k == v else (*combinations(range(1, v + 1), k),)
         return CoveringDesign(v, k, t, family), DesignProvenance(
-            v, k, t, "trivial", 0, size, size)
+            v, k, t, "trivial", 0, len(family), len(family))
     greedy = _greedy_cached(v, k, t)
     per_block = math.comb(k, t)
     # Each element joined with any (t-1)-subset of the rest forms a t-subset,
@@ -178,13 +168,20 @@ def _ladder(v: int, k: int, t: int, budget: int) -> tuple[CoveringDesign, Design
     inner = _ladder(v - 1, k - 1, t - 1, budget)[1].lower
     lower = max(-(-math.comb(v, t) // per_block), -(-v * inner // k))
     upper = greedy.size
-    method = "sandwich" if lower == upper else "search"
+    if lower == upper:
+        return greedy, DesignProvenance(v, k, t, "sandwich", 0, upper, upper)
     spent = 0
 
-    # per t-subset, its coverers as (block bit, what the block leaves uncovered);
-    # one pair per block, shared by the lists of all its t-subsets
-    pairs = [(1 << bi, ~mask) for bi, mask in enumerate(masks)]
-    options = [[pairs[bi] for bi in row] for row in coverers]
+    # per t-subset, its coverers in block order as (block bit, what the block
+    # leaves uncovered); one pair per block, shared by the lists of all its t-subsets
+    blocks, masks = _coverage_tables(v, k, t)
+    options = [[] for _ in range(math.comb(v, t))]
+    for bi, mask in enumerate(masks):
+        pair = (1 << bi, ~mask)
+        while mask:
+            low = mask & -mask
+            options[low.bit_length() - 1].append(pair)
+            mask ^= low
 
     def search(uncovered: int, slots: int, banned: int) -> list[int] | None:
         """At most `slots` blocks outside `banned`, as block bits, that cover
@@ -231,7 +228,7 @@ def _ladder(v: int, k: int, t: int, budget: int) -> tuple[CoveringDesign, Design
     # block 0's bit is 1; bits are powers of two, so sorting them sorts the blocks
     design = greedy if found is None else CoveringDesign(
         v, k, t, tuple(blocks[bit.bit_length() - 1] for bit in sorted([1, *found])))
-    return design, DesignProvenance(v, k, t, method, spent, upper, upper)
+    return design, DesignProvenance(v, k, t, "search", spent, upper, upper)
 
 
 def exact_cover_number(v: int, k: int, t: int) -> CoveringDesign:
@@ -269,7 +266,7 @@ def greedy_cover(v: int, k: int, t: int) -> CoveringDesign:
 
 @lru_cache(maxsize=None)
 def _greedy_cached(v: int, k: int, t: int) -> CoveringDesign:
-    blocks, masks, _ = _coverage_tables(v, k, t)
+    blocks, masks = _coverage_tables(v, k, t)
     chosen = greedy_picks((1 << math.comb(v, t)) - 1, masks, range(len(masks)))
     return CoveringDesign(v, k, t, tuple(blocks[i] for i in chosen))
 

@@ -300,16 +300,18 @@ def battery_covering(n_max: int = 8, ratios=None):
         )
         for n in range(n_max + 1):
             header = encoded_length(n) + ceil_log2(n + 1)
-            # the (k, t) design serving each optimum w; the protocol scores
-            # k (min) or n - k (max) on an interior class; the runners advance together
-            runs = [(label, v.objective, run_all(v, p, n), design_shapes(v.objective, c, n)) for label, v, p in pairs]
-            for label, objective, run, shapes in runs * (1 << n):
+            # per optimum w, its design's k and, on an interior class, the exact design's
+            # index width, where the protocol scores k (min) or n - k (max); runners advance together
+            runs = [(label, v.objective, run_all(v, p, n), [
+                (k, ceil_log2(exact_cover_number(n, k, t).size) if 0 < t and k < n else None)
+                for k, t in design_shapes(v.objective, c, n)
+            ]) for label, v, p in pairs]
+            for label, objective, run, classes in runs * (1 << n):
                 x, res = next(run)
                 w = asg_opt(objective, x)
                 ok = competitive_ok(objective, res.score, w, c)
-                k, t = shapes[w]
-                if ok and 0 < t and k < n:
-                    width = ceil_log2(exact_cover_number(n, k, t).size)
+                k, width = classes[w]
+                if ok and width is not None:
                     target = k if objective == "min" else n - k
                     ok = res.score == target and res.bits - header <= width
                 yield None if ok else (

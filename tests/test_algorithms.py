@@ -8,6 +8,7 @@ from itertools import combinations, product
 
 import pytest
 
+from asg import designs
 from asg.algorithms import (
     aoc_generic,
     covering_max,
@@ -22,6 +23,7 @@ from asg.core import (
     AdviceTape,
     MalformedAdviceError,
     Variant,
+    WorkLimitError,
     all_bitstrings,
     dominates,
     encode_int,
@@ -272,6 +274,40 @@ def test_covering_rejects_impossible_tape_fields():
     tape = AdviceTape(encode_int(6) + [0, 1, 0] + [1, 1])
     with pytest.raises(MalformedAdviceError, match="block index 3"):
         run_online(covering_min(2).algorithm(), tape, [None] * 6)
+
+
+@pytest.mark.parametrize("factory, variant", [(covering_min, Variant.MIN_UNKNOWN),
+                                              (covering_max, Variant.MAX_UNKNOWN)])
+def test_a_fresh_pair_decodes_another_pairs_tapes(factory, variant):
+    # oracle and algorithm settle each design on their own: with the design
+    # memos emptied between them, the reader builds every design afresh
+    for c in (Fraction(3, 2), Fraction(2), Fraction(3)):
+        writer = factory(c)
+        runs = {x: (writer.oracle(x), run_asg(variant, writer, x)) for n in range(9) for x in all_bitstrings(n)}
+        designs._ladder.cache_clear()
+        designs._greedy_cached.cache_clear()
+        reader = factory(c)
+        for x, (bits, out) in runs.items():
+            tape = AdviceTape(bits)
+            assert (run_online(reader.algorithm(), tape, [None] * len(x)), tape.bits_read) == (out.y, out.bits)
+
+
+def test_a_refused_class_raises_on_every_call_and_is_not_stored(monkeypatch):
+    # at n = 6, c = 2, weight 1 needs C(6,2,1) and weight 2 C(6,4,2): 15
+    # blocks and 15 t-subsets pass the guard of 100,000 but not one of 10
+    pair = covering_min(2)
+    tape = pair.oracle("110000")
+    monkeypatch.setattr(designs, "DEFAULT_TSUBSET_LIMIT", 10)
+    refused = covering_min(2)
+    for _ in range(2):
+        for call in (lambda: refused.oracle("110000"), lambda: refused.budget(6),
+                     lambda: run_online(refused.algorithm(), AdviceTape(tape), [None] * 6)):
+            with pytest.raises(WorkLimitError, match=r"^\(6,[24],[12]\) design \S+ 15, over the limit 10$"):
+                call()
+    monkeypatch.undo()
+    assert refused.oracle("110000") == tape
+    assert refused.budget(6) == pair.budget(6)
+    assert run_asg(Variant.MIN_UNKNOWN, refused, "110000") == run_asg(Variant.MIN_UNKNOWN, pair, "110000")
 
 
 class _SelfProblem:

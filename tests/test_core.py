@@ -235,6 +235,20 @@ def test_fixed_width_codec():
             encode_fixed(value, width)
 
 
+def test_decode_fixed_refuses_a_negative_width_before_moving_the_cursor():
+    tape = AdviceTape([1, 0, 1])
+    tape.read(3)
+    with pytest.raises(ValueError, match="^cannot read a field of negative width -2$"):
+        decode_fixed(tape, -2)
+    assert tape.bits_read == 3
+
+
+def test_encoded_length_refuses_a_negative_value_as_encode_int_does():
+    for code in (encode_int, encoded_length):
+        with pytest.raises(ValueError, match="^cannot encode a negative value$"):
+            code(-5)
+
+
 @given(st.integers(min_value=0, max_value=2**80 - 1), st.integers(min_value=0, max_value=8))
 def test_codes_match_the_per_bit_definitions(m, extra):
     width = m.bit_length() + extra

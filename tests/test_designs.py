@@ -201,6 +201,22 @@ def test_blocks_for_every_v_up_to_8_are_pinned():
     assert digest.hexdigest() == "18e2465b0f91948f0a10d07ffd50b49359af33d307d0b827582a7e8aa1e82cf9"
 
 
+def test_every_design_up_to_v_9_and_its_node_total_are_pinned():
+    # the invariant every step of the design ladder keeps: all 219 (v, k, t)
+    # with v <= 9 give the same blocks, method and bracket, and the same
+    # search nodes in all
+    digest, nodes = hashlib.sha256(), 0
+    for v in range(1, 10):
+        for k in range(v + 1):
+            for t in range(k + 1):
+                record = design_provenance(v, k, t)
+                digest.update(repr((v, k, t, design_for(v, k, t).blocks,
+                                    record.method, record.lower, record.upper)).encode())
+                nodes += record.nodes
+    assert digest.hexdigest() == "5c85f528d531fad96ed5b71afad6b99dcd7f550248a962cb61f3d456dfe0414c"
+    assert nodes == 4_480_246
+
+
 def test_exact_9_3_2_golden_blocks():
     # the affine plane of order 3, the only v = 9 exact design the cli workload builds
     assert exact_cover_number(9, 3, 2).blocks == (

@@ -4,6 +4,7 @@ small enough to stay fast; the full sweeps live in test_acceptance."""
 import dataclasses
 import itertools
 import json
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ import pytest
 
 import asg.bounds
 import asg.cli
+import asg.designs
 import asg.suite
 from asg.adversary import max_no_advice_game, standard_max_behaviors
 from asg.algorithms import AdvicePair
@@ -203,6 +205,22 @@ def test_the_protocol_batteries_play_each_tape_once(monkeypatch):
     plays.clear()
     result = battery_covering()
     assert (result.passed, result.checked, len(plays)) == (True, 3066, 807)
+
+
+def test_the_covering_battery_settles_each_design_once_per_class(monkeypatch):
+    # from cold design caches: one guard per interior weight class of each
+    # pair (its record's design_for) and of the battery (its width's
+    # exact_cover_number), none per input; one table per shape that greedy
+    # or a search reads
+    calls = Counter()
+    for name in ("_guard", "_coverage_tables"):
+        real = getattr(asg.designs, name)
+        monkeypatch.setattr(asg.designs, name, lambda *a, real=real, name=name: calls.update([name]) or real(*a))
+    asg.designs._ladder.cache_clear()
+    asg.designs._greedy_cached.cache_clear()
+    result = battery_covering()
+    assert (result.passed, result.checked) == (True, 3066)
+    assert calls == {"_guard": 244, "_coverage_tables": 57}
 
 
 def _sabotage_one_tape(monkeypatch, x):
