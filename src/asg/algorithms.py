@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable
 
 from asg.core import (
@@ -95,6 +96,7 @@ def trivial_min(c) -> AdvicePair:
     if c < 1:
         raise ValueError("needs c >= 1")
     num, den = c.numerator, c.denominator  # ceil(n / c) is -(-n den // num)
+    head = lru_cache(maxsize=None)(encode_int)  # p -> its code, built once per class count
 
     def oracle(x: str) -> list[int]:
         check_bits(x)
@@ -102,7 +104,7 @@ def trivial_min(c) -> AdvicePair:
         p = -(-n * den // num)
         # OR over the class {x_i : i = j (mod p)}, 1-based i: the 0-based
         # positions j - 1 (mod p)
-        return encode_int(p) + [int("1" in x[(j - 1) % p::p]) for j in range(p)]
+        return head(p) + [int("1" in x[(j - 1) % p::p]) for j in range(p)]
 
     def budget(n: int) -> int:
         p = -(-n * den // num)
@@ -131,20 +133,19 @@ def trivial_max(c) -> AdvicePair:
     if c < 1:
         raise ValueError("needs c >= 1")
     num, den = c.numerator, c.denominator  # ceil(n / c) is -(-n den // num)
+    ends = lru_cache(maxsize=None)(lambda lo, hi: encode_int(lo) + encode_int(hi))  # built once per block
 
     def oracle(x: str) -> list[int]:
         check_bits(x)
         n = len(x)
-        if n == 0:
-            return encode_int(1) + encode_int(0)
-        width = -(-n * den // num)
+        width = -(-n * den // num)  # 0 only at n = 0, whose one block is lo = 1, hi = 0
         lo, most = 1, -1
-        for start in range(0, n, width):
+        for start in range(0, n, width or 1):
             zeros = x.count("0", start, start + width)
             if zeros > most:  # strictly more: the leftmost block wins ties
                 lo, most = start + 1, zeros
         hi = min(lo + width - 1, n)
-        return encode_int(lo) + encode_int(hi) + bit_list(x[lo - 1 : hi])
+        return ends(lo, hi) + bit_list(x[lo - 1 : hi])
 
     def budget(n: int) -> int:
         return -(-n * den // num) + 2 * encoded_length(n) if n else 2 * encoded_length(1)
@@ -164,7 +165,7 @@ class _CoveringAlg(OnlineAlgorithm):
         w = decode_fixed(tape, ceil_log2(n + 1))
         if w > n:
             raise MalformedAdviceError(f"weight field {w} exceeds the length {n}")
-        blocks, _, width = self.weight_class(n, w)
+        blocks, _, width, _ = self.weight_class(n, w)
         index = decode_fixed(tape, width)
         if index >= len(blocks):
             raise MalformedAdviceError(f"block index {index} outside {len(blocks)} blocks")
@@ -191,27 +192,29 @@ def _covering(c, objective: str) -> AdvicePair:
     classes = {}  # (n, w) -> weight_class(n, w), fixed by objective, c and the design limits
 
     def weight_class(n: int, w: int):
-        """(blocks, block masks with x_1 the top bit, index width) of weight
-        class w at length n.  A boundary class needs no design (see
+        """(blocks, block masks with x_1 the top bit, index width, block
+        codes) of weight class w at length n, where a block's code is the
+        whole tape that sends it.  A boundary class needs no design (see
         core.design_shapes): its one block is all of 1..n, or empty when
         t = 0, and its index takes no bits."""
         if (n, w) not in classes:
             k, t = design_shapes(objective, c, n)[w]
             if 0 < t and k < n:  # a design_for refusal raises here, so nothing is stored
                 blocks = design_for(n, k, t).blocks
-                classes[n, w] = blocks, [sum(1 << n - i for i in block) for block in blocks], ceil_log2(len(blocks))
+                masks = [sum(1 << n - i for i in block) for block in blocks]
             else:
-                classes[n, w] = ((*range(1, n + 1),) if t else (),), [(1 << n) - 1 if t else 0], 0
+                blocks, masks = ((*range(1, n + 1),) if t else (),), [(1 << n) - 1 if t else 0]
+            width = ceil_log2(len(blocks))
+            head = encode_int(n) + encode_fixed(w, ceil_log2(n + 1))
+            classes[n, w] = blocks, masks, width, [head + encode_fixed(i, width) for i in range(len(blocks))]
         return classes[n, w]
 
     def oracle(x: str) -> list[int]:
         check_bits(x)
-        n = len(x)
-        w = asg_opt(objective, x)
-        _, masks, width = weight_class(n, w)
+        _, masks, _, codes = weight_class(len(x), asg_opt(objective, x))
         support = int(x or "0", 2)
-        index = next(i for i, mask in enumerate(masks) if support & mask == support)
-        return encode_int(n) + encode_fixed(w, ceil_log2(n + 1)) + encode_fixed(index, width)
+        # a fresh copy of the first dominating block's code
+        return next(code[:] for mask, code in zip(masks, codes) if support & mask == support)
 
     def budget(n: int) -> int:
         return encoded_length(n) + ceil_log2(n + 1) + max(weight_class(n, w)[2] for w in range(n + 1))
@@ -289,9 +292,11 @@ def knapsack_two_competitive() -> AdvicePair:
 
     from asg.problems import knapsack_instance  # here, so other protocols never load problems
 
+    count_code = lru_cache(maxsize=None)(encode_int)  # m -> its code, built once per count
+
     def oracle(instance) -> list[int]:
         instance = knapsack_instance(instance)
-        return encode_int(fill_count(instance.loads, instance.scale))
+        return count_code(fill_count(instance.loads, instance.scale))[:]
 
     return AdvicePair(oracle, _KnapsackAlg, lambda n: encoded_length(n))
 

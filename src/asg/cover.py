@@ -101,17 +101,19 @@ class _OutOfNodes(Exception):
 def _cover_lower_bound(todo: int, gains: list[tuple[int, int]], cols: list[int]) -> int | None:
     """ceil(sum over e in todo of 1 / the largest gain of a column holding
     e), in exact integers, or None when some element has no column.  gains
-    holds (gain, position) with gain = |cols[position] & todo|, largest
-    first; every element is charged to the first column that holds it.
-    The charges are a feasible dual of the cover LP (Lovasz 1975), so any
-    cover of todo by these columns has at least this many of them."""
+    holds (-gain, position) with gain = |cols[position] & todo|, largest
+    gain first; every element is charged to the first column that holds
+    it.  The charges are a feasible dual of the cover LP (Lovasz 1975), so
+    any cover of todo by these columns has at least this many of them."""
     share: dict[int, int] = {}
     left = todo
     for g, i in gains:
         new = cols[i] & left
         if new:
-            share[g] = share.get(g, 0) + new.bit_count()
+            share[-g] = share.get(-g, 0) + new.bit_count()
             left ^= new
+            if not left:
+                break
     if left:
         return None
     den = math.lcm(*share)
@@ -129,7 +131,8 @@ def _bounded_cover(uncovered: int, active: list[int], masks: list[int], seed: li
     root that settles every seed that meets the bound.  Otherwise it
     branches on the uncovered element with the fewest allowed holders
     (ties to the lower element) and tries those holders by residual gain,
-    ties to the lower index.
+    ties to the lower index.  A column holding nothing uncovered takes no
+    part in a node: no charge, no branch, no orbit with a holder.
 
     Orbital branching (Ostrowski et al. 2011): the points start as one
     cell, and each pick splits every cell by membership in the picked
@@ -152,9 +155,6 @@ def _bounded_cover(uncovered: int, active: list[int], masks: list[int], seed: li
     best = list(seed)
     nodes = 0
 
-    def orbit(j: int, cells: list[int]) -> list[int]:
-        return [(j & cell).bit_count() for cell in cells]
-
     def search(todo: int, allowed: int, picked: list[int], cells: list[int]) -> None:
         nonlocal best, nodes
         nodes += 1
@@ -163,34 +163,41 @@ def _bounded_cover(uncovered: int, active: list[int], masks: list[int], seed: li
         if not todo:
             best = picked
             return
-        gains = []
+        gains = []  # (-gain, position) of each allowed column holding some of todo
         rest = allowed
         while rest:
             low = rest & -rest
             i = low.bit_length() - 1
-            gains.append(((cols[i] & todo).bit_count(), i))
+            gain = (cols[i] & todo).bit_count()
+            if gain:
+                gains.append((-gain, i))
             rest ^= low
-        gains.sort(key=lambda gi: (-gi[0], gi[1]))
+        gains.sort()  # by gain, ties to the lower index
         bound = _cover_lower_bound(todo, gains, cols)
         if bound is None or len(picked) + bound >= len(best):
             return
-        branch, fewest = 0, len(cols) + 1
+        fewest = len(cols) + 1
         rest = todo
         while rest:
             low = rest & -rest
-            e = low.bit_length() - 1
-            count = (holders[e] & allowed).bit_count()
+            mine = holders[low.bit_length() - 1] & allowed
+            count = mine.bit_count()
             if count < fewest:
-                branch, fewest = holders[e] & allowed, count
+                branch, fewest = mine, count
+                if count == 1:  # every element has a holder, so none has fewer
+                    break
             rest ^= low
+        keys = {}  # position -> orbit: its intersection sizes with the cells, once per node
         for g, i in gains:  # by gain, ties to the lower index
             if (branch & allowed) >> i & 1:
                 j = active[i]
                 split = [part for cell in cells for part in (cell & j, cell & ~j) if part]
                 search(todo & ~cols[i], allowed, picked + [j], split)
-                key = orbit(j, cells)
-                for h, k in gains:  # an orbit shares one residual gain
-                    if h == g and orbit(active[k], cells) == key:
+                if i not in keys:  # an orbit shares one residual gain
+                    keys.update((k, [(active[k] & cell).bit_count() for cell in cells])
+                                for h, k in gains if h == g)
+                for h, k in gains:
+                    if h == g and keys[k] == keys[i]:
                         allowed &= ~(1 << k)
 
     try:

@@ -142,12 +142,13 @@ def _guard(v: int, k: int, t: int) -> None:
     check_work("({},{},{}) design blocks", capped_comb(v, k), DEFAULT_TSUBSET_LIMIT, v, k, t)
 
 
-def _coverage_tables(v: int, k: int, t: int):
-    """Blocks in lex order and their masks: bit i covers the i-th t-subset in lex order."""
+@lru_cache(maxsize=1)
+def _coverage_tables(v: int, k: int, t: int) -> tuple[tuple, tuple]:
+    """Blocks in lex order and their masks: bit i covers the i-th t-subset in lex
+    order.  Kept for the last shape, whose greedy step and search share one build."""
     index_of = {ts: i for i, ts in enumerate(combinations(range(1, v + 1), t))}
-    blocks = list(combinations(range(1, v + 1), k))
-    masks = [sum(1 << index_of[ts] for ts in combinations(block, t)) for block in blocks]
-    return blocks, masks
+    blocks = (*combinations(range(1, v + 1), k),)
+    return blocks, tuple(sum(1 << index_of[ts] for ts in combinations(block, t)) for block in blocks)
 
 
 @lru_cache(maxsize=None)
@@ -160,12 +161,12 @@ def _ladder(v: int, k: int, t: int, budget: int) -> tuple[CoveringDesign, Design
         family = ((*range(1, k + 1),),) if t == 0 or k == v else (*combinations(range(1, v + 1), k),)
         return CoveringDesign(v, k, t, family), DesignProvenance(
             v, k, t, "trivial", 0, len(family), len(family))
-    greedy = _greedy_cached(v, k, t)
     per_block = math.comb(k, t)
     # Each element joined with any (t-1)-subset of the rest forms a t-subset,
     # so the blocks through one element carry a (v-1, k-1, t-1) cover;
     # summing degrees over elements bounds the family size from below.
     inner = _ladder(v - 1, k - 1, t - 1, budget)[1].lower
+    greedy = _greedy_cached(v, k, t)  # after the inner ladder, so the search reads its tables
     lower = max(-(-math.comb(v, t) // per_block), -(-v * inner // k))
     upper = greedy.size
     if lower == upper:

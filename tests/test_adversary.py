@@ -3,6 +3,8 @@
 import hashlib
 import json
 import math
+import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -353,6 +355,28 @@ def test_bounded_cover_agrees_with_highs_on_every_residual(monkeypatch):
             covered |= masks[j]
         assert covered & uncovered == uncovered, shape
     assert past_budget == set()
+
+
+def test_strategy_count_families_and_search_nodes_are_pinned():
+    # every n <= 7 count at the four ratios: its family and the nodes the
+    # orbital search visits, counted as calls of its recursive `search`
+    nodes = Counter()
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "search" and frame.f_code.co_filename == cover.__file__:
+            nodes[shape] += 1
+
+    digest = hashlib.sha256()
+    for shape in [(n, c, objective) for n in range(1, 8)
+                  for c in (Fraction(5, 4), Fraction(3, 2), Fraction(2), Fraction(3)) for objective in ("min", "max")]:
+        sys.setprofile(count)
+        try:
+            family = exact_strategy_count(*shape).family
+        finally:
+            sys.setprofile(None)
+        digest.update(repr((shape[0], str(shape[1]), shape[2], family, nodes[shape])).encode())
+    assert digest.hexdigest() == "dfa3af22c8d41768956970a7309f73c8df384a9b223f33d0c77e05d981b4ce22"
+    assert (sum(nodes.values()), nodes[7, 2, "min"], nodes[7, 2, "max"]) == (10_056, 670, 5_432)
 
 
 def test_a_cover_past_the_node_budget_goes_to_highs_once(monkeypatch):

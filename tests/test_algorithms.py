@@ -35,7 +35,7 @@ from asg.core import (
     run_online,
     zeros,
 )
-from asg.problems import PROBLEMS, knapsack_instance, unique_cycle_graph
+from asg.problems import CONSTRUCTIONS, PROBLEMS, knapsack_instance, unique_cycle_graph
 
 RATIOS = [Fraction(3, 2), Fraction(2), Fraction(5, 2), Fraction(3)]
 
@@ -337,6 +337,26 @@ def test_aoc_generic_refuses_an_instance_with_no_feasible_output():
     assert PROBLEMS["cf"].optimal_strings(instance) == []
     with pytest.raises(ValueError, match="^cf: the instance has no feasible output$"):
         aoc_generic(PROBLEMS["cf"], 2).oracle(instance)
+
+
+@pytest.mark.parametrize("make, x, other, tapes", [
+    (lambda: trivial_min(2), "0110", "0100", ("1101011", "1101010")),
+    (lambda: trivial_max(2), "0110", "0011", ("1011101001", "1011101000")),
+    (lambda: covering_min(2), "0110", "1000", ("1110100010", "11101000010")),
+    (lambda: covering_max(2), "0110", "1000", ("111010001000", "11101000110")),
+    (knapsack_two_competitive, [Fraction(3, 5), Fraction(1, 2), Fraction(1, 2)], [Fraction(1, 4)] * 3,
+     ("11010", "11011")),
+    (lambda: aoc_generic(PROBLEMS["vc"], 2), CONSTRUCTIONS["vc"]("0110"), CONSTRUCTIONS["vc"]("1000"),
+     ("1110100010", "11101000010")),
+], ids=["trivial-min", "trivial-max", "covering-min", "covering-max", "knapsack", "aoc-generic"])
+def test_an_oracle_output_is_the_callers_own_list(make, x, other, tapes):
+    # a pair keeps the codes that do not depend on the input; a caller that
+    # changes what it was handed must not change them
+    pair = make()
+    handed = pair.oracle(x)
+    handed[:] = [1 - bit for bit in handed]
+    handed.append(1)
+    assert [pair.oracle(x), pair.oracle(other)] == [list(map(int, tape)) for tape in tapes]
 
 
 def _knapsack_opt(weights):

@@ -10,8 +10,10 @@ from fractions import Fraction
 
 import pytest
 
+import asg.algorithms
 import asg.bounds
 import asg.cli
+import asg.core
 import asg.designs
 import asg.suite
 from asg.adversary import max_no_advice_game, standard_max_behaviors
@@ -210,17 +212,28 @@ def test_the_protocol_batteries_play_each_tape_once(monkeypatch):
 def test_the_covering_battery_settles_each_design_once_per_class(monkeypatch):
     # from cold design caches: one guard per interior weight class of each
     # pair (its record's design_for) and of the battery (its width's
-    # exact_cover_number), none per input; one table per shape that greedy
-    # or a search reads
+    # exact_cover_number), none per input; one table build per shape that
+    # greedy or a search reads, counted as misses of the tables' cache
     calls = Counter()
-    for name in ("_guard", "_coverage_tables"):
-        real = getattr(asg.designs, name)
-        monkeypatch.setattr(asg.designs, name, lambda *a, real=real, name=name: calls.update([name]) or real(*a))
-    asg.designs._ladder.cache_clear()
-    asg.designs._greedy_cached.cache_clear()
+    real = asg.designs._guard
+    monkeypatch.setattr(asg.designs, "_guard", lambda *a: calls.update(["_guard"]) or real(*a))
+    for cached in (asg.designs._ladder, asg.designs._greedy_cached, asg.designs._coverage_tables):
+        cached.cache_clear()
     result = battery_covering()
     assert (result.passed, result.checked) == (True, 3066)
-    assert calls == {"_guard": 244, "_coverage_tables": 57}
+    assert (calls["_guard"], asg.designs._coverage_tables.cache_info().misses) == (244, 50)
+
+
+def test_the_protocol_batteries_build_each_advice_code_once(monkeypatch):
+    # 27,621 encode_fixed calls when every oracle call encoded its header,
+    # block ends or index afresh; now each pair builds them once per class
+    calls = Counter()
+    real = asg.core.encode_fixed
+    for module in (asg.core, asg.algorithms):
+        monkeypatch.setattr(module, "encode_fixed", lambda *a: calls.update(["encode_fixed"]) or real(*a))
+    covering, trivial = battery_covering(), battery_trivial()
+    assert (covering.passed, covering.checked, trivial.passed, trivial.checked) == (True, 3066, True, 12282)
+    assert calls["encode_fixed"] == 1_460
 
 
 def _sabotage_one_tape(monkeypatch, x):
