@@ -165,14 +165,16 @@ class _CoveringAlg(OnlineAlgorithm):
         w = decode_fixed(tape, ceil_log2(n + 1))
         if w > n:
             raise MalformedAdviceError(f"weight field {w} exceeds the length {n}")
-        blocks, _, width, _ = self.weight_class(n, w)
+        masks, width, _ = self.weight_class(n, w)
         index = decode_fixed(tape, width)
-        if index >= len(blocks):
-            raise MalformedAdviceError(f"block index {index} outside {len(blocks)} blocks")
-        self.in_block = set(blocks[index])
+        if index >= len(masks):
+            raise MalformedAdviceError(f"block index {index} outside {len(masks)} blocks")
+        self.mask, self.n = masks[index], n
 
     def answer(self, i, request):
-        return int(i in self.in_block)
+        # bit n - i of the block's mask, the one the oracle matched x_i against;
+        # a round past n reads a bit below the mask, so 0
+        return self.mask << i >> self.n & 1
 
 
 def _covering(c, objective: str) -> AdvicePair:
@@ -192,32 +194,31 @@ def _covering(c, objective: str) -> AdvicePair:
     classes = {}  # (n, w) -> weight_class(n, w), fixed by objective, c and the design limits
 
     def weight_class(n: int, w: int):
-        """(blocks, block masks with x_1 the top bit, index width, block
-        codes) of weight class w at length n, where a block's code is the
-        whole tape that sends it.  A boundary class needs no design (see
-        core.design_shapes): its one block is all of 1..n, or empty when
-        t = 0, and its index takes no bits."""
+        """(block masks with x_1 the top bit, index width, block codes) of
+        weight class w at length n, where a block's code is the whole tape
+        that sends it.  A boundary class needs no design (see
+        core.design_shapes): its one mask is all of 1..n, or 0 when t = 0,
+        and its index takes no bits."""
         if (n, w) not in classes:
             k, t = design_shapes(objective, c, n)[w]
             if 0 < t and k < n:  # a design_for refusal raises here, so nothing is stored
-                blocks = design_for(n, k, t).blocks
-                masks = [sum(1 << n - i for i in block) for block in blocks]
+                masks = [sum(1 << n - i for i in block) for block in design_for(n, k, t).blocks]
             else:
-                blocks, masks = ((*range(1, n + 1),) if t else (),), [(1 << n) - 1 if t else 0]
-            width = ceil_log2(len(blocks))
+                masks = [(1 << n) - 1 if t else 0]
+            width = ceil_log2(len(masks))
             head = encode_int(n) + encode_fixed(w, ceil_log2(n + 1))
-            classes[n, w] = blocks, masks, width, [head + encode_fixed(i, width) for i in range(len(blocks))]
+            classes[n, w] = masks, width, [head + encode_fixed(i, width) for i in range(len(masks))]
         return classes[n, w]
 
     def oracle(x: str) -> list[int]:
         check_bits(x)
-        _, masks, _, codes = weight_class(len(x), asg_opt(objective, x))
+        masks, _, codes = weight_class(len(x), asg_opt(objective, x))
         support = int(x or "0", 2)
         # a fresh copy of the first dominating block's code
         return next(code[:] for mask, code in zip(masks, codes) if support & mask == support)
 
     def budget(n: int) -> int:
-        return encoded_length(n) + ceil_log2(n + 1) + max(weight_class(n, w)[2] for w in range(n + 1))
+        return encoded_length(n) + ceil_log2(n + 1) + max(weight_class(n, w)[1] for w in range(n + 1))
 
     return AdvicePair(oracle, lambda: _CoveringAlg(weight_class), budget)
 

@@ -301,13 +301,16 @@ class AdviceTape:
     are held as bytes, so a block or a field is read with one slice.
 
     A tape is built from any iterable of bits: a list of 0/1 ints or bools
-    becomes bytes in one call; any other 0/1-valued number (1.0,
-    Fraction(1)) is converted one by one, and the first other value is
-    refused.
+    becomes bytes in one call, and 0/1 bytes are kept as given; any other
+    0/1-valued number (1.0, Fraction(1)) is converted one by one, and the
+    first other value is refused.  A list or bytes is read as it is; any
+    other iterable is copied into a list once, since the bits may be read
+    twice.
     """
 
     def __init__(self, written: Iterable[int] = ()):
-        written = list(written)
+        if not isinstance(written, (list, bytes)):
+            written = list(written)
         try:
             data = bytes(written)  # ints and bools; other numbers raise TypeError
         except (TypeError, ValueError):

@@ -48,7 +48,6 @@ __all__ = [
     "DesignProvenance",
     "DEFAULT_TSUBSET_LIMIT",
     "SEARCH_NODES",
-    "is_covering_design",
     "binom_quotient",
     "cover_number_bounds",
     "exact_cover_number",
@@ -101,24 +100,6 @@ def _check_params(v: int, k: int, t: int) -> None:
         raise ValueError("v must be at least 1")
 
 
-def is_covering_design(design: CoveringDesign) -> bool:
-    """Validate block shape and that every t-subset is covered."""
-    v, k, t = design.v, design.k, design.t
-    _check_params(v, k, t)
-    for block in design.blocks:
-        if len(block) != k or len(set(block)) != k:
-            return False
-        if any(not 1 <= e <= v for e in block):
-            return False
-        if tuple(sorted(block)) != block:
-            return False
-    block_sets = [set(b) for b in design.blocks]
-    return all(
-        any(ts_set <= bs for bs in block_sets)
-        for ts_set in (set(ts) for ts in combinations(range(1, v + 1), t))
-    )
-
-
 def binom_quotient(v: int, k: int, t: int) -> Fraction:
     """binom(v,t) / binom(k,t): the counting lower bound for the cover number."""
     _check_params(v, k, t)
@@ -142,10 +123,8 @@ def _guard(v: int, k: int, t: int) -> None:
     check_work("({},{},{}) design blocks", capped_comb(v, k), DEFAULT_TSUBSET_LIMIT, v, k, t)
 
 
-@lru_cache(maxsize=1)
 def _coverage_tables(v: int, k: int, t: int) -> tuple[tuple, tuple]:
-    """Blocks in lex order and their masks: bit i covers the i-th t-subset in lex
-    order.  Kept for the last shape, whose greedy step and search share one build."""
+    """Blocks in lex order and masks: bit i covers the i-th t-subset in lex order."""
     index_of = {ts: i for i, ts in enumerate(combinations(range(1, v + 1), t))}
     blocks = (*combinations(range(1, v + 1), k),)
     return blocks, tuple(sum(1 << index_of[ts] for ts in combinations(block, t)) for block in blocks)
@@ -166,7 +145,8 @@ def _ladder(v: int, k: int, t: int, budget: int) -> tuple[CoveringDesign, Design
     # so the blocks through one element carry a (v-1, k-1, t-1) cover;
     # summing degrees over elements bounds the family size from below.
     inner = _ladder(v - 1, k - 1, t - 1, budget)[1].lower
-    greedy = _greedy_cached(v, k, t)  # after the inner ladder, so the search reads its tables
+    blocks, masks = _coverage_tables(v, k, t)
+    greedy = _greedy(v, k, t, blocks, masks)
     lower = max(-(-math.comb(v, t) // per_block), -(-v * inner // k))
     upper = greedy.size
     if lower == upper:
@@ -175,7 +155,6 @@ def _ladder(v: int, k: int, t: int, budget: int) -> tuple[CoveringDesign, Design
 
     # per t-subset, its coverers in block order as (block bit, what the block
     # leaves uncovered); one pair per block, shared by the lists of all its t-subsets
-    blocks, masks = _coverage_tables(v, k, t)
     options = [[] for _ in range(math.comb(v, t))]
     for bi, mask in enumerate(masks):
         pair = (1 << bi, ~mask)
@@ -260,14 +239,12 @@ def design_provenance(v: int, k: int, t: int) -> DesignProvenance:
 def greedy_cover(v: int, k: int, t: int) -> CoveringDesign:
     """Greedy covering design: repeatedly take the block covering the most
     still-uncovered t-subsets, ties broken toward the lex-smallest block.
-    The guard is checked on every call, before the cache."""
+    The guard is checked on every call, before the tables are built."""
     _guard(v, k, t)
-    return _greedy_cached(v, k, t)
+    return _greedy(v, k, t, *_coverage_tables(v, k, t))
 
 
-@lru_cache(maxsize=None)
-def _greedy_cached(v: int, k: int, t: int) -> CoveringDesign:
-    blocks, masks = _coverage_tables(v, k, t)
+def _greedy(v: int, k: int, t: int, blocks: tuple, masks: tuple) -> CoveringDesign:
     chosen = greedy_picks((1 << math.comb(v, t)) - 1, masks, range(len(masks)))
     return CoveringDesign(v, k, t, tuple(blocks[i] for i in chosen))
 

@@ -125,28 +125,35 @@ def _read_case_overrides(tape) -> dict[int, int]:
     return force
 
 
-def _checked(answer: int) -> int:
-    if answer not in (0, 1):
-        raise ReductionError(f"problem algorithm answered {answer!r}")
-    return answer
-
-
-class _SplitLift(OnlineAlgorithm):
-    """Replay against the clique-over-ones graph grown from the revealed
-    prefix, patching the header rounds."""
+class _Replay(OnlineAlgorithm):
+    """A lifted algorithm: the problem algorithm, started on the tape after
+    the lift's header, answers each replayed request with 0 or 1."""
 
     def __init__(self, inner_factory):
         self._make = inner_factory
 
-    def begin(self, tape):
-        self.force = _read_case_overrides(tape)
-        self.prior_ones: list[int] = []
+    def _start(self, tape):
         self.inner = self._make()
         self.inner.begin(tape)
 
+    def _ask(self, i, request) -> int:
+        answer = self.inner.answer(i, request)
+        if answer not in (0, 1):
+            raise ReductionError(f"problem algorithm answered {answer!r}")
+        return answer
+
+
+class _SplitLift(_Replay):
+    """Replay against the clique-over-ones graph grown from the revealed
+    prefix, patching the header rounds."""
+
+    def begin(self, tape):
+        self.force = _read_case_overrides(tape)
+        self.prior_ones: list[int] = []
+        self._start(tape)
+
     def answer(self, i, request):
-        a = _checked(self.inner.answer(i, self._rebuild(i, request)))
-        return self.force.get(i, a)
+        return self.force.get(i, self._ask(i, self._rebuild(i, request)))
 
     def _rebuild(self, i, request):
         """The problem request of round i, from the revealed bit x_{i-1}."""
@@ -155,13 +162,10 @@ class _SplitLift(OnlineAlgorithm):
         return tuple(self.prior_ones)
 
 
-class _CycleLift(OnlineAlgorithm):
+class _CycleLift(_Replay):
     """Replay against the back-chain of 1-rounds; the header supplies the
     arrival round of the cycle-closing edge, or the whole answer when the
     input has at most two 1s."""
-
-    def __init__(self, inner_factory):
-        self._make = inner_factory
 
     def begin(self, tape):
         if tape.read_bit():
@@ -171,8 +175,7 @@ class _CycleLift(OnlineAlgorithm):
             return
         self.top = decode_int(tape)
         self.prior_ones: list[int] = []
-        self.inner = self._make()
-        self.inner.begin(tape)
+        self._start(tape)
 
     def answer(self, i, request):
         if self.inner is None:
@@ -184,15 +187,12 @@ class _CycleLift(OnlineAlgorithm):
             back.append(self.prior_ones[-1])
             if i == self.top:
                 back.append(self.prior_ones[0])
-        return _checked(self.inner.answer(i, tuple(sorted(set(back)))))
+        return self._ask(i, tuple(sorted(set(back))))
 
 
-class _StarLift(OnlineAlgorithm):
+class _StarLift(_Replay):
     """Rounds before the hub carry no edges, so the replay needs no
     history at all; the hub round answers 1 and later rounds 0."""
-
-    def __init__(self, inner_factory):
-        self._make = inner_factory
 
     def begin(self, tape):
         if tape.read_bit():
@@ -201,39 +201,34 @@ class _StarLift(OnlineAlgorithm):
         has_stand_in = tape.read_bit()
         self.top = decode_int(tape)
         self.skip = decode_int(tape) if has_stand_in else 0
-        self.inner = self._make()
-        self.inner.begin(tape)
+        self._start(tape)
 
     def answer(self, i, request):
         if self.top is None or i > self.top:
             return 0
         if i == self.top:
             return 1
-        a = _checked(self.inner.answer(i, ()))
+        a = self._ask(i, ())
         return 0 if i == self.skip else a
 
 
-class _SingletonLift(OnlineAlgorithm):
+class _SingletonLift(_Replay):
     """Rounds before the sweep-up request are fixed singletons; as with
     the star lift the history is never consulted."""
-
-    def __init__(self, inner_factory):
-        self._make = inner_factory
 
     def begin(self, tape):
         if tape.read_bit():
             self.top = None
             return
         self.top = decode_int(tape)
-        self.inner = self._make()
-        self.inner.begin(tape)
+        self._start(tape)
 
     def answer(self, i, request):
         if self.top is None or i > self.top:
             return 0
         if i == self.top:
             return 1
-        return _checked(self.inner.answer(i, (i,)))
+        return self._ask(i, (i,))
 
 
 class _HalvingLift(_SplitLift):

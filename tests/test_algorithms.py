@@ -285,7 +285,6 @@ def test_a_fresh_pair_decodes_another_pairs_tapes(factory, variant):
         writer = factory(c)
         runs = {x: (writer.oracle(x), run_asg(variant, writer, x)) for n in range(9) for x in all_bitstrings(n)}
         designs._ladder.cache_clear()
-        designs._greedy_cached.cache_clear()
         reader = factory(c)
         for x, (bits, out) in runs.items():
             tape = AdviceTape(bits)

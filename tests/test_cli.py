@@ -20,10 +20,12 @@ from asg import algorithms
 from asg.adversary import exact_strategy_count
 from asg.bounds import CURVE_COLUMNS
 from asg.cli import main
-from asg.designs import SEARCH_NODES, CoveringDesign, is_covering_design
+from asg.designs import SEARCH_NODES, CoveringDesign
 from asg.problems import CONSTRUCTIONS
 from asg.reductions import REDUCTIONS
 from asg.suite import BATTERY_ORDER
+
+from test_designs import is_covering_design
 
 SRC = str(Path(asg.__file__).resolve().parents[1])
 
@@ -406,6 +408,39 @@ def test_command_output_bytes_are_pinned(capsys, monkeypatch):
         code, out, err = run_cli(capsys, *argv)
         digests[kind].update(f"{code}\0{out}\0{err}\0".encode())
     assert {kind: d.hexdigest() for kind, d in digests.items()} == OUTPUT_SHA256
+
+
+# Run in turn by one process per hash seed: no printed order may come from
+# iterating a set or dict of strings, whose order the seed decides
+HASH_SEED_COMMANDS = (
+    "suite --n-max 5 --grid-max 60",
+    "lift --from 0110101 --to vc --c 2",
+    "reduce --from 0110101 --to ds",
+    "brute --n 6 --c 2",
+    "adversary --game min --n 6 --weight 2",
+    "simulate --protocol covering-min --c 2 --x 01101001",
+    "simulate --protocol covering-max --c 2 --x 01101001",
+    "design --v 8 --k 5 --t 4 --method greedy",
+)
+RUN_COMMANDS = """
+import sys
+from asg.cli import main
+for command in sys.argv[1:]:
+    print("$", command)
+    print("exit", main(command.split()), flush=True)
+"""
+
+
+def test_output_bytes_do_not_depend_on_the_hash_seed():
+    outputs = []
+    for seed in ("0", "12345"):
+        env = dict(os.environ, PYTHONPATH=SRC, PYTHONHASHSEED=seed)
+        done = subprocess.run([sys.executable, "-c", RUN_COMMANDS, *HASH_SEED_COMMANDS],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0].count("\nexit 0\n") == len(HASH_SEED_COMMANDS)
+    assert outputs[0] == outputs[1]
 
 
 # `verify` with one sabotaged run: trivial-min's oracle sends x = 0110 the

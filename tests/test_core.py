@@ -156,6 +156,19 @@ def test_tape_semantics():
         assert str(info.value) == f"tape bits must be 0 or 1, got {bad!r}"  # the first bad bit
 
 
+def test_a_tape_keeps_its_bits_as_given():
+    # 0/1 bytes are the tape itself; a generator is copied once, so one of
+    # floats, which the one-call conversion refuses, is still read bit by bit
+    written = b"\x01\x00\x01"
+    assert AdviceTape(written)._written is written
+    tape = AdviceTape(b for b in (1.0, 0, True))
+    assert (tape._written, tape.read(4)) == (b"\x01\x00\x01", [1, 0, 1, 0])
+    with pytest.raises(ValueError, match="got 2"):
+        AdviceTape(b for b in (1.0, 2))
+    with pytest.raises(ValueError, match="got 2"):
+        AdviceTape(b"\x01\x02")
+
+
 class _PerBitTape:
     """The reference tape: one bit per read, zeros past the written end."""
 

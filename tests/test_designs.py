@@ -19,8 +19,25 @@ from asg.designs import (
     design_provenance,
     exact_cover_number,
     greedy_cover,
-    is_covering_design,
 )
+
+
+def is_covering_design(design: CoveringDesign) -> bool:
+    """Validate block shape and that every t-subset is covered."""
+    v, k, t = design.v, design.k, design.t
+    designs._check_params(v, k, t)
+    for block in design.blocks:
+        if len(block) != k or len(set(block)) != k:
+            return False
+        if any(not 1 <= e <= v for e in block):
+            return False
+        if tuple(sorted(block)) != block:
+            return False
+    block_sets = [set(b) for b in design.blocks]
+    return all(
+        any(ts_set <= bs for bs in block_sets)
+        for ts_set in (set(ts) for ts in combinations(range(1, v + 1), t))
+    )
 
 
 def naive_lex_first_minimum(v, k, t):
@@ -246,18 +263,18 @@ def test_provenance_names_the_step_that_settled_the_size():
     # greedy meets the degree bound ceil(9 * C(8,3,2) / 4) = ceil(99 / 4): no
     # search needed, so no node is spent and the witness is the greedy family
     assert design_provenance(9, 4, 3) == DesignProvenance(9, 4, 3, "sandwich", 0, 25, 25)
-    assert exact_cover_number(9, 4, 3) is greedy_cover(9, 4, 3)
+    assert exact_cover_number(9, 4, 3) == greedy_cover(9, 4, 3)
     assert design_provenance(8, 5, 4) == DesignProvenance(8, 5, 4, "search", 361_052, 20, 20)
     # a proven size spends nodes only on its proof: (10,4,2) refutes size 8
     # and keeps the greedy 9 blocks well inside the budget
     record = design_provenance(10, 4, 2)
     assert (record.method, record.lower, record.upper) == ("search", 9, 9)
     assert record.nodes < designs.SEARCH_NODES
-    assert design_for(10, 4, 2) is greedy_cover(10, 4, 2)
+    assert design_for(10, 4, 2) == greedy_cover(10, 4, 2)
     record = design_provenance(10, 6, 3)
     assert (record.method, record.lower, record.upper) == ("greedy", 9, 10)
     assert record.nodes == designs.SEARCH_NODES and not record.proven
-    assert design_for(10, 6, 3) is greedy_cover(10, 6, 3)
+    assert design_for(10, 6, 3) == greedy_cover(10, 6, 3)
     assert design_provenance(5, 3, 0).method == design_provenance(6, 2, 2).method == "trivial"
     assert design_provenance(10, 8, 4).method == "sandwich"
 
