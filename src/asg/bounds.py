@@ -44,7 +44,6 @@ __all__ = [
     "check_max_quotient_approx",
     "exp_growth_floor_sweep",
     "sg_comparison_value",
-    "CURVE_N",
     "CURVE_STEPS",
     "CURVE_COLUMNS",
     "CurvePoint",
@@ -349,8 +348,7 @@ def sg_comparison_value(c) -> Decimal:
 
 # --- the advice curve ---------------------------------------------------------
 
-CURVE_N = 10**6  # the input length the curve is sampled at
-CURVE_STEPS = 10_000  # points one curve samples; each costs the same, whatever n
+CURVE_STEPS = 10_000  # points one curve samples; each costs the same
 CURVE_COLUMNS = ("c", "asg_bits_per_request", "envelope_hi", "envelope_lo", "sg_bits_per_request")
 
 
@@ -361,18 +359,17 @@ class CurvePoint(JsonRecord, namedtuple("CurvePoint", CURVE_COLUMNS)):
     __slots__ = ()
 
 
-def curve_point(c, n: int = CURVE_N) -> CurvePoint:
+def curve_point(c) -> CurvePoint:
+    """The curve at ratio c: B(n, c) and its envelopes are linear in n, so
+    their values at n = 1 are the per-request rates."""
     c = as_ratio(c)
-    if n < 1:
-        raise ValueError("the curve needs n >= 1")
-    bound = advice_bound(n, c)
-    lo, hi = envelope(n, c)
+    bound = advice_bound(1, c)
+    lo, hi = envelope(1, c)
     sg = float(sg_comparison_value(c)) if 1 < c <= 2 else None
-    with localcontext(_CONTEXT):
-        return CurvePoint(c, float(bound / n), float(hi / n), float(lo / n), sg)
+    return CurvePoint(c, float(bound), float(hi), float(lo), sg)
 
 
-def emit_curve(c_min, c_max, steps: int, n: int = CURVE_N) -> list[CurvePoint]:
+def emit_curve(c_min, c_max, steps: int) -> list[CurvePoint]:
     """Sample the advice curve on an evenly spaced rational grid."""
     c_min, c_max = as_ratio(c_min), as_ratio(c_max)
     if c_min <= 1:
@@ -387,7 +384,7 @@ def emit_curve(c_min, c_max, steps: int, n: int = CURVE_N) -> list[CurvePoint]:
     else:
         step = (c_max - c_min) / (steps - 1)
         grid = [c_min + i * step for i in range(steps)]
-    return [curve_point(c, n) for c in grid]
+    return [curve_point(c) for c in grid]
 
 
 def render_curve(points, fmt: str = "csv") -> str:

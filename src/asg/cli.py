@@ -109,7 +109,7 @@ def cmd_bounds(args) -> int:
 def cmd_curve(args) -> int:
     from asg.bounds import emit_curve, render_curve
 
-    points = emit_curve(args.c_min, args.c_max, args.steps, args.n)
+    points = emit_curve(args.c_min, args.c_max, args.steps)
     _emit(render_curve(points, args.format), args.out)
     return 0
 
@@ -274,7 +274,6 @@ COMMANDS = {
         ("--c-min", {"type": rational, "required": True}),
         ("--c-max", {"type": rational, "required": True}),
         ("--steps", {"type": int, "required": True}),
-        ("--n", {"type": int, "default": 10**6}),
         ("--format", {"choices": ("csv", "json"), "default": "csv"}),
     )),
     "design": ("covering design for (v, k, t)", (

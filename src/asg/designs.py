@@ -27,8 +27,9 @@ family and `exact_cover_number` raises `core.WorkLimitError` naming the
 [lower, upper] bracket.  Every limit is a count, never time, so the oracle
 and the algorithm build the same design.  Results are cached once per
 (v, k, t) and budget beside a `DesignProvenance` record
-(`design_provenance`); the binom(v, t) and binom(v, k) guard is a module
-constant, checked by `core.check_work` on every call, before the cache.
+(`design_provenance`); the guard on binom(v, t), binom(v, k) and v is a
+module constant, checked by `core.check_work` on every call, before the
+cache.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ __all__ = [
     "design_provenance",
 ]
 
-DEFAULT_TSUBSET_LIMIT = 100000  # the search guard on binom(v, t) and binom(v, k)
+DEFAULT_TSUBSET_LIMIT = 100000  # the search guard on binom(v, t), binom(v, k) and v
 SEARCH_NODES = 1_000_000  # search nodes per (v, k, t) for the size proof
 
 
@@ -116,11 +117,13 @@ def cover_number_bounds(v: int, k: int, t: int) -> CoverNumberBounds:
 
 def _guard(v: int, k: int, t: int) -> None:
     """Both tables a search builds, binom(v, t) subsets and binom(v, k)
-    blocks, must fit the guard before either is built; each count is
-    estimated by `core.capped_comb`, so a refusal costs no huge binomial."""
+    blocks, must fit the guard before either is built, and so must v, the
+    points one block may hold; each count is estimated by
+    `core.capped_comb`, so a refusal costs no huge binomial."""
     _check_params(v, k, t)
     check_work("({},{},{}) design t-subsets", capped_comb(v, t), DEFAULT_TSUBSET_LIMIT, v, k, t)
     check_work("({},{},{}) design blocks", capped_comb(v, k), DEFAULT_TSUBSET_LIMIT, v, k, t)
+    check_work("({},{},{}) design points", v, DEFAULT_TSUBSET_LIMIT, v, k, t)
 
 
 def _coverage_tables(v: int, k: int, t: int) -> tuple[tuple, tuple]:

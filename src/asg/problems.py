@@ -7,12 +7,12 @@ for maximization problems 0 accepts, so that a feasible score is always
 the count dominated-side bits of the answer string (1s for min, 0s for
 max) and domination toward an optimal answer string preserves feasibility.
 
-Each Problem object bundles the arrival model (requests), the feasibility
-predicate and a brute-force optimum, so the covering protocols can be
-pointed at any of them.  The construction functions build the instance
-families on which the guessing game embeds into each problem: a split
-graph, a unique-cycle graph, a star, a singleton cover, and a halving
-family of subpaths.
+Each Problem object bundles the arrival model (requests), its feasibility
+rule (the `feasible` method) and a brute-force optimum, so the covering
+protocols can be pointed at any of them.  The construction functions build
+the instance families on which the guessing game embeds into each problem:
+a split graph, a unique-cycle graph, a star, a singleton cover, and a
+halving family of subpaths.
 """
 
 from __future__ import annotations
@@ -42,13 +42,6 @@ __all__ = [
     "DisjointPathInstance",
     "KnapsackInstance",
     "knapsack_instance",
-    "is_vertex_cover",
-    "induced_has_cycle",
-    "is_dominating_set",
-    "is_independent_set",
-    "covers_universe",
-    "paths_edge_disjoint",
-    "matching_vertex_disjoint",
     "Problem",
     "VertexCover",
     "CycleFinding",
@@ -167,68 +160,6 @@ def knapsack_instance(weights) -> KnapsackInstance:
     return weights if type(weights) is KnapsackInstance else KnapsackInstance(tuple(weights))
 
 
-# --- feasibility predicates -------------------------------------------------
-
-
-def is_vertex_cover(graph: VertexArrivalGraph, chosen: set) -> bool:
-    return all(i in chosen or j in chosen for i, j in graph.edges)
-
-
-def is_independent_set(graph: VertexArrivalGraph, chosen: set) -> bool:
-    return not any(i in chosen and j in chosen for i, j in graph.edges)
-
-
-def is_dominating_set(graph: VertexArrivalGraph, chosen: set) -> bool:
-    for v in range(1, graph.n + 1):
-        if v in chosen:
-            continue
-        if not any(graph.adjacent(v, u) for u in chosen):
-            return False
-    return True
-
-
-def induced_has_cycle(graph: VertexArrivalGraph, chosen: set) -> bool:
-    # union-find: an edge inside one component closes a cycle
-    parent = {v: v for v in chosen}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for i, j in graph.edges:
-        if i in chosen and j in chosen:
-            ri, rj = find(i), find(j)
-            if ri == rj:
-                return True
-            parent[ri] = rj
-    return False
-
-
-def covers_universe(instance: SetCoverInstance, chosen_indices: set) -> bool:
-    got = set()
-    for i in chosen_indices:
-        got.update(instance.requests[i - 1])
-    return got == set(instance.universe)
-
-
-def paths_edge_disjoint(requests, chosen_indices: set) -> bool:
-    spans = [requests[i - 1] for i in sorted(chosen_indices)]
-    spans.sort()
-    return all(a[1] <= b[0] for a, b in zip(spans, spans[1:]))
-
-
-def matching_vertex_disjoint(edges, chosen_indices: set) -> bool:
-    seen = set()
-    for i in chosen_indices:
-        for v in edges[i - 1]:
-            if v in seen:
-                return False
-            seen.add(v)
-    return True
-
-
 # --- the problems -----------------------------------------------------------
 
 
@@ -342,7 +273,9 @@ class _GraphProblem(Problem):
 class VertexCover(_GraphProblem):
     name = "vc"
     objective = "min"
-    feasible = staticmethod(is_vertex_cover)
+
+    def feasible(self, instance: VertexArrivalGraph, accepted: set[int]) -> bool:
+        return all(i in accepted or j in accepted for i, j in instance.edges)
 
 
 class CycleFinding(_GraphProblem):
@@ -351,28 +284,59 @@ class CycleFinding(_GraphProblem):
 
     name = "cf"
     objective = "min"
-    feasible = staticmethod(induced_has_cycle)
+
+    def feasible(self, instance: VertexArrivalGraph, accepted: set[int]) -> bool:
+        # union-find: an edge inside one component closes a cycle
+        parent = {v: v for v in accepted}
+
+        def find(v):
+            while parent[v] != v:
+                parent[v] = parent[parent[v]]
+                v = parent[v]
+            return v
+
+        for i, j in instance.edges:
+            if i in accepted and j in accepted:
+                ri, rj = find(i), find(j)
+                if ri == rj:
+                    return True
+                parent[ri] = rj
+        return False
 
 
 class DominatingSet(_GraphProblem):
     name = "ds"
     objective = "min"
-    feasible = staticmethod(is_dominating_set)
+
+    def feasible(self, instance: VertexArrivalGraph, accepted: set[int]) -> bool:
+        for v in range(1, instance.n + 1):
+            if v in accepted:
+                continue
+            if not any(instance.adjacent(v, u) for u in accepted):
+                return False
+        return True
 
 
 class SetCover(Problem):
     name = "sc"
     objective = "min"
-    feasible = staticmethod(covers_universe)
 
     def requests(self, instance: SetCoverInstance) -> list:
         return [tuple(sorted(r)) for r in instance.requests]
+
+    def feasible(self, instance: SetCoverInstance, accepted: set[int]) -> bool:
+        got = set()
+        for i in accepted:
+            got.update(instance.requests[i - 1])
+        return got == set(instance.universe)
 
 
 class IndependentSet(_GraphProblem):
     name = "is"
     objective = "max"
-    feasible = staticmethod(is_independent_set)
+
+    def feasible(self, instance: VertexArrivalGraph, accepted: set[int]) -> bool:
+        return not any(i in accepted and j in accepted for i, j in instance.edges)
 
 
 class DisjointPaths(Problem):
@@ -382,8 +346,10 @@ class DisjointPaths(Problem):
     def requests(self, instance: DisjointPathInstance) -> list:
         return list(instance.requests)
 
-    def feasible(self, instance: DisjointPathInstance, accepted) -> bool:
-        return paths_edge_disjoint(instance.requests, accepted)
+    def feasible(self, instance: DisjointPathInstance, accepted: set[int]) -> bool:
+        spans = [instance.requests[i - 1] for i in sorted(accepted)]
+        spans.sort()
+        return all(a[1] <= b[0] for a, b in zip(spans, spans[1:]))
 
 
 class UnitKnapsack(Problem):
@@ -397,17 +363,25 @@ class UnitKnapsack(Problem):
     def requests(self, instance) -> list:
         return list(knapsack_instance(instance).weights)
 
-    def feasible(self, instance: KnapsackInstance, accepted) -> bool:
+    def feasible(self, instance: KnapsackInstance, accepted: set[int]) -> bool:
         return sum(instance.loads[i - 1] for i in accepted) <= instance.scale
 
 
 class EdgeMatching(Problem):
     name = "om"
     objective = "max"
-    feasible = staticmethod(matching_vertex_disjoint)
 
     def requests(self, instance) -> list:
         return [tuple(e) for e in instance]
+
+    def feasible(self, instance: tuple, accepted: set[int]) -> bool:
+        seen = set()
+        for i in accepted:
+            for v in instance[i - 1]:
+                if v in seen:
+                    return False
+                seen.add(v)
+        return True
 
     def _prepared(self, instance) -> tuple:
         return tuple(map(tuple, instance))

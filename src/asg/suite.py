@@ -63,7 +63,6 @@ from asg.algorithms import (
     trivial_min,
 )
 from asg.bounds import (
-    CURVE_N,
     advice_bound,
     check_min_quotient_approx,
     emit_curve,
@@ -238,11 +237,12 @@ ENVELOPE_RATIOS = (
     Fraction(10),
     Fraction(100),
 )
+ENVELOPE_N = 10**6  # the input length the sandwich is checked at
 ENVELOPE_REL_TOL = 1e-9
 
 
 @_battery
-def battery_envelope(n: int = CURVE_N, ratios=None):
+def battery_envelope(n: int = ENVELOPE_N, ratios=None):
     """n/(e ln2 c) <= B(n,c) <= n/c on the ratio grid."""
     ratios = _ratios(ratios, ENVELOPE_RATIOS)
     for c in ratios:

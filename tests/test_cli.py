@@ -1,8 +1,10 @@
 """Command-line harness: argument validation, output shapes, determinism."""
 
+import contextlib
 import dataclasses
 import hashlib
 import importlib.util
+import io
 import json
 import math
 import os
@@ -13,6 +15,8 @@ from pathlib import Path
 
 import pytest
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import asg
 import asg.cli
@@ -82,7 +86,7 @@ def test_float_ratios_are_rejected(capsys):
 
 
 def test_curve_csv_shape_and_determinism(capsys):
-    args = ("curve", "--c-min", "21/20", "--c-max", "4", "--steps", "12", "--n", "1000")
+    args = ("curve", "--c-min", "21/20", "--c-max", "4", "--steps", "12")
     code, first, _ = run_cli(capsys, *args)
     assert code == 0
     lines = first.splitlines()
@@ -94,8 +98,7 @@ def test_curve_csv_shape_and_determinism(capsys):
 
 def test_curve_json_mirrors_csv_columns(capsys):
     code, out, _ = run_cli(
-        capsys, "curve", "--c-min", "3/2", "--c-max", "3", "--steps", "4",
-        "--n", "1000", "--format", "json",
+        capsys, "curve", "--c-min", "3/2", "--c-max", "3", "--steps", "4", "--format", "json",
     )
     assert code == 0
     rows = json.loads(out)
@@ -195,8 +198,9 @@ def test_adversary_missing_arguments(capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
+        # the curve is per request and takes no length
         (("curve", "--c-min", "2", "--c-max", "3", "--steps", "2", "--n", "0"),
-         "the curve needs n >= 1"),
+         "unrecognized arguments: --n 0"),
         (("adversary", "--game", "min", "--n", "4", "--weight", "2", "--m", "-1"),
          "--m must be at least 0"),
         (("adversary", "--game", "max", "--n", "4", "--m", "-3"), "needs m >= 0 strategies"),
@@ -283,6 +287,9 @@ def test_verify_bounds_its_runs_before_it_starts():
          "curve steps 1000000000, over the limit 10000"),
         (("lift", "--from", "1" * 2000, "--to", "vc", "--c", "2"),
          "brute-force requests 2000, over the limit 16"),
+        # both binomials are 1, but one block would hold 10^20 points
+        (("design", "--v", "1" + "0" * 20, "--k", "1" + "0" * 20, "--t", "0"),
+         f"({10**20},{10**20},0) design points 2^64 or more, over the limit 100000"),
     ],
 )
 def test_work_over_a_limit_is_refused_before_it_starts(argv, stderr):
@@ -291,6 +298,78 @@ def test_work_over_a_limit_is_refused_before_it_starts(argv, stderr):
     assert done.returncode == 2
     assert done.stdout == ""
     assert done.stderr == f"error: {stderr}\n"  # one line, no traceback
+
+
+# (plain, hostile) values for every flag of cli.COMMANDS; a choice flag's
+# choices are its plain values.  Hostile sizes: empty, zero, negative, 300
+# digits.  Hostile ratios: degenerate, division by zero, float notation, 400
+# digits, and one a 400-digit step above 1.
+SIZES = (("1", "2", "3", "4"), ("", "0", "-1", "1" + "0" * 299))
+RATIOS = (("5/4", "3/2", "2", "3"), ("", "0", "1", "-3/2", "1/0", "1e400", "1.5", "9" * 400,
+                                     f"{10**399 + 1}/{10**399}"))
+BITS = (("0110", "1011", "1", "01"), ("", "0000", "012", " 1", "1_0", "0b1", "1" * 40))
+CHOICE = ((), ("", "bogus"))
+FLAG_VALUES = {
+    "--n": SIZES, "--c": RATIOS, "--c-min": RATIOS, "--c-max": RATIOS, "--steps": SIZES,
+    "--format": CHOICE, "--v": SIZES, "--k": SIZES, "--t": SIZES, "--method": CHOICE,
+    "--protocol": CHOICE, "--x": BITS, "--history": CHOICE, "--n-max": SIZES, "--game": CHOICE,
+    "--weight": SIZES, "--m": SIZES, "--variant": CHOICE, "--from": BITS, "--to": CHOICE,
+    "--only": CHOICE, "--grid-max": SIZES, "--seed": SIZES,
+    # files in the test's own directory: alive strings, none, bad JSON, a dict
+    "--strings": (("alive.json",), ("missing.json", "bad.json", "shape.json")),
+    "--out": (("out.txt",), (".",)),
+}
+# The suite has no work limit: omitted or past its defaults, its caps run
+# every battery at full range, for seconds.  Its caps are always drawn, small.
+SUITE_CAPS = (("1", "2"), ("", "0", "-1"))
+# every check_work limit and search budget, lowered so that no draw runs long
+LOWERED_LIMITS = {
+    "asg.cli.VERIFY_RUNS": 63, "asg.cli.GAME_ROUNDS": 8, "asg.cli.GAME_ANSWERS": 32,
+    "asg.adversary.CLASS_BITS": 200, "asg.adversary.DEFAULT_BRUTE_LIMIT": 4,
+    "asg.bounds.CURVE_STEPS": 8, "asg.problems.BRUTE_GUARD": 6,
+    "asg.problems.HALVING_PATHS_LIMIT": 6, "asg.designs.DEFAULT_TSUBSET_LIMIT": 200,
+    "asg.designs.SEARCH_NODES": 200, "asg.cover.SEARCH_NODES": 200, "asg.cover.HIGHS_NODES": 20,
+}
+
+
+def test_hostile_arguments_keep_the_error_contract(tmp_path, monkeypatch):
+    flags = {flag for _, arguments in asg.cli.COMMANDS.values() for flag, _ in arguments}
+    assert flags | {"--out"} == FLAG_VALUES.keys()
+    for target, limit in LOWERED_LIMITS.items():
+        monkeypatch.setattr(target, limit)
+    (tmp_path / "alive.json").write_text('["0110", "1010", "0011"]')
+    (tmp_path / "bad.json").write_text('["0110",')
+    (tmp_path / "shape.json").write_text('{"alive": ["01"]}')
+    monkeypatch.chdir(tmp_path)
+
+    @settings(derandomize=True, max_examples=400, deadline=None, database=None)
+    @given(st.data())
+    def check(data):
+        command = data.draw(st.sampled_from(list(asg.cli.COMMANDS)))
+        argv = [command]
+        for flag, options in (*asg.cli.COMMANDS[command][1], ("--out", {})):
+            if command == "suite" and flag in ("--n-max", "--grid-max"):
+                plain, hostile = SUITE_CAPS
+                pools = (plain, hostile)
+            else:
+                plain, hostile = FLAG_VALUES[flag]
+                plain = (*options.get("choices", ()), *plain)
+                pools = (plain,) * 5 + (hostile, hostile, ())  # () omits the flag
+            pool = data.draw(st.sampled_from(pools))
+            if pool:
+                argv += [flag, data.draw(st.sampled_from(pool))]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        if code == 2:  # one error line and nothing else
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("error: ") and err.getvalue().endswith("\n")
+            assert err.getvalue().count("\n") == 1
+        else:
+            assert err.getvalue() == ""
+
+    check()
 
 
 def _benchmark_workloads(monkeypatch):
@@ -620,7 +699,7 @@ HELP_AND_ERROR_SHA256 = {
         ("brute", "--n", "3", "--c", "2", "--bogus", "1"),
         "b313dd1f7fc4bc3fc05c29a1af57e424ba47e1382874e60d586e4244536ef9d6"),
     "bounds-help": (("bounds", "--help"), "b73bbd0524398c2ca0ffbad8695e37ecdfe925e58a9ebb07be4411838fc13717"),
-    "curve-help": (("curve", "--help"), "ca5f4697effa35c06eab692bbb3fa1408c1c03184ffc55d15ef45952579addb9"),
+    "curve-help": (("curve", "--help"), "7cbe9e0163e57ee2c1603198fb58a5bf59909c1f31959dcbff502989572057e6"),
     "design-help": (("design", "--help"), "616a204efc4c811a77cd5adaa8fbca74196a225dd98725a3fead3ad113877915"),
     "simulate-help": (
         ("simulate", "--help"), "60762e18275859b3226734365782ec933e1ce43edcb03f91bbb726e2315cb575"),
@@ -679,7 +758,7 @@ IMPORT_GRAPH_COMMANDS = {
     # two n <= 7 counts that the search settles only with orbital branching
     "brute-n7-c2": ("brute", "--n", "7", "--c", "2", "--variant", "min"),
     "brute-n6-c3_2": ("brute", "--n", "6", "--c", "3/2", "--variant", "min"),
-    "curve": ("curve", "--c-min", "3/2", "--c-max", "3", "--steps", "2", "--n", "100"),
+    "curve": ("curve", "--c-min", "3/2", "--c-max", "3", "--steps", "2"),
     "suite": ("suite", "--only", "envelope", "--n-max", "2"),
     "suite-csv": ("suite", "--only", "envelope", "--n-max", "2", "--format", "csv"),
 }

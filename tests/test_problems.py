@@ -29,9 +29,7 @@ from asg.problems import (
     _score_table,
     aoc_membership_check,
     halving_paths_instance,
-    induced_has_cycle,
     knapsack_instance,
-    is_dominating_set,
     singleton_cover_instance,
     split_graph,
     star_domination_graph,
@@ -100,7 +98,7 @@ def test_unique_cycle_feasible_sets_are_supersets_of_ones():
             support = {i for i in range(1, n + 1) if x[i - 1] == "1"}
             for y in all_bitstrings(n):
                 chosen = {i for i in range(1, n + 1) if y[i - 1] == "1"}
-                assert induced_has_cycle(g, chosen) == (support <= chosen)
+                assert PROBLEMS["cf"].feasible(g, chosen) == (support <= chosen)
 
 
 def test_star_domination_graph_examples():
@@ -122,7 +120,7 @@ def test_star_domination_set_characterization():
             for y in all_bitstrings(n):
                 chosen = {i for i in range(1, n + 1) if y[i - 1] == "1"}
                 expected = support <= chosen or (rest <= chosen and len(support) < n)
-                assert is_dominating_set(g, chosen) == expected
+                assert PROBLEMS["ds"].feasible(g, chosen) == expected
 
 
 def test_singleton_cover_examples():
@@ -245,7 +243,7 @@ def test_membership_on_all_small_graphs():
         assert aoc_membership_check(VC, graphs) == []
         assert aoc_membership_check(IS, graphs) == []
         assert aoc_membership_check(DS, graphs) == []
-        cyclic = [g for g in graphs if induced_has_cycle(g, set(range(1, n + 1)))]
+        cyclic = [g for g in graphs if PROBLEMS["cf"].feasible(g, set(range(1, n + 1)))]
         assert aoc_membership_check(CF, cyclic) == []
 
 

@@ -41,8 +41,8 @@ def _records():
         "graph": CONSTRUCTIONS["cf"]("0111"),
         "set-cover": CONSTRUCTIONS["sc"]("0101"),
         "disjoint-paths": CONSTRUCTIONS["dpa"]("011"),
-        "curve-sg": curve_point(Fraction(3, 2), 100),
-        "curve-no-sg": curve_point(3, 100),
+        "curve-sg": curve_point(Fraction(3, 2)),
+        "curve-no-sg": curve_point(3),
         "config-default": ExperimentConfig(),
         "config-ratios": ExperimentConfig(
             seed=4, n_max=3, ratios=(Fraction(3, 2), 2), output_format="csv"
@@ -217,5 +217,5 @@ PINNED_CURVE = {
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_curve_bytes_are_pinned(fmt):
-    points = [curve_point(Fraction(3, 2), 100), curve_point(3, 100)]
+    points = [curve_point(Fraction(3, 2)), curve_point(3)]
     assert render_curve(points, fmt) == PINNED_CURVE[fmt]

@@ -41,7 +41,7 @@ from asg.suite import (
 
 
 def test_curve_grid_is_exact_rationals():
-    points = emit_curve(Fraction(21, 20), Fraction(4), 60, n=1000)
+    points = emit_curve(Fraction(21, 20), Fraction(4), 60)
     assert len(points) == 60
     assert points[0].c == Fraction(21, 20)
     assert points[-1].c == Fraction(4)
@@ -50,10 +50,10 @@ def test_curve_grid_is_exact_rationals():
 
 
 def test_curve_point_envelopes_and_comparison_column():
-    p = curve_point(2, n=1000)
+    p = curve_point(2)
     assert p.envelope_lo <= p.asg_bits_per_request <= p.envelope_hi
     assert p.sg_bits_per_request is not None
-    assert curve_point(3, n=1000).sg_bits_per_request is None
+    assert curve_point(3).sg_bits_per_request is None
 
 
 def test_emit_curve_rejects_bad_grids():
@@ -63,11 +63,11 @@ def test_emit_curve_rejects_bad_grids():
         emit_curve(2, Fraction(3, 2), 10)
     with pytest.raises(ValueError):
         emit_curve(2, 3, 1)
-    assert len(emit_curve(2, 2, 1, n=100)) == 1
+    assert len(emit_curve(2, 2, 1)) == 1
 
 
 def test_render_curve_formats():
-    points = emit_curve(Fraction(3, 2), Fraction(5, 2), 3, n=100)
+    points = emit_curve(Fraction(3, 2), Fraction(5, 2), 3)
     csv_text = render_curve(points, "csv")
     lines = csv_text.splitlines()
     assert lines[0] == ",".join(CURVE_COLUMNS)
