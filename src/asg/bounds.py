@@ -157,10 +157,31 @@ def bound_report(n: int, c) -> BoundReport:
     return BoundReport(n, c, float(advice_bound(n, c)), float(lo), float(hi), slacks)
 
 
+_LOG_BITS = 256  # fraction bits of log2_binom's integer logs, far past 50 digits
+_ONE = 1 << _LOG_BITS
+_WIDE = Context(prec=100)  # ln 2 on _LOG_BITS fraction bits takes 78 digits
+_LN2_BITS = int(_WIDE.multiply(_WIDE.ln(2), _ONE))
+
+
 def log2_binom(n: int, m: int) -> Decimal:
-    """log2 of the exact binomial, precise to the working precision."""
+    """log2 of the exact binomial as the working precision gives it: the ln
+    of the binomial rounded to the working digits, over ln 2.  That ln is
+    summed in integers, b ln 2 + 2 atanh((x-1)/(x+1)) for the bit length b
+    and the leading bits x scaled into [1/sqrt 2, sqrt 2)."""
     with localcontext(_CONTEXT):
-        return (+Decimal(math.comb(n, m))).ln() / _LN2_D
+        value = int(+Decimal(math.comb(n, m)))
+        if not value:  # m > n: the log of 0, as Decimal.ln gives it
+            return Decimal("-Infinity")
+        b = value.bit_length()
+        x = value << _LOG_BITS >> b  # value / 2^b, in [1/2, 1)
+        if 2 * x * x < _ONE * _ONE:
+            x, b = x << 1, b - 1
+        z = (abs(x - _ONE) << _LOG_BITS) // (x + _ONE)
+        z2, term, atanh, k = z * z >> _LOG_BITS, z, z, 1
+        while term:  # |z| < 0.172: each term over 5 bits below the one before
+            term, k = term * z2 >> _LOG_BITS, k + 2
+            atanh += term // k
+        return Decimal(b * _LN2_BITS + (2 * atanh if x >= _ONE else -2 * atanh)) / _ONE / _LN2_D
 
 
 def _log2_quotient(n: int, w: int, k: int, t: int) -> Decimal:

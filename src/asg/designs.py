@@ -27,9 +27,9 @@ family and `exact_cover_number` raises `core.WorkLimitError` naming the
 [lower, upper] bracket.  Every limit is a count, never time, so the oracle
 and the algorithm build the same design.  Results are cached once per
 (v, k, t) and budget beside a `DesignProvenance` record
-(`design_provenance`); the guard on binom(v, t), binom(v, k) and v is a
-module constant, checked by `core.check_work` on every call, before the
-cache.
+(`design_provenance`); the guards on binom(v, t), binom(v, k), v and the
+binom(v, k) binom(k, t) (block, t-subset) pairs are module constants,
+checked by `core.check_work` on every call, before the cache.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ __all__ = [
     "CoverNumberBounds",
     "DesignProvenance",
     "DEFAULT_TSUBSET_LIMIT",
+    "DESIGN_PAIRS",
     "SEARCH_NODES",
     "binom_quotient",
     "cover_number_bounds",
@@ -58,6 +59,7 @@ __all__ = [
 ]
 
 DEFAULT_TSUBSET_LIMIT = 100000  # the search guard on binom(v, t), binom(v, k) and v
+DESIGN_PAIRS = 20_000_000  # the guard on binom(v, k) binom(k, t), over (18,12,6)'s 17,153,136
 SEARCH_NODES = 1_000_000  # search nodes per (v, k, t) for the size proof
 
 
@@ -118,12 +120,13 @@ def cover_number_bounds(v: int, k: int, t: int) -> CoverNumberBounds:
 def _guard(v: int, k: int, t: int) -> None:
     """Both tables a search builds, binom(v, t) subsets and binom(v, k)
     blocks, must fit the guard before either is built, and so must v, the
-    points one block may hold; each count is estimated by
-    `core.capped_comb`, so a refusal costs no huge binomial."""
+    points one block may hold, and the (block, t-subset) pairs the masks are
+    summed from; each count is estimated by `core.capped_comb`."""
     _check_params(v, k, t)
     check_work("({},{},{}) design t-subsets", capped_comb(v, t), DEFAULT_TSUBSET_LIMIT, v, k, t)
     check_work("({},{},{}) design blocks", capped_comb(v, k), DEFAULT_TSUBSET_LIMIT, v, k, t)
     check_work("({},{},{}) design points", v, DEFAULT_TSUBSET_LIMIT, v, k, t)
+    check_work("({},{},{}) design pairs", capped_comb(v, k) * capped_comb(k, t), DESIGN_PAIRS, v, k, t)
 
 
 def _coverage_tables(v: int, k: int, t: int) -> tuple[tuple, tuple]:

@@ -176,8 +176,8 @@ class Problem:
     table read it: hashable, and its `len()` is its number of requests.
     Equal prepared instances share one table of the scores of every
     output, built by `_score_table` and read by `opt`, `optimal_strings`
-    and `aoc_membership_check`.  `run` is the one place an
-    oracle/algorithm pair runs on an instance.
+    and `aoc_membership_check`.  `run_all` is the one place an
+    oracle/algorithm pair runs on instances; `run` runs it on one.
     """
 
     name: str = ""
@@ -196,6 +196,10 @@ class Problem:
         check_bits(y)
         if len(y) != len(instance):
             raise ValueError(f"answer length {len(y)} != {len(instance)} requests")
+        return self._scored(instance, y)
+
+    def _scored(self, instance, y: str) -> Score:
+        """The class rule's score of a well-formed y on the prepared instance."""
         accept = "1" if self.objective == "min" else "0"
         accepted = {i for i, b in enumerate(y, 1) if b == accept}
         if self.feasible(instance, accepted):
@@ -203,18 +207,26 @@ class Problem:
         return PLUS_INF if self.objective == "min" else MINUS_INF
 
     def _prepared(self, instance):
-        """The instance as `feasible` reads it, once per score call or table;
+        """The instance as `feasible` reads it, once per run, score call or table;
         a problem overrides it to make a list hashable or to scale once."""
         return instance
 
+    def run_all(self, pair, instances):
+        """(instance, advice, RunResult) per instance, read one per result: the
+        counterpart of `core.run_all`, with no play memo.  Each is prepared once,
+        and the answer, well formed by `run_online`, is scored by the class rule
+        without a second check."""
+        for instance in instances:
+            prepared = self._prepared(instance)
+            advice = list(pair.oracle(instance))
+            tape = AdviceTape(advice)
+            y = run_online(pair.algorithm(), tape, self.requests(prepared))
+            yield instance, advice, RunResult(y, self._scored(prepared, y), tape.bits_read)
+
     def run(self, pair, instance) -> tuple[list[int], RunResult]:
-        """Run an oracle/algorithm pair on the instance, the problem
-        counterpart of `core.run_asg`: the advice the oracle wrote, and the
-        answer, its score and the bits the algorithm read."""
-        advice = list(pair.oracle(instance))
-        tape = AdviceTape(advice)
-        y = run_online(pair.algorithm(), tape, self.requests(instance))
-        return advice, RunResult(y, self.score(instance, y), tape.bits_read)
+        """`run_all` on one instance, the counterpart of `core.run_asg`: the
+        advice, and the answer, its score and the bits the algorithm read."""
+        return next(self.run_all(pair, (instance,)))[1:]
 
     def opt(self, instance) -> Score:
         return self._best(_score_table(self, instance))
@@ -253,16 +265,22 @@ def _score_table(problem: Problem, instance) -> tuple[Score, ...]:
 def _scores(problem: Problem, instance) -> tuple[Score, ...]:
     n = len(instance)
     check_work("brute-force requests", n, BRUTE_GUARD)
-    # output y is the mask y reads in binary, so round i is bit n - i;
-    # chosen[mask] holds the rounds of the mask's 1 bits
-    chosen = [frozenset()]
-    for i in range(n, 0, -1):
-        chosen += [s | {i} for s in chosen]
+    chosen = _subsets(n)  # entry mask: the rounds of the mask's 1 bits
     # accepting is answering 1 (min) or 0 (max); a mask's 0 bits are its
     # complement's 1 bits, and the complements of masks 0, 1, ... run in reverse
     accepted, fail = (chosen, PLUS_INF) if problem.objective == "min" else (reversed(chosen), MINUS_INF)
     feasible = problem.feasible
     return tuple(len(s) if feasible(instance, s) else fail for s in accepted)
+
+
+@lru_cache(maxsize=BRUTE_GUARD + 1)
+def _subsets(n: int) -> tuple[frozenset, ...]:
+    """Each n-bit output's rounds, shared by every table of length n: output y
+    is the mask y reads in binary, so round i is bit n - i."""
+    chosen = [frozenset()]
+    for i in range(n, 0, -1):
+        chosen += [s | {i} for s in chosen]
+    return tuple(chosen)
 
 
 class _GraphProblem(Problem):
@@ -360,11 +378,11 @@ class UnitKnapsack(Problem):
     objective = "max"
     _prepared = staticmethod(knapsack_instance)
 
-    def requests(self, instance) -> list:
-        return list(knapsack_instance(instance).weights)
+    def requests(self, instance) -> tuple:
+        return knapsack_instance(instance).weights
 
     def feasible(self, instance: KnapsackInstance, accepted: set[int]) -> bool:
-        return sum(instance.loads[i - 1] for i in accepted) <= instance.scale
+        return sum([instance.loads[i - 1] for i in accepted]) <= instance.scale
 
 
 class EdgeMatching(Problem):
@@ -520,7 +538,7 @@ def aoc_membership_check(problem: Problem, instances) -> list[dict]:
         # y dominates an optimum when it answers 1 wherever that one does
         optima = [mask for mask, s in enumerate(scores) if s == best]
         for mask, s in enumerate(scores):
-            if s in (PLUS_INF, MINUS_INF) and any(opt & ~mask == 0 for opt in optima):
+            if s in (PLUS_INF, MINUS_INF) and any(opt & mask == opt for opt in optima):
                 y = _answer(mask, n)
                 bad.append({"instance": instance, "y": y, "reason": "dominates an optimum but infeasible"})
     return bad

@@ -464,14 +464,14 @@ def battery_reductions(n_max: int = 8, ratios=None):
         for c in ratios:
             pair = aoc_generic(problem, c)
             lifted = lift_to_asg(pair, name)
+            runs = problem.run_all(pair, built)  # in input order, as the loop below meets them
             for n in range(1, n_max + 1):
                 allowance = lifted.budget(n) - pair.budget(n)  # the lift's own header allowance
                 for x in all_bitstrings(n):
-                    instance = instances.get(x)
                     run, inner_len, inner_read = None, 0, 0
-                    if instance is not None:
-                        run = problem.run(pair, instance)
-                        advice, inner = run
+                    if instances[x] is not None:
+                        instance, advice, inner = next(runs)
+                        run = advice, inner
                         yield None if competitive_ok(problem.objective, inner.score, problem.opt(instance), c) else (
                             f"{name} covering run broke strictness", f"c={c} x={x!r}: y={inner.y!r}"
                         )
@@ -533,35 +533,32 @@ def battery_packing(n_exhaustive: int = 5, n_max: int = 10, match_vertices: int 
     pair = knapsack_two_competitive()
     values = [Fraction(k, PACKING_GRID) for k in range(PACKING_GRID + 1)]
 
-    def knapsack_run(instance, opt):
-        """One run against the reference count opt: None, or its failure."""
-        res = problem.run(pair, instance)[1]  # score -inf when infeasible, which fails the check
-        if not competitive_ok("max", res.score, opt, 2) or res.bits > encoded_length(len(instance)):
-            return "knapsack run failed", f"weights={instance.weights}: y={res.y!r} opt={opt}"
-        if len(instance) <= 4 and problem.opt(instance) != opt:
-            return "knapsack optimum disagrees with brute force", f"weights={instance.weights}"
-        return None
+    def knapsack_runs(instances, opt=None):
+        """Each run's check against the reference count opt, by default the
+        instance's own: None, or its failure."""
+        for instance, _, res in problem.run_all(pair, instances):
+            ref = fill_count(instance.loads, instance.scale) if opt is None else opt
+            # an infeasible answer scores -inf, which fails the ratio check
+            if not competitive_ok("max", res.score, ref, 2) or res.bits > encoded_length(len(instance)):
+                yield "knapsack run failed", f"weights={instance.weights}: y={res.y!r} opt={ref}"
+            elif len(instance) <= 4 and problem.opt(instance) != ref:
+                yield "knapsack optimum disagrees with brute force", f"weights={instance.weights}"
+            else:
+                yield None
 
     # each arrival order is scaled once, for the oracle, the score and the table
-    for n in range(n_exhaustive + 1):
-        for weights in product(values, repeat=n):
-            instance = KnapsackInstance(weights)
-            yield knapsack_run(instance, fill_count(instance.loads, instance.scale))
+    yield from knapsack_runs(KnapsackInstance(w) for n in range(n_exhaustive + 1) for w in product(values, repeat=n))
     rng = random.Random(seed)
     for n in range(n_exhaustive + 1, n_max + 1):
         for base in combinations_with_replacement(values, n):
             shuffled = list(base)
             rng.shuffle(shuffled)
             orders = [KnapsackInstance(w) for w in (base, tuple(reversed(base)), tuple(shuffled))]
-            opt = fill_count(orders[0].loads, orders[0].scale)  # the same for every arrival order
-            for instance in orders:
-                yield knapsack_run(instance, opt)
+            # the same count for every arrival order
+            yield from knapsack_runs(orders, fill_count(orders[0].loads, orders[0].scale))
 
     matching = PROBLEMS["om"]
     match_pair = greedy_matching()
-
-    def greedy_run(instance):
-        return matching.run(match_pair, instance)[1].score
 
     edge_list, opt, fwd, rev = _matching_tables(match_vertices)
     total = 1 << len(edge_list)
@@ -574,19 +571,19 @@ def battery_packing(n_exhaustive: int = 5, n_max: int = 10, match_vertices: int 
     # tie the table to the implementation on every small graph; an
     # infeasible (MINUS_INF) greedy answer disagrees with every table entry
     small = list(combinations(range(1, min(match_vertices, 5) + 1), 2))
-    into = [edge_list.index(e) for e in small]
-    for mask in range(1 << len(small)):
-        instance = tuple(e for i, e in enumerate(small) if mask >> i & 1)
-        big_mask = sum(1 << into[i] for i in range(len(small)) if mask >> i & 1)
+    into = {e: 1 << edge_list.index(e) for e in small}  # each small edge's bit in a big mask
+    graphs = (tuple(e for i, e in enumerate(small) if mask >> i & 1) for mask in range(1 << len(small)))
+    for instance, _, res in matching.run_all(match_pair, graphs):
+        big_mask = sum(into[e] for e in instance)
         yield (
             ("greedy table disagrees with the implementation", f"edges={instance}")
-            if greedy_run(instance) != fwd[big_mask]
+            if res.score != fwd[big_mask]
             else ("matching optimum disagrees with brute force", f"edges={instance}")
             if len(instance) <= 6 and matching.opt(instance) != opt[big_mask]
             else None
         )
     witness = ((2, 3), (1, 2), (3, 4))
-    alg = greedy_run(witness)
+    alg = matching.run(match_pair, witness)[1].score
     yield None if matching.opt(witness) == 2 * alg else (
         "the four-path witness missed ratio two", f"alg={alg} opt={matching.opt(witness)}"
     )

@@ -68,6 +68,7 @@ def test_reductions_lift_round_trips_within_the_header_allowance():
     # each lift's own header allowance, never over 2 + 3 encoded_length(n) bits
     result = battery_reductions()
     assert result.passed, result.line()
+    assert result.checked == 20844
 
 
 def test_knapsack_and_matching_stay_within_factor_two():
@@ -76,6 +77,7 @@ def test_knapsack_and_matching_stay_within_factor_two():
     # arrival orders, exactly tight on the four-vertex path
     result = battery_packing()
     assert result.passed, result.line()
+    assert result.checked == 2435735
 
 
 def test_emitted_curve_reproduces_the_known_values():

@@ -24,6 +24,7 @@ from asg import algorithms
 from asg.adversary import exact_strategy_count
 from asg.bounds import CURVE_COLUMNS
 from asg.cli import main
+from asg.core import design_shapes
 from asg.designs import SEARCH_NODES, CoveringDesign
 from asg.problems import CONSTRUCTIONS
 from asg.reductions import REDUCTIONS
@@ -290,6 +291,10 @@ def test_verify_bounds_its_runs_before_it_starts():
         # both binomials are 1, but one block would hold 10^20 points
         (("design", "--v", "1" + "0" * 20, "--k", "1" + "0" * 20, "--t", "0"),
          f"({10**20},{10**20},0) design points 2^64 or more, over the limit 100000"),
+        # both binomials are 99,681, under their guard, but the coverage
+        # tables would pair every block with its 98,790 t-subsets
+        (("design", "--v", "447", "--k", "445", "--t", "2"),
+         "(447,445,2) design pairs 9847485990, over the limit 20000000"),
     ],
 )
 def test_work_over_a_limit_is_refused_before_it_starts(argv, stderr):
@@ -328,6 +333,7 @@ LOWERED_LIMITS = {
     "asg.adversary.CLASS_BITS": 200, "asg.adversary.DEFAULT_BRUTE_LIMIT": 4,
     "asg.bounds.CURVE_STEPS": 8, "asg.problems.BRUTE_GUARD": 6,
     "asg.problems.HALVING_PATHS_LIMIT": 6, "asg.designs.DEFAULT_TSUBSET_LIMIT": 200,
+    "asg.designs.DESIGN_PAIRS": 2000,
     "asg.designs.SEARCH_NODES": 200, "asg.cover.SEARCH_NODES": 200, "asg.cover.HIGHS_NODES": 20,
 }
 
@@ -412,6 +418,7 @@ def test_every_benchmark_command_and_battery_call_is_within_its_limits(monkeypat
         elif c.kind == "design":
             v, k, t = (int(arg[f]) for f in ("--v", "--k", "--t"))
             need("DEFAULT_TSUBSET_LIMIT", max(math.comb(v, t), math.comb(v, k)))
+            need("DESIGN_PAIRS", math.comb(v, k) * math.comb(k, t))
     for workload in workloads.BATTERIES:
         for name, caps, _ in workloads.battery_calls(workload, 0):
             if name == "adversary":  # weight classes and alive sets to n_max
@@ -426,7 +433,10 @@ def test_every_benchmark_command_and_battery_call_is_within_its_limits(monkeypat
             elif name == "counting":
                 need("DEFAULT_BRUTE_LIMIT", caps["n_max"])
             elif name == "covering":  # a (v, k, t) design per weight class, v <= n_max
-                need("DEFAULT_TSUBSET_LIMIT", math.comb(caps["n_max"], caps["n_max"] // 2))
+                n = caps["n_max"]
+                need("DEFAULT_TSUBSET_LIMIT", math.comb(n, n // 2))
+                need("DESIGN_PAIRS", max(math.comb(n, k) * math.comb(k, t)
+                                         for k in range(n + 1) for t in range(k + 1)))
             elif name == "reductions":  # instances and brute-force optima to n_max
                 need("BRUTE_GUARD", caps["n_max"])
                 need("HALVING_PATHS_LIMIT", caps["n_max"])
@@ -438,7 +448,7 @@ def test_every_benchmark_command_and_battery_call_is_within_its_limits(monkeypat
         "CURVE_STEPS": bounds.CURVE_STEPS, "BRUTE_GUARD": problems.BRUTE_GUARD,
         "HALVING_PATHS_LIMIT": problems.HALVING_PATHS_LIMIT,
         "DEFAULT_BRUTE_LIMIT": adversary.DEFAULT_BRUTE_LIMIT,
-        "DEFAULT_TSUBSET_LIMIT": designs.DEFAULT_TSUBSET_LIMIT,
+        "DEFAULT_TSUBSET_LIMIT": designs.DEFAULT_TSUBSET_LIMIT, "DESIGN_PAIRS": designs.DESIGN_PAIRS,
     }
     assert estimates.keys() == limits.keys()
     assert max(estimates["VERIFY_RUNS"]) == 2**13 - 1  # the largest verify has n_max 12
@@ -449,7 +459,27 @@ def test_every_benchmark_command_and_battery_call_is_within_its_limits(monkeypat
         "VERIFY_RUNS": 2**16 - 1, "GAME_ROUNDS": 100_000, "GAME_ANSWERS": 300_000,
         "CLASS_BITS": 5_000_000, "CURVE_STEPS": 10_000, "BRUTE_GUARD": 16,
         "HALVING_PATHS_LIMIT": 30, "DEFAULT_BRUTE_LIMIT": 8, "DEFAULT_TSUBSET_LIMIT": 100_000,
+        "DESIGN_PAIRS": 20_000_000,
     }
+    # every covering shape with n <= 18 at c in {5/4, 3/2, 2, 3} stays admitted;
+    # the largest pair count is (18,12,6)'s, C(18,12) C(12,6)
+    pairs = max(math.comb(n, k) * math.comb(k, t) for n in range(1, 19) for c in ("5/4", "3/2", "2", "3")
+                for objective in ("min", "max") for k, t in design_shapes(objective, c, n) if 0 < t and k < n)
+    assert pairs == 17_153_136 < designs.DESIGN_PAIRS
+
+
+@pytest.mark.parametrize("workload", ["upper-bounds", "lower-bounds", "reductions"])
+def test_benchmark_battery_calls_pass_with_their_pinned_counts(monkeypatch, workload):
+    # a pass whose count differs has not done the benchmark's work: it fails
+    # here before the benchmark refuses it
+    import asg.suite
+
+    workloads = _benchmark_workloads(monkeypatch)
+    assert [w for w in workloads.WORKLOADS if w in workloads.BATTERIES] == [
+        "upper-bounds", "lower-bounds", "reductions"]
+    for name, caps, checked in workloads.battery_calls(workload, 0):
+        result = getattr(asg.suite, f"battery_{name}")(**caps)
+        assert (result.passed, result.checked) == (True, checked), result.line()
 
 
 # sha256 over "<exit code>\0<stdout>\0<stderr>\0" of each command, in order:

@@ -6,16 +6,20 @@ from itertools import combinations, product
 
 import pytest
 
-from asg.algorithms import aoc_generic
+from asg.algorithms import AdvicePair, aoc_generic, greedy_matching, knapsack_two_competitive
 from asg.core import (
     MINUS_INF,
     PLUS_INF,
     AdviceTape,
+    OnlineAlgorithm,
+    RunResult,
     WorkLimitError,
     all_bitstrings,
     asg_opt,
     competitive_ok,
+    decode_int,
     dominates,
+    encode_int,
     ones,
     run_online,
     zeros,
@@ -488,3 +492,92 @@ def test_membership_violations_match_the_string_reference(problem):
     violations = aoc_membership_check(problem, flags)
     assert violations  # the problem is broken
     assert violations == _membership_on_strings(problem, flags)
+
+
+# --- the problem runner ---------------------------------------------------
+
+
+def _runs_by_hand(problem, pair, instances):
+    """Each run as `Problem.run` made it before the runner: the requests
+    of the instance as given, and the answer scored by the public score."""
+    for instance in instances:
+        advice = list(pair.oracle(instance))
+        tape = AdviceTape(advice)
+        y = run_online(pair.algorithm(), tape, problem.requests(instance))
+        yield instance, advice, RunResult(y, problem.score(instance, y), tape.bits_read)
+
+
+def test_run_all_matches_runs_scored_by_the_public_score():
+    # the covering pair on every constructed instance to n = 5, knapsack on
+    # weight tuples, lists and records, and greedy matching on edge lists
+    cases = []
+    for name, build in CONSTRUCTIONS.items():
+        instances = [build(x) for n in range(1, 6) for x in all_bitstrings(n) if ones(x) >= 3]
+        cases.append((PROBLEMS[name], aoc_generic(PROBLEMS[name], Fraction(3, 2)), instances))
+    weights = [w for n in range(4) for w in product(KNAPSACK_POOL[:5], repeat=n)]
+    cases.append((KS, knapsack_two_competitive(), weights + [list(w) for w in weights]
+                  + [knapsack_instance(w) for w in weights]))
+    k4 = list(combinations(range(1, 5), 2))
+    graphs = [[list(e) for i, e in enumerate(k4) if mask >> i & 1] for mask in range(1 << len(k4))]
+    cases.append((OM, greedy_matching(), graphs))
+    for problem, pair, instances in cases:
+        assert list(problem.run_all(pair, instances)) == list(_runs_by_hand(problem, pair, instances))
+        assert [problem.run(pair, i) for i in instances] == [r[1:] for r in problem.run_all(pair, instances)]
+
+
+class _FailOnTwoFlags(OnlineAlgorithm):
+    """Reads a flag count from the tape; on count 2 it answers `bad`, or
+    raises it when it is an exception."""
+
+    bad = 2
+
+    def begin(self, tape):
+        self.count = decode_int(tape)
+
+    def answer(self, i, request):
+        if self.count != 2:
+            return 1
+        if isinstance(self.bad, Exception):
+            raise self.bad
+        return self.bad
+
+
+def _first_failure(runs):
+    """(the instances run before the first error, the error's type and text)."""
+    done = []
+    try:
+        for instance in runs:
+            done.append(instance)
+    except (ValueError, RuntimeError) as exc:
+        return done, type(exc), str(exc)
+    return done, None, None
+
+
+@pytest.mark.parametrize("bad", [2, None, RuntimeError("no answer on two flags")])
+def test_run_all_fails_where_run_fails(monkeypatch, bad):
+    monkeypatch.setattr(_FailOnTwoFlags, "bad", bad)
+    problem = _MustTake()
+    pair = AdvicePair(lambda flags: encode_int(sum(flags)), _FailOnTwoFlags, lambda n: 0)
+    flags = list(product((0, 1), repeat=4))
+    each = (problem.run(pair, f) and f for f in flags)
+    together = (f for f, _, _ in problem.run_all(pair, flags))
+    done, kind, text = _first_failure(together)
+    assert (done, kind, text) == _first_failure(each)
+    assert done[-1] == (0, 0, 1, 0) and kind is not None  # (0, 0, 1, 1) is the first with two
+
+
+def test_run_all_reads_one_instance_per_result():
+    read = []
+
+    def instances():
+        for flags in product((0, 1), repeat=3):
+            read.append(flags)
+            yield flags
+
+    runs = _MustTake().run_all(aoc_generic(_MustTake(), 2), instances())
+    assert read == []
+    for count in range(1, 9):
+        instance, _, result = next(runs)
+        assert len(read) == count and read[-1] == instance
+        assert competitive_ok("min", result.score, sum(instance), 2)
+    assert next(runs, None) is None

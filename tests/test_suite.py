@@ -15,6 +15,7 @@ import asg.bounds
 import asg.cli
 import asg.core
 import asg.designs
+import asg.problems
 import asg.suite
 from asg.adversary import max_no_advice_game, standard_max_behaviors
 from asg.algorithms import AdvicePair
@@ -527,6 +528,18 @@ def test_battery_reductions_runs_each_pair_once_per_input(monkeypatch):
 
 def test_battery_packing_small():
     assert battery_packing(n_exhaustive=2, n_max=3, match_vertices=4).passed
+
+
+def test_battery_packing_checks_no_answer_string(monkeypatch):
+    # the runner scores each answer `run_online` built without re-checking
+    # it: at the benchmark's caps a pass made 16,200 check_bits calls, one
+    # per run, while every run went through the public Problem.score
+    calls = []
+    for module in (asg.core, asg.problems, asg.algorithms, asg.suite):
+        if hasattr(module, "check_bits"):
+            _wrap(monkeypatch, "check_bits", lambda real, x: calls.append(x) or real(x), module)
+    result = battery_packing(n_exhaustive=3, n_max=6, match_vertices=6)
+    assert (result.passed, result.checked, len(calls)) == (True, 48968, 0)
 
 
 def test_standard_max_behaviors_all_defeated():
