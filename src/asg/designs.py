@@ -161,9 +161,10 @@ def _ladder(v: int, k: int, t: int, budget: int) -> tuple[CoveringDesign, Design
 
     # per t-subset, its coverers in block order as (block bit, what the block
     # leaves uncovered); one pair per block, shared by the lists of all its t-subsets
+    full = (1 << math.comb(v, t)) - 1
     options = [[] for _ in range(math.comb(v, t))]
     for bi, mask in enumerate(masks):
-        pair = (1 << bi, ~mask)
+        pair = (1 << bi, full ^ mask)  # not ~mask: `&` converts a negative int to two's complement first
         while mask:
             low = mask & -mask
             options[low.bit_length() - 1].append(pair)
@@ -200,7 +201,7 @@ def _ladder(v: int, k: int, t: int, budget: int) -> tuple[CoveringDesign, Design
 
     # block 0 = (1..k) is fixed; each size without a cover raises `lower`.
     # The counting bound keeps what block 0 leaves within lower - 1 blocks.
-    rest = ((1 << math.comb(v, t)) - 1) & ~masks[0]
+    rest = full ^ masks[0]
     found = None
     try:
         while lower < upper:

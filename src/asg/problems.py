@@ -82,9 +82,6 @@ class VertexArrivalGraph(JsonRecord, namedtuple("VertexArrivalGraph", "n edges")
     def neighbors_before(self, j: int) -> tuple[int, ...]:
         return tuple(sorted(i for i, k in self.edges if k == j))
 
-    def adjacent(self, a: int, b: int) -> bool:
-        return (min(a, b), max(a, b)) in self.edges
-
     def __len__(self) -> int:
         return self.n
 
@@ -146,6 +143,14 @@ class KnapsackInstance(namedtuple("KnapsackInstance", "weights loads scale")):
     def _replace(self, *, weights):
         """A record of other weights, scaled anew."""
         return KnapsackInstance(weights)
+
+    def permuted(self, order) -> KnapsackInstance:
+        """The items in `order`, a sequence of their indices, under this record's scale."""
+        fields = [tuple([field[i] for i in order]) for field in (self.weights, self.loads)]
+        return super().__new__(KnapsackInstance, *fields, self.scale)
+
+    def __hash__(self) -> int:  # on the integer loads and scale: a Fraction hashes in Python
+        return hash(self[1:])
 
     def __getnewargs__(self):  # copy and pickle rebuild the record from its weights
         return (self.weights,)
@@ -327,12 +332,11 @@ class DominatingSet(_GraphProblem):
     objective = "min"
 
     def feasible(self, instance: VertexArrivalGraph, accepted: set[int]) -> bool:
-        for v in range(1, instance.n + 1):
-            if v in accepted:
-                continue
-            if not any(instance.adjacent(v, u) for u in accepted):
-                return False
-        return True
+        dominated = set(accepted)
+        for i, j in instance.edges:
+            if i in accepted or j in accepted:
+                dominated.update((i, j))
+        return dominated.issuperset(range(1, instance.n + 1))
 
 
 class SetCover(Problem):
@@ -534,11 +538,16 @@ def aoc_membership_check(problem: Problem, instances) -> list[dict]:
         if best in (PLUS_INF, MINUS_INF):
             bad.append({"instance": instance, "reason": "no feasible output"})
             continue
-        # outputs as bit masks: output y is the mask at y's position, and
-        # y dominates an optimum when it answers 1 wherever that one does
-        optima = [mask for mask, s in enumerate(scores) if s == best]
-        for mask, s in enumerate(scores):
-            if s in (PLUS_INF, MINUS_INF) and any(opt & mask == opt for opt in optima):
-                y = _answer(mask, n)
-                bad.append({"instance": instance, "y": y, "reason": "dominates an optimum but infeasible"})
+        # bitsets with bit m for output mask m: the outputs dominating an optimum
+        # are the optima's up-closure, each bit added in turn to every mask without it
+        size = len(scores)
+        up = int("".join(["1" if s == best else "0" for s in reversed(scores)]), 2)
+        for i in range(n):
+            half = 1 << i  # the masks without bit i: the low half of every 2^(i+1)
+            up |= (up & int(("0" * half + "1" * half) * (size // (2 * half)), 2)) << half
+        infeasible = int("".join(["1" if s in (PLUS_INF, MINUS_INF) else "0" for s in reversed(scores)]), 2)
+        if up & infeasible:
+            marks = format(up & infeasible, f"0{size}b")[::-1]  # index m: output mask m
+            bad += [{"instance": instance, "y": _answer(mask, n), "reason": "dominates an optimum but infeasible"}
+                    for mask, mark in enumerate(marks) if mark == "1"]
     return bad

@@ -76,6 +76,7 @@ from asg.core import (
     as_ratio,
     asg_opt,
     ceil_log2,
+    check_work,
     competitive_ok,
     design_shapes,
     encoded_length,
@@ -521,7 +522,19 @@ def _matching_tables(vertices: int):
     return edge_list, opt, fwd, rev
 
 
+def _first_bad_mask(opt, fwd, rev) -> int | None:
+    """The first edge mask m with opt[m] > 2 fwd[m] or opt[m] > 2 rev[m], or None,
+    from one byte lane per mask of big integers: with every entry at most 3,
+    a lane of 128 + 2 greedy - opt keeps its top bit exactly when opt <= 2 greedy."""
+    top = int.from_bytes(b"\x80" * len(opt), "little")
+    need = int.from_bytes(opt, "little")
+    fwd_ok, rev_ok = ((int.from_bytes(greedy, "little") << 1 | top) - need for greedy in (fwd, rev))
+    bad = top ^ (top & fwd_ok & rev_ok)
+    return ((bad & -bad).bit_length() - 1) // 8 if bad else None
+
+
 PACKING_GRID = 8  # knapsack weights are the multiples of 1/PACKING_GRID in [0, 1]
+MATCHING_MASKS = 1 << 21  # edge masks of the greedy-matching tables: the 7-vertex graphs
 
 
 @_battery
@@ -529,6 +542,7 @@ def battery_packing(n_exhaustive: int = 5, n_max: int = 10, match_vertices: int 
     """Knapsack protocol within twice the optimum on eighth-step weight
     grids with logarithmic advice; greedy matching within twice the optimum
     on every graph, with the four-path witness exactly at ratio two."""
+    check_work("greedy-matching edge masks", 1 << min(math.comb(match_vertices, 2), 64), MATCHING_MASKS)
     problem = PROBLEMS["ks"]
     pair = knapsack_two_competitive()
     values = [Fraction(k, PACKING_GRID) for k in range(PACKING_GRID + 1)]
@@ -551,19 +565,20 @@ def battery_packing(n_exhaustive: int = 5, n_max: int = 10, match_vertices: int 
     rng = random.Random(seed)
     for n in range(n_exhaustive + 1, n_max + 1):
         for base in combinations_with_replacement(values, n):
-            shuffled = list(base)
+            # one record per multiset: its other orders permute it under its scale
+            record = KnapsackInstance(base)
+            shuffled = list(range(n))  # the same draws as shuffling the weights themselves
             rng.shuffle(shuffled)
-            orders = [KnapsackInstance(w) for w in (base, tuple(reversed(base)), tuple(shuffled))]
+            orders = [record, record.permuted(range(n - 1, -1, -1)), record.permuted(shuffled)]
             # the same count for every arrival order
-            yield from knapsack_runs(orders, fill_count(orders[0].loads, orders[0].scale))
+            yield from knapsack_runs(orders, fill_count(record.loads, record.scale))
 
     matching = PROBLEMS["om"]
     match_pair = greedy_matching()
 
     edge_list, opt, fwd, rev = _matching_tables(match_vertices)
     total = 1 << len(edge_list)
-    # a bulk scan, not a competitive_ok call per mask: 2^21 edge masks at full range
-    bad = next((m for m in range(total) if opt[m] > 2 * fwd[m] or opt[m] > 2 * rev[m]), None)
+    bad = _first_bad_mask(opt, fwd, rev)
     yield _Weighted(total, None) if bad is None else _Weighted(bad + 1, (
         "greedy matching broke its factor",
         f"edges={tuple(e for i, e in enumerate(edge_list) if bad >> i & 1)}",

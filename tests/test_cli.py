@@ -333,7 +333,7 @@ LOWERED_LIMITS = {
     "asg.adversary.CLASS_BITS": 200, "asg.adversary.DEFAULT_BRUTE_LIMIT": 4,
     "asg.bounds.CURVE_STEPS": 8, "asg.problems.BRUTE_GUARD": 6,
     "asg.problems.HALVING_PATHS_LIMIT": 6, "asg.designs.DEFAULT_TSUBSET_LIMIT": 200,
-    "asg.designs.DESIGN_PAIRS": 2000,
+    "asg.designs.DESIGN_PAIRS": 2000, "asg.suite.MATCHING_MASKS": 64,
     "asg.designs.SEARCH_NODES": 200, "asg.cover.SEARCH_NODES": 200, "asg.cover.HIGHS_NODES": 20,
 }
 
@@ -389,7 +389,7 @@ def _benchmark_workloads(monkeypatch):
 
 
 def test_every_benchmark_command_and_battery_call_is_within_its_limits(monkeypatch):
-    from asg import adversary, bounds, designs, problems
+    from asg import adversary, bounds, designs, problems, suite
 
     workloads = _benchmark_workloads(monkeypatch)
     estimates = {}  # limit name -> the estimates it must admit
@@ -440,8 +440,9 @@ def test_every_benchmark_command_and_battery_call_is_within_its_limits(monkeypat
             elif name == "reductions":  # instances and brute-force optima to n_max
                 need("BRUTE_GUARD", caps["n_max"])
                 need("HALVING_PATHS_LIMIT", caps["n_max"])
-            elif name == "packing":  # runs to n_max requests
+            elif name == "packing":  # runs to n_max requests; matching tables over every edge mask
                 need("BRUTE_GUARD", caps["n_max"])
+                need("MATCHING_MASKS", 2 ** math.comb(caps["match_vertices"], 2))
     limits = {
         "VERIFY_RUNS": asg.cli.VERIFY_RUNS, "GAME_ROUNDS": asg.cli.GAME_ROUNDS,
         "GAME_ANSWERS": asg.cli.GAME_ANSWERS, "CLASS_BITS": adversary.CLASS_BITS,
@@ -449,6 +450,7 @@ def test_every_benchmark_command_and_battery_call_is_within_its_limits(monkeypat
         "HALVING_PATHS_LIMIT": problems.HALVING_PATHS_LIMIT,
         "DEFAULT_BRUTE_LIMIT": adversary.DEFAULT_BRUTE_LIMIT,
         "DEFAULT_TSUBSET_LIMIT": designs.DEFAULT_TSUBSET_LIMIT, "DESIGN_PAIRS": designs.DESIGN_PAIRS,
+        "MATCHING_MASKS": suite.MATCHING_MASKS,
     }
     assert estimates.keys() == limits.keys()
     assert max(estimates["VERIFY_RUNS"]) == 2**13 - 1  # the largest verify has n_max 12
@@ -459,7 +461,7 @@ def test_every_benchmark_command_and_battery_call_is_within_its_limits(monkeypat
         "VERIFY_RUNS": 2**16 - 1, "GAME_ROUNDS": 100_000, "GAME_ANSWERS": 300_000,
         "CLASS_BITS": 5_000_000, "CURVE_STEPS": 10_000, "BRUTE_GUARD": 16,
         "HALVING_PATHS_LIMIT": 30, "DEFAULT_BRUTE_LIMIT": 8, "DEFAULT_TSUBSET_LIMIT": 100_000,
-        "DESIGN_PAIRS": 20_000_000,
+        "DESIGN_PAIRS": 20_000_000, "MATCHING_MASKS": 2**21,
     }
     # every covering shape with n <= 18 at c in {5/4, 3/2, 2, 3} stays admitted;
     # the largest pair count is (18,12,6)'s, C(18,12) C(12,6)

@@ -1,6 +1,8 @@
 """Instance constructions, feasibility scoring, brute-force optima."""
 
 import hashlib
+import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -28,6 +30,7 @@ from asg.problems import (
     CONSTRUCTIONS,
     HALVING_PATHS_LIMIT,
     PROBLEMS,
+    KnapsackInstance,
     Problem,
     VertexArrivalGraph,
     _score_table,
@@ -69,9 +72,9 @@ def test_split_graph_structure():
             one = [i for i in range(1, n + 1) if x[i - 1] == "1"]
             zero = [i for i in range(1, n + 1) if x[i - 1] == "0"]
             for i, j in combinations(one, 2):
-                assert g.adjacent(i, j)
+                assert (i, j) in g.edges
             for i, j in combinations(zero, 2):
-                assert not g.adjacent(i, j)
+                assert (i, j) not in g.edges
 
 
 def test_unique_cycle_graph_worked_examples():
@@ -219,6 +222,24 @@ def test_rejecting_two_clique_vertices_never_covers():
                     assert VC.score(g, y) == PLUS_INF
 
 
+def test_a_permuted_knapsack_record_is_the_record_of_its_weights():
+    # the packing battery shuffles item indices and permutes one record:
+    # the same draws as shuffling the weights, and the same record, hash
+    # included, as one built from the permuted weights
+    for seed in range(20):
+        for n in range(1, 11):
+            weights = tuple(random.Random(seed * 100 + n).choice(KNAPSACK_POOL) for _ in range(n))
+            shuffled, order = list(weights), list(range(n))
+            random.Random(seed).shuffle(shuffled)
+            random.Random(seed).shuffle(order)
+            assert [weights[i] for i in order] == shuffled
+            record = knapsack_instance(weights)
+            for derived, expected in ((record.permuted(order), tuple(shuffled)),
+                                      (record.permuted(range(n - 1, -1, -1)), weights[::-1])):
+                assert derived == KnapsackInstance(expected)
+                assert hash(derived) == hash(KnapsackInstance(expected))
+
+
 def test_knapsack_scoring():
     inst = (Fraction(3, 5), Fraction(1, 2), Fraction(1, 2))
     assert KS.score(inst, "011") == 1
@@ -239,6 +260,20 @@ def all_graphs(n: int):
     pairs = list(combinations(range(1, n + 1), 2))
     for keep in range(1 << len(pairs)):
         yield VertexArrivalGraph(n, frozenset(p for b, p in enumerate(pairs) if keep >> b & 1))
+
+
+def test_dominating_set_feasibility_is_the_textbook_rule():
+    # every graph to n = 5 and every accepted set, also with the vertices 0
+    # and n + 1 that the graph does not have: each of 1..n is accepted or
+    # adjacent to an accepted vertex
+    for n in range(6):
+        for g in all_graphs(n):
+            for keep in range(1 << n):
+                for outside in (set(), {0, n + 1}):
+                    accepted = {v for v in range(1, n + 1) if keep >> v - 1 & 1} | outside
+                    expected = all(v in accepted or any((min(u, v), max(u, v)) in g.edges for u in accepted)
+                                   for v in range(1, n + 1))
+                    assert DS.feasible(g, accepted) == expected, (g, accepted)
 
 
 def test_membership_on_all_small_graphs():
@@ -328,11 +363,13 @@ HALVES = (Fraction(1, 2), Fraction(1, 2), Fraction(3, 4))
 
 @pytest.mark.parametrize("problem, twins", [
     (_CountingMatching(), [((1, 2), (2, 3), (3, 4)), [[1, 2], [2, 3], [3, 4]], [(1, 2), (2, 3), (3, 4)]]),
-    (_CountingKnapsack(), [HALVES, list(HALVES), knapsack_instance(HALVES)]),
+    (_CountingKnapsack(), [HALVES, list(HALVES), knapsack_instance(HALVES), (0.5, 0.5, 0.75),
+                           knapsack_instance((0.5, 0.5, 0.75))]),
 ], ids=["om", "ks"])
 def test_a_list_instance_reads_its_tuple_twins_table(problem, twins):
     # a list is cached under its prepared form, so it shares the table of
-    # the equal tuple instead of asking the predicate 2^n times again
+    # the equal tuple instead of asking the predicate 2^n times again; a
+    # record of floats equals, and hashes as, the record of equal Fractions
     best = problem.optimal_strings(twins[0])
     assert problem.calls == 2**3
     for twin in twins[1:]:
@@ -486,12 +523,16 @@ class _Never(_MustTake):
         return False
 
 
-@pytest.mark.parametrize("problem", [_ExactlyTheFlags(), _EvenlyMany(), _Never()], ids=lambda p: p.name)
-def test_membership_violations_match_the_string_reference(problem):
-    flags = [tuple(map(int, x)) for n in range(5) for x in all_bitstrings(n)]
+@pytest.mark.parametrize("problem, most", [(_ExactlyTheFlags(), 63), (_EvenlyMany(), 32), (_Never(), 1)],
+                         ids=["exactly-the-flags", "evenly-many", "never"])
+def test_membership_violations_match_the_string_reference(problem, most):
+    # to n = 6; the most violations one instance has: every output but the
+    # optimum on six unflagged rounds, half the outputs on six rounds, one
+    flags = [tuple(map(int, x)) for n in range(7) for x in all_bitstrings(n)]
     violations = aoc_membership_check(problem, flags)
     assert violations  # the problem is broken
     assert violations == _membership_on_strings(problem, flags)
+    assert max(Counter(v["instance"] for v in violations).values()) == most
 
 
 # --- the problem runner ---------------------------------------------------

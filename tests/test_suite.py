@@ -530,6 +530,44 @@ def test_battery_packing_small():
     assert battery_packing(n_exhaustive=2, n_max=3, match_vertices=4).passed
 
 
+def _first_bad_mask_by_scan(opt, fwd, rev):
+    """The greedy-matching factor check as a scan over the masks: the
+    reference for the lane check."""
+    return next((m for m in range(len(opt)) if opt[m] > 2 * fwd[m] or opt[m] > 2 * rev[m]), None)
+
+
+def test_the_lane_check_finds_the_scans_first_bad_mask():
+    # the real tables to 6 vertices pass; to 5, each table with one greedy
+    # entry lowered by one gives the scan's answer, a mask or None
+    answers = Counter()
+    for vertices in range(1, 7):
+        _, opt, fwd, rev = asg.suite._matching_tables(vertices)
+        assert asg.suite._first_bad_mask(opt, fwd, rev) is None
+        assert _first_bad_mask_by_scan(opt, fwd, rev) is None
+        if vertices == 6:
+            continue
+        for table in (fwd, rev):
+            for m in range(len(table)):
+                if table[m]:
+                    table[m] -= 1
+                    first = _first_bad_mask_by_scan(opt, fwd, rev)
+                    assert asg.suite._first_bad_mask(opt, fwd, rev) == first
+                    answers[first is None] += 1
+                    table[m] += 1
+    assert answers[True] and answers[False]  # both answers occur
+
+
+def test_battery_packing_refuses_matching_tables_over_the_limit(monkeypatch):
+    # 8 vertices would be three tables of 2^28 bytes: refused before any
+    # knapsack run or table
+    monkeypatch.setattr(asg.suite, "KnapsackInstance", None)
+    monkeypatch.setattr(asg.suite, "_matching_tables", None)
+    for vertices, shown in ((8, "268435456"), (12, "2^64 or more")):
+        with pytest.raises(asg.core.WorkLimitError) as info:
+            battery_packing(match_vertices=vertices)
+        assert str(info.value) == f"greedy-matching edge masks {shown}, over the limit 2097152"
+
+
 def test_battery_packing_checks_no_answer_string(monkeypatch):
     # the runner scores each answer `run_online` built without re-checking
     # it: at the benchmark's caps a pass made 16,200 check_bits calls, one
